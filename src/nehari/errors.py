@@ -36,11 +36,22 @@ class BracketError(NehariError):
 
 
 class ProjectionError(NehariError):
-    """The requested Nehari branch is not reachable along this ray."""
+    """The requested Nehari branch is not reachable along this ray.
+
+    ``diagnosis`` may be given as a callable that computes it; it is then
+    called when the attribute is first read, so failures that nobody
+    inspects cost nothing.
+    """
 
     def __init__(self, message: str, diagnosis=None):
         super().__init__(message)
-        self.diagnosis = diagnosis
+        self._diagnosis = diagnosis
+
+    @property
+    def diagnosis(self):
+        if callable(self._diagnosis):
+            self._diagnosis = self._diagnosis()
+        return self._diagnosis
 
 
 class SeedingError(NehariError):

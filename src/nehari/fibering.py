@@ -10,23 +10,35 @@ curve
 
 with the level λ·A, since γ'(t) = t^q (m(t) − λA).  The balance curve is
 strictly increasing when B ≤ 0 and unimodal when B > 0; its unique peak is
-located through the strictly decreasing peak equation (η below).  This
-module classifies every sign case, finds all roots by certified bisection,
-and projects fields onto the chosen branch.
+the root of the strictly decreasing peak equation η(t) = (p−q)B, and
+m'(t) = t^{p−q−1}(η(t) − (p−q)B), so the sign of m' tells on which side of
+the peak a scaling lies.
 
-Root brackets are grown geometrically from [1/2, 2] (factor 2, capped at
-[1e-9, 1e9]); bisection inside a bracket is the only refinement used, since
-monotonicity makes it certified.  Reported scalar integrals go through the
-exact compensated quadrature; the bisection loop itself uses a plain
-deterministic vector sum for speed (the bracket tolerance, not summation
-error, limits root accuracy).
+Every ray quantity comes from one engine, built once per field.  Every root
+(a branch crossing, the balance peak, a critical point of the bare energy)
+is refined by one routine: Newton steps inside a sign-changing bracket,
+replaced by bisection whenever a step would leave the bracket (rtsafe), and
+stopped at the problem's relative ``root_tol``.  A branch crossing is
+bracketed from a warm start at the input scale t = 1, next to which the
+trial points of a descent lie: since m is unimodal, the signs of m − λA and
+of m' at points spaced by factors of 2 place a bracket that holds that
+crossing and no other.  The peak is solved only when they cannot, when the
+tangency rule needs it, or when a diagnosis reports it.  Brackets are capped
+at [smallest normal double, 1e9]; every downward search meets a guaranteed
+sign change before 0⁺.  Reported values use the exact compensated
+quadrature; root loops use plain deterministic vector sums on the
+unit-energy copy of the ray (the stopping tolerance, not summation error,
+limits root accuracy).
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property, partial
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -39,7 +51,6 @@ from .energy import (
 )
 from .errors import BracketError, DomainError, ProjectionError
 from .grid import Field, integrate, pointwise_energy
-from .phi import PhiModel
 
 __all__ = [
     "FiberingDiagnosis",
@@ -66,11 +77,11 @@ __all__ = [
     "sample_ray",
 ]
 
-BRACKET_LO_CAP = 1e-9
+BRACKET_LO_CAP = sys.float_info.min
 BRACKET_HI_CAP = 1e9
 BRACKET_GROW = 2.0
 TANGENT_RTOL = 1e-10
-BISECT_RTOL = 1e-13
+MAX_REFINE = 200
 
 CASE_NEITHER = "neither_positive"
 CASE_CONCAVE_ONLY = "concave_only"
@@ -80,92 +91,125 @@ CASE_BOTH_TANGENT = "both_positive_tangent"
 CASE_BOTH_TWO_ROOTS = "both_positive_two_roots"
 
 
-class _RayData:
-    """Per-field quantities reused across t: density array and integrals."""
+class _Ray:
+    """The ray t ↦ t·u of one field: its density and integrals, built once.
+
+    Built from a field, it works in input units and sums exactly, for
+    reported values.  :meth:`unit` gives the unit-energy copy that root
+    searches use, with plain vector sums.  The integrals at a scaling t are
+    Φ's bulk and the moments m_k = ∫ φ^{(k)}(ρt²/2) ρ^{k+1}, ρ = u² + |∇u|²;
+    every ray function is a formula in those.
+    """
 
     def __init__(self, u: Field, cfg: ProblemConfig):
         if u.grid != cfg.grid:
             raise DomainError("field lives on a different grid than the problem")
-        self.cfg = cfg
-        self.phi: PhiModel = cfg.phi
-        self.vol = cfg.grid.cell_volume
+        self.grid = cfg.grid
+        self.phi, self.q, self.p, self.lam = cfg.phi, cfg.q, cfg.p, cfg.lam
+        self.root_tol = cfg.root_tol
         self.density = pointwise_energy(u)
+        self.density2 = self.density**2
         self.energy_int = integrate(cfg.grid, self.density)
+        self.concave = concave_integral(u, cfg)
+        self.convex = convex_integral(u, cfg)
+        self.exact = True
+        self.scale = 1.0  # the scaling of this ray that gives the input field
+
+    def unit(self) -> "_Ray":
+        """Copy rescaled to unit energy integral; its ``scale`` is √E."""
         if self.energy_int <= 0.0:
             raise DomainError("ray analysis needs a nonzero field")
-        self.density2 = self.density**2
-        au = cfg.a.values * np.abs(u.values) ** (cfg.q + 1.0)
-        bu = cfg.b.values * np.abs(u.values) ** (cfg.p + 1.0)
-        self.concave = integrate(cfg.grid, au)
-        self.convex = integrate(cfg.grid, bu)
-        self.q = cfg.q
-        self.p = cfg.p
-        self.lam = cfg.lam
-
-    def normalized(self) -> tuple["_RayData", float]:
-        """Unit-energy copy (ray-invariant rescaling) and the scale used."""
         s = math.sqrt(self.energy_int)
-        clone = object.__new__(_RayData)
-        clone.cfg = self.cfg
-        clone.phi = self.phi
-        clone.vol = self.vol
-        clone.density = self.density / (s * s)
-        clone.density2 = clone.density**2
-        clone.energy_int = 1.0
-        clone.concave = self.concave / s ** (self.q + 1.0)
-        clone.convex = self.convex / s ** (self.p + 1.0)
-        clone.q = self.q
-        clone.p = self.p
-        clone.lam = self.lam
-        return clone, s
+        unit = copy.copy(self)
+        unit.density = self.density / (s * s)
+        unit.density2 = unit.density**2
+        unit.energy_int = 1.0
+        unit.concave = self.concave / s ** (self.q + 1.0)
+        unit.convex = self.convex / s ** (self.p + 1.0)
+        unit.exact = False
+        unit.scale = s
+        return unit
 
-    # plain deterministic sums: bracket width, not rounding, limits accuracy
-    def moment0(self, t: float) -> float:
-        arg = self.density * (t * t / 2.0)
-        return self.vol * float(np.sum(self.phi.raw_phi(arg) * self.density))
-
-    def moment1(self, t: float) -> float:
-        arg = self.density * (t * t / 2.0)
-        return self.vol * float(np.sum(self.phi.raw_dphi(arg) * self.density2))
-
-    def moment01(self, t: float) -> tuple[float, float]:
-        arg = self.density * (t * t / 2.0)
-        return (
-            self.vol * float(np.sum(self.phi.raw_phi(arg) * self.density)),
-            self.vol * float(np.sum(self.phi.raw_dphi(arg) * self.density2)),
-        )
-
-    def moment2(self, t: float) -> float:
-        arg = self.density * (t * t / 2.0)
-        return self.vol * float(
-            np.sum(self.phi.raw_d2phi(arg) * self.density2 * self.density)
-        )
+    def _sum(self, values: np.ndarray) -> float:
+        if self.exact:
+            return integrate(self.grid, values)
+        return self.grid.cell_volume * float(np.sum(values))
 
     def bulk(self, t: float) -> float:
+        return self._sum(self.phi.raw_Phi(self.density * (t * t / 2.0)))
+
+    def moments(self, t: float, order: int = 1) -> list[float]:
+        """[m_0, …, m_order] at t."""
         arg = self.density * (t * t / 2.0)
-        return self.vol * float(np.sum(self.phi.raw_Phi(arg)))
+        out = [self._sum(self.phi.raw_phi(arg) * self.density)]
+        if order >= 1:
+            out.append(self._sum(self.phi.raw_dphi(arg) * self.density2))
+        if order >= 2:
+            out.append(self._sum(self.phi.raw_d2phi(arg) * self.density2 * self.density))
+        return out
 
-    def balance(self, t: float) -> float:
-        return t ** (1.0 - self.q) * self.moment0(t) - t ** (self.p - self.q) * self.convex
-
-    def balance_dt(self, t: float) -> float:
-        m0, m1 = self.moment01(t)
+    def gamma(self, t: float, bulk: float) -> float:
+        q, p = self.q, self.p
         return (
-            (1.0 - self.q) * t**-self.q * m0
-            + t ** (2.0 - self.q) * m1
-            - (self.p - self.q) * t ** (self.p - self.q - 1.0) * self.convex
+            bulk
+            - self.lam / (q + 1.0) * t ** (q + 1.0) * self.concave
+            - 1.0 / (p + 1.0) * t ** (p + 1.0) * self.convex
         )
 
-    def peak_eq(self, t: float) -> float:
-        m0, m1 = self.moment01(t)
+    def gamma_dt(self, t: float, m0: float) -> float:
+        return t * m0 - self.lam * t**self.q * self.concave - t**self.p * self.convex
+
+    def gamma_dt2(self, t: float, m0: float, m1: float) -> float:
+        q, p = self.q, self.p
+        return (
+            m0
+            + t * t * m1
+            - self.lam * q * t ** (q - 1.0) * self.concave
+            - p * t ** (p - 1.0) * self.convex
+        )
+
+    def balance(self, t: float, m0: float) -> float:
+        return t ** (1.0 - self.q) * m0 - t ** (self.p - self.q) * self.convex
+
+    def balance_dt(self, t: float, m0: float, m1: float) -> float:
+        q, p = self.q, self.p
+        return (
+            (1.0 - q) * t**-q * m0
+            + t ** (2.0 - q) * m1
+            - (p - q) * t ** (p - q - 1.0) * self.convex
+        )
+
+    def peak_eq(self, t: float, m0: float, m1: float) -> float:
         return t ** (1.0 - self.p) * ((1.0 - self.q) * m0 + t * t * m1)
 
-    def bare_slope_over_t(self, t: float) -> float:
-        """h'(t)/t; positive for small t, negative for large t when B > 0."""
-        return self.moment0(t) - t ** (self.p - 1.0) * self.convex
+    def peak_eq_dt(self, t: float, m0: float, m1: float, m2: float) -> float:
+        q, p = self.q, self.p
+        return (
+            (1.0 - q) * (1.0 - p) * t**-p * m0
+            + (4.0 - p - q) * t ** (2.0 - p) * m1
+            + t ** (4.0 - p) * m2
+        )
 
-    def bare(self, t: float) -> float:
-        return self.bulk(t) - t ** (self.p + 1.0) / (self.p + 1.0) * self.convex
+    def bare(self, t: float, bulk: float) -> float:
+        return bulk - t ** (self.p + 1.0) / (self.p + 1.0) * self.convex
+
+    @cached_property
+    def peak(self) -> float:
+        """Maximizer of the balance curve (B > 0), searched from ``scale``."""
+        if self.convex <= 0.0:
+            raise DomainError("balance peak requires ∫b|u|^{p+1} > 0")
+        target = (self.p - self.q) * self.convex
+
+        def g(t: float) -> _Point:
+            m0, m1, m2 = self.moments(t, 2)
+            return _Point(t, self.peak_eq(t, m0, m1) - target, self.peak_eq_dt(t, m0, m1, m2))
+
+        start = g(self.scale)
+        up = start.f >= 0.0  # η decreases: the root lies above a nonnegative point
+        return _refine(g, *_walk(g, start, up, lambda pt: (pt.f >= 0.0) != up), self.root_tol)
+
+
+# -- public ray functions (input units, exact quadrature) --------------------
 
 
 def _check_t(t: float) -> float:
@@ -175,99 +219,55 @@ def _check_t(t: float) -> float:
     return t
 
 
-# -- public ray functions (input units, exact quadrature) --------------------
-
-
 def ray_energy(u: Field, t: float, cfg: ProblemConfig) -> float:
     """γ(t) = J(t·u); defined for t >= 0 with γ(0) = 0."""
     t = float(t)
     if t < 0.0:
         raise DomainError(f"ray energy needs t >= 0, got {t}")
-    dens = pointwise_energy(u)
-    bulk = integrate(cfg.grid, cfg.phi.Phi(dens * (t * t / 2.0)))
-    A = concave_integral(u, cfg)
-    B = convex_integral(u, cfg)
-    return (
-        bulk
-        - cfg.lam / (cfg.q + 1.0) * t ** (cfg.q + 1.0) * A
-        - 1.0 / (cfg.p + 1.0) * t ** (cfg.p + 1.0) * B
-    )
+    ray = _Ray(u, cfg)
+    return ray.gamma(t, ray.bulk(t))
 
 
 def ray_energy_dt(u: Field, t: float, cfg: ProblemConfig) -> float:
     """γ'(t) = t∫φ(·t²)(u²+|∇u|²) − λt^q A − t^p B."""
     t = _check_t(t)
-    dens = pointwise_energy(u)
-    m0 = integrate(cfg.grid, np.asarray(cfg.phi.phi(dens * (t * t / 2.0))) * dens)
-    A = concave_integral(u, cfg)
-    B = convex_integral(u, cfg)
-    return t * m0 - cfg.lam * t**cfg.q * A - t**cfg.p * B
+    ray = _Ray(u, cfg)
+    return ray.gamma_dt(t, *ray.moments(t, 0))
 
 
 def ray_energy_dt2(u: Field, t: float, cfg: ProblemConfig) -> float:
     """γ''(t), the exact second derivative of the ray energy."""
     t = _check_t(t)
-    dens = pointwise_energy(u)
-    arg = dens * (t * t / 2.0)
-    m0 = integrate(cfg.grid, np.asarray(cfg.phi.phi(arg)) * dens)
-    m1 = integrate(cfg.grid, np.asarray(cfg.phi.dphi(arg)) * dens**2)
-    A = concave_integral(u, cfg)
-    B = convex_integral(u, cfg)
-    return (
-        m0
-        + t * t * m1
-        - cfg.lam * cfg.q * t ** (cfg.q - 1.0) * A
-        - cfg.p * t ** (cfg.p - 1.0) * B
-    )
+    ray = _Ray(u, cfg)
+    return ray.gamma_dt2(t, *ray.moments(t))
 
 
 def ray_balance(u: Field, t: float, cfg: ProblemConfig) -> float:
     """Balance curve m(t); crossings of λ∫a|u|^{q+1} are Nehari scalings."""
     t = _check_t(t)
-    dens = pointwise_energy(u)
-    m0 = integrate(cfg.grid, np.asarray(cfg.phi.phi(dens * (t * t / 2.0))) * dens)
-    B = convex_integral(u, cfg)
-    return t ** (1.0 - cfg.q) * m0 - t ** (cfg.p - cfg.q) * B
+    ray = _Ray(u, cfg)
+    return ray.balance(t, *ray.moments(t, 0))
 
 
 def ray_balance_dt(u: Field, t: float, cfg: ProblemConfig) -> float:
     """m'(t); its sign at a crossing is the sign of the second ray derivative there."""
     t = _check_t(t)
-    dens = pointwise_energy(u)
-    arg = dens * (t * t / 2.0)
-    m0 = integrate(cfg.grid, np.asarray(cfg.phi.phi(arg)) * dens)
-    m1 = integrate(cfg.grid, np.asarray(cfg.phi.dphi(arg)) * dens**2)
-    B = convex_integral(u, cfg)
-    return (
-        (1.0 - cfg.q) * t**-cfg.q * m0
-        + t ** (2.0 - cfg.q) * m1
-        - (cfg.p - cfg.q) * t ** (cfg.p - cfg.q - 1.0) * B
-    )
+    ray = _Ray(u, cfg)
+    return ray.balance_dt(t, *ray.moments(t))
 
 
 def peak_equation(u: Field, t: float, cfg: ProblemConfig) -> float:
     """Strictly decreasing auxiliary η(t); η(t) = (p−q)B locates the balance peak."""
     t = _check_t(t)
-    dens = pointwise_energy(u)
-    arg = dens * (t * t / 2.0)
-    m0 = integrate(cfg.grid, np.asarray(cfg.phi.phi(arg)) * dens)
-    m1 = integrate(cfg.grid, np.asarray(cfg.phi.dphi(arg)) * dens**2)
-    return t ** (1.0 - cfg.p) * ((1.0 - cfg.q) * m0 + t * t * m1)
+    ray = _Ray(u, cfg)
+    return ray.peak_eq(t, *ray.moments(t))
 
 
 def peak_equation_dt(u: Field, t: float, cfg: ProblemConfig) -> float:
     """η'(t); strictly negative whenever the concavity hypothesis holds."""
     t = _check_t(t)
-    dens = pointwise_energy(u)
-    arg = dens * (t * t / 2.0)
-    m0 = integrate(cfg.grid, np.asarray(cfg.phi.phi(arg)) * dens)
-    m1 = integrate(cfg.grid, np.asarray(cfg.phi.dphi(arg)) * dens**2)
-    m2 = integrate(cfg.grid, np.asarray(cfg.phi.d2phi(arg)) * dens**3)
-    return (
-        (1.0 - cfg.q) * (1.0 - cfg.p) * t**-cfg.p * m0
-        + (4.0 - cfg.p - cfg.q) * t ** (2.0 - cfg.p) * m1
-        + t ** (4.0 - cfg.p) * m2
-    )
+    ray = _Ray(u, cfg)
+    return ray.peak_eq_dt(t, *ray.moments(t, 2))
 
 
 def bare_ray_energy(u: Field, t: float, cfg: ProblemConfig) -> float:
@@ -275,135 +275,178 @@ def bare_ray_energy(u: Field, t: float, cfg: ProblemConfig) -> float:
     t = float(t)
     if t < 0.0:
         raise DomainError(f"bare ray energy needs t >= 0, got {t}")
-    dens = pointwise_energy(u)
-    bulk = integrate(cfg.grid, cfg.phi.Phi(dens * (t * t / 2.0)))
-    B = convex_integral(u, cfg)
-    return bulk - t ** (cfg.p + 1.0) / (cfg.p + 1.0) * B
+    ray = _Ray(u, cfg)
+    return ray.bare(t, ray.bulk(t))
 
 
-# -- bracketing and bisection -------------------------------------------------
+# -- brackets and the root routine -------------------------------------------
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, rtol: float = BISECT_RTOL) -> float:
-    """Certified bisection: f changes sign on [lo, hi]; returns the midpoint."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rtol * mid or mid in (lo, hi):
-            return mid
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo = mid
-            f_lo = f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+class _Point(NamedTuple):
+    """A scaling t with the target f(t) and its derivative there."""
+
+    t: float
+    f: float
+    df: float
 
 
-def _grow_down(f, t: float, want_negative: bool) -> tuple[float, float]:
-    """Shrink t by the growth factor until sign(f) matches, within the cap."""
-    while t >= BRACKET_LO_CAP:
-        val = f(t)
-        if (val < 0.0) == want_negative:
-            return t, val
-        t /= BRACKET_GROW
-    raise BracketError(
-        f"no sign change above the lower bracket cap {BRACKET_LO_CAP:g}"
-    )
+def _walk(fdf, start: _Point, up: bool, stop) -> tuple[_Point, _Point]:
+    """Scale by the growth factor (up or down) from ``start`` until ``stop(point)``.
 
-
-def _grow_up(f, t: float, want_negative: bool) -> tuple[float, float]:
-    while t <= BRACKET_HI_CAP:
-        val = f(t)
-        if (val < 0.0) == want_negative:
-            return t, val
-        t *= BRACKET_GROW
-    raise BracketError(
-        f"no sign change below the upper bracket cap {BRACKET_HI_CAP:g}"
-    )
-
-
-def _peak_of_balance(data: _RayData) -> float:
-    """Unique maximizer of the balance curve for B > 0.
-
-    Solves the strictly decreasing peak equation η(t) = (p−q)B by bisection;
-    the bracket is grown geometrically from [1/2, 2].
+    Returns the last two points evaluated.
     """
-    if data.convex <= 0.0:
-        raise DomainError("balance peak requires a positive convex integral")
-    target = (data.p - data.q) * data.convex
-
-    def g(t: float) -> float:
-        return data.peak_eq(t) - target
-
-    lo, g_lo = _grow_down(g, 0.5, want_negative=False)  # g > 0 to the left
-    hi, _ = _grow_up(g, max(2.0, 2.0 * lo), want_negative=True)
-    return _bisect(g, lo, hi, g_lo)
-
-
-def _balance_root(
-    data: _RayData, lo: float, hi: float, rtol: float = BISECT_RTOL
-) -> float:
-    """Root of m(t) = λA inside a sign-changing bracket [lo, hi]."""
-
-    def f(t: float) -> float:
-        return data.balance(t) - data.lam * data.concave
-
-    return _bisect(f, lo, hi, f(lo), rtol)
+    step = BRACKET_GROW if up else 1.0 / BRACKET_GROW
+    point = start
+    while True:
+        t = point.t * step
+        if t < BRACKET_LO_CAP:
+            raise BracketError(
+                f"no sign change above the lower bracket cap {BRACKET_LO_CAP:g}"
+            )
+        if t > BRACKET_HI_CAP:
+            raise BracketError(
+                f"no sign change below the upper bracket cap {BRACKET_HI_CAP:g}"
+            )
+        prev, point = point, fdf(t)
+        if stop(point):
+            return prev, point
 
 
-def _root_sign(data: _RayData, t: float) -> int:
+def _refine(fdf, a: _Point, b: _Point, rtol: float) -> float:
+    """Root of f between a and b, where f < 0 at exactly one of them.
+
+    Newton steps start at the end with the smaller |f|.  A step that would
+    leave the bracket, or that is not at most half the step before last, is
+    replaced by bisection (rtsafe, Numerical Recipes §9.4).  Stops when a
+    step moves t by at most ``rtol``·t.
+    """
+    neg, pos = (a.t, b.t) if a.f < 0.0 else (b.t, a.t)
+    t, f, df = min(a, b, key=lambda pt: abs(pt.f))
+    step = step_old = abs(b.t - a.t)
+    for _ in range(MAX_REFINE):
+        if f == 0.0:
+            return t
+        lo, hi = min(neg, pos), max(neg, pos)
+        newton = t - f / df if df != 0.0 else math.nan
+        if not (lo < newton < hi and abs(2.0 * f) <= abs(step_old * df)):
+            newton = 0.5 * (lo + hi)
+        step_old, step = step, abs(newton - t)
+        t = newton
+        if step <= rtol * t:
+            return t
+        _, f, df = fdf(t)
+        if f < 0.0:
+            neg = t
+        else:
+            pos = t
+    return t
+
+
+class _BranchUnavailable(Exception):
+    def __init__(self, reason: str):
+        self.reason = reason
+        super().__init__(reason)
+
+
+def _branch_root(ray: _Ray, branch: str) -> float:
+    """Crossing of m = λA on the branch's side of the peak, for a unit ray.
+
+    ``plus`` is the rising crossing, ``minus`` the falling one.  From the
+    warm start ``ray.scale`` the search walks toward the peak until
+    f = m − λA ≥ 0, then away from it on the branch's side until f < 0.
+    The peak is solved only when the walk passes it with f < 0 throughout,
+    or when the first f ≥ 0 is too small to rule out a tangent ray.
+    """
+    lamA, B = ray.lam * ray.concave, ray.convex
+    rising = branch == "plus"
+    if rising and lamA <= 0.0:
+        raise _BranchUnavailable("concave integral is nonpositive")
+    if not rising and B <= 0.0:
+        raise _BranchUnavailable("convex integral is nonpositive")
+    tangent_tol = TANGENT_RTOL * (1.0 + abs(lamA))
+
+    def fdf(t: float) -> _Point:
+        m0, m1 = ray.moments(t)
+        return _Point(t, ray.balance(t, m0) - lamA, ray.balance_dt(t, m0, m1))
+
+    neg: Optional[_Point] = None
+    pos = fdf(ray.scale)
+    if pos.f < 0.0:
+        up = B <= 0.0 or pos.df > 0.0
+        prev, pos = _walk(
+            fdf, pos, up, lambda pt: pt.f >= 0.0 or (B > 0.0 and (pt.df > 0.0) != up)
+        )
+        if up == rising:  # the walk came from the branch's side
+            neg = prev
+    if pos.f < 0.0 or (B > 0.0 and lamA > 0.0 and pos.f <= tangent_tol):
+        pos = fdf(ray.peak)
+        if abs(pos.f) <= tangent_tol:
+            raise _BranchUnavailable("ray is tangent to the manifold")
+        if pos.f < 0.0:
+            raise _BranchUnavailable("balance peak below the concave level (no crossing)")
+        neg = None
+    if neg is None:
+        pos, neg = _walk(fdf, pos, not rising, lambda pt: pt.f < 0.0)
+    return _refine(fdf, neg, pos, ray.root_tol)
+
+
+def _root_sign(ray: _Ray, t: float) -> int:
     """Sign of the second ray derivative at a crossing, via the balance slope."""
-    m1 = data.balance_dt(t)
-    scale = (
-        (1.0 - data.q) * t**-data.q * abs(data.moment0(t))
-        + t ** (2.0 - data.q) * abs(data.moment1(t))
-        + (data.p - data.q) * t ** (data.p - data.q - 1.0) * abs(data.convex)
+    m0, m1 = ray.moments(t)
+    slope = ray.balance_dt(t, m0, m1)
+    q, p = ray.q, ray.p
+    size = (
+        (1.0 - q) * t**-q * abs(m0)
+        + t ** (2.0 - q) * abs(m1)
+        + (p - q) * t ** (p - q - 1.0) * abs(ray.convex)
     )
-    if abs(m1) <= 1e-9 * scale:
+    if abs(slope) <= 1e-9 * size:
         return 0
-    return 1 if m1 > 0.0 else -1
+    return 1 if slope > 0.0 else -1
 
 
 def balance_peak(u: Field, cfg: ProblemConfig) -> float:
     """Scaling at which the balance curve attains its unique maximum (B > 0)."""
-    data = _RayData(u, cfg)
-    if data.convex <= 0.0:
+    ray = _Ray(u, cfg)
+    if ray.convex <= 0.0:
         raise DomainError("balance peak requires ∫b|u|^{p+1} > 0")
-    norm, scale = data.normalized()
-    return _peak_of_balance(norm) / scale
+    unit = ray.unit()
+    return unit.peak / unit.scale
 
 
 def bare_ray_peak(u: Field, cfg: ProblemConfig) -> tuple[float, float]:
     """(t_max, value) of the bare ray energy; requires B > 0.
 
-    The slope is positive for small t and negative for large t; the scan
-    brackets every sign change, bisects each, and returns the global
-    maximizer found.
+    The slope h'(t)/t = m_0 − t^{p−1}B is positive for small t and negative
+    for large t; a log scan brackets every sign change, each is refined, and
+    the global maximizer found is returned.
     """
-    data = _RayData(u, cfg)
-    if data.convex <= 0.0:
+    ray = _Ray(u, cfg)
+    if ray.convex <= 0.0:
         raise DomainError("bare ray peak requires ∫b|u|^{p+1} > 0")
-    norm, scale = data.normalized()
+    unit = ray.unit()
+    p, B = unit.p, unit.convex
 
-    t_grid = np.logspace(-6, 6, 241)
-    slopes = [norm.bare_slope_over_t(t) for t in t_grid]
-    candidates = []
-    for i in range(len(t_grid) - 1):
-        if (slopes[i] > 0.0) != (slopes[i + 1] > 0.0):
-            root = _bisect(
-                norm.bare_slope_over_t, t_grid[i], t_grid[i + 1], slopes[i]
-            )
-            candidates.append(root)
+    def slope(t: float) -> _Point:
+        m0, m1 = unit.moments(t)
+        return _Point(t, m0 - t ** (p - 1.0) * B, t * m1 - (p - 1.0) * t ** (p - 2.0) * B)
+
+    # the scan reads m_0 alone; refinement starts with a bisection step
+    scan = [
+        _Point(t, unit.moments(t, 0)[0] - t ** (p - 1.0) * B, math.nan)
+        for t in np.logspace(-6, 6, 241)
+    ]
+    candidates = [
+        _refine(slope, a, b, unit.root_tol)
+        for a, b in zip(scan, scan[1:])
+        if (a.f < 0.0) != (b.f < 0.0)
+    ]
     if not candidates:
         raise BracketError("no critical point of the bare ray energy on the scan")
-    values = [norm.bare(t) for t in candidates]
-    best = int(np.argmax(values))
-    t_norm = candidates[best]
+    t_norm = max(candidates, key=lambda t: unit.bare(t, unit.bulk(t)))
     # exact-quadrature value at the located peak, in input units
-    t_input = t_norm / scale
-    return t_input, bare_ray_energy(u, t_input, cfg)
+    t_input = t_norm / unit.scale
+    return t_input, ray.bare(t_input, ray.bulk(t_input))
 
 
 @dataclass(frozen=True)
@@ -459,143 +502,80 @@ def classify(u: Field, cfg: ProblemConfig) -> FiberingDiagnosis:
     Cases: both weighted integrals nonpositive (no crossing); concave
     positive only (one crossing, rising balance); convex positive only (one
     crossing past the peak); both positive (none, tangent, or two crossings
-    depending on λ against the balance peak).
+    depending on λ against the balance peak).  Crossings come from the same
+    search as :func:`project_scale`.
     """
-    data = _RayData(u, cfg)
-    norm, scale = data.normalized()
-    lamA = norm.lam * norm.concave
+    ray = _Ray(u, cfg)
+    unit = ray.unit()
+    lamA = unit.lam * unit.concave
 
-    t_tilde_n: Optional[float] = None
-    roots_n: list[tuple[float, int]] = []
-    case: str
-    if norm.convex <= 0.0:
+    t_tilde: Optional[float] = None
+    branches: tuple[str, ...] = ()
+    roots: list[tuple[float, int]] = []
+    if unit.convex <= 0.0:
         if lamA <= 0.0:
             case = CASE_NEITHER
         else:
-            case = CASE_CONCAVE_ONLY
-
-            def f(t: float) -> float:
-                return norm.balance(t) - lamA
-
-            lo, f_lo = _grow_down(f, 0.5, want_negative=True)
-            hi, _ = _grow_up(f, max(2.0, 2.0 * lo), want_negative=False)
-            t1 = _bisect(f, lo, hi, f_lo)
-            roots_n.append((t1, _root_sign(norm, t1)))
+            case, branches = CASE_CONCAVE_ONLY, ("plus",)
     else:
-        t_tilde_n = _peak_of_balance(norm)
-        peak_value = norm.balance(t_tilde_n)
+        t_tilde = unit.peak
+        gap = unit.balance(t_tilde, *unit.moments(t_tilde, 0)) - lamA
         if lamA <= 0.0:
-            case = CASE_CONVEX_ONLY
-
-            def f(t: float) -> float:
-                return norm.balance(t) - lamA
-
-            hi, _ = _grow_up(f, max(2.0, 2.0 * t_tilde_n), want_negative=True)
-            t2 = _bisect(f, t_tilde_n, hi, peak_value - lamA)
-            roots_n.append((t2, _root_sign(norm, t2)))
-        elif abs(peak_value - lamA) <= TANGENT_RTOL * (1.0 + abs(lamA)):
+            case, branches = CASE_CONVEX_ONLY, ("minus",)
+        elif abs(gap) <= TANGENT_RTOL * (1.0 + abs(lamA)):
             case = CASE_BOTH_TANGENT
-            roots_n.append((t_tilde_n, 0))
-        elif peak_value < lamA:
+            roots.append((t_tilde, 0))
+        elif gap < 0.0:
             case = CASE_BOTH_NO_ROOT
         else:
-            case = CASE_BOTH_TWO_ROOTS
+            case, branches = CASE_BOTH_TWO_ROOTS, ("plus", "minus")
+    for branch in branches:
+        t = _branch_root(unit, branch)
+        roots.append((t, _root_sign(unit, t)))
 
-            def f(t: float) -> float:
-                return norm.balance(t) - lamA
-
-            lo, f_lo = _grow_down(f, min(0.5, t_tilde_n / 2.0), want_negative=True)
-            t3 = _bisect(f, lo, t_tilde_n, f_lo)
-            hi, _ = _grow_up(f, max(2.0, 2.0 * t_tilde_n), want_negative=True)
-            t4 = _bisect(f, t_tilde_n, hi, peak_value - lamA)
-            roots_n.append((t3, _root_sign(norm, t3)))
-            roots_n.append((t4, _root_sign(norm, t4)))
-
-    t_max_input: Optional[float] = None
+    t_max: Optional[float] = None
     bare_value: Optional[float] = None
-    if norm.convex > 0.0:
-        t_max_input, bare_value = bare_ray_peak(u, cfg)
+    if unit.convex > 0.0:
+        t_max, bare_value = bare_ray_peak(u, cfg)
 
     return FiberingDiagnosis(
-        concave=data.concave,
-        convex=data.convex,
-        energy_int=data.energy_int,
+        concave=ray.concave,
+        convex=ray.convex,
+        energy_int=ray.energy_int,
         case=case,
-        t_tilde=(t_tilde_n / scale) if t_tilde_n is not None else None,
-        roots=tuple((t / scale, s) for t, s in roots_n),
-        t_max=t_max_input,
+        t_tilde=(t_tilde / unit.scale) if t_tilde is not None else None,
+        roots=tuple((t / unit.scale, s) for t, s in roots),
+        t_max=t_max,
         bare_peak_value=bare_value,
     )
-
-
-class _BranchUnavailable(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
-
-
-def _find_branch_scale(norm: _RayData, branch: str) -> float:
-    """Root of the branch-appropriate crossing for unit-energy ray data."""
-    lamA = norm.lam * norm.concave
-
-    def f(t: float) -> float:
-        return norm.balance(t) - lamA
-
-    if branch == "plus":
-        if lamA <= 0.0:
-            raise _BranchUnavailable("concave integral is nonpositive")
-        if norm.convex <= 0.0:
-            lo, f_lo = _grow_down(f, 0.5, want_negative=True)
-            hi, _ = _grow_up(f, max(2.0, 2.0 * lo), want_negative=False)
-            return _bisect(f, lo, hi, f_lo)
-        t_tilde = _peak_of_balance(norm)
-        peak_value = norm.balance(t_tilde)
-        if abs(peak_value - lamA) <= TANGENT_RTOL * (1.0 + abs(lamA)):
-            raise _BranchUnavailable("ray is tangent to the manifold")
-        if peak_value < lamA:
-            raise _BranchUnavailable("balance peak below the concave level (no crossing)")
-        lo, f_lo = _grow_down(f, min(0.5, t_tilde / 2.0), want_negative=True)
-        return _bisect(f, lo, t_tilde, f_lo)
-
-    if norm.convex <= 0.0:
-        raise _BranchUnavailable("convex integral is nonpositive")
-    t_tilde = _peak_of_balance(norm)
-    peak_value = norm.balance(t_tilde)
-    if lamA > 0.0:
-        if abs(peak_value - lamA) <= TANGENT_RTOL * (1.0 + abs(lamA)):
-            raise _BranchUnavailable("ray is tangent to the manifold")
-        if peak_value < lamA:
-            raise _BranchUnavailable("balance peak below the concave level (no crossing)")
-    hi, _ = _grow_up(f, max(2.0, 2.0 * t_tilde), want_negative=True)
-    return _bisect(f, t_tilde, hi, peak_value - lamA)
 
 
 def project_scale(u: Field, cfg: ProblemConfig, branch: str) -> tuple[Field, float]:
     """Projection without the report payload: the scaled field and t*.
 
-    Same root logic as :func:`project`; the branch sign is verified through
-    the balance slope at the root (exact identity with the second ray
-    derivative of the scaled field).
+    The search starts at t = 1.  The branch sign is verified through the
+    balance slope at the root (exact identity with the second ray derivative
+    of the scaled field).  A ProjectionError computes its diagnosis only
+    when it is read.
     """
     if branch not in ("plus", "minus"):
         raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    data = _RayData(u, cfg)
-    norm, scale = data.normalized()
+    unit = _Ray(u, cfg).unit()
+    diagnosis = partial(classify, u, cfg)
     try:
-        t_star_n = _find_branch_scale(norm, branch)
+        t_star_n = _branch_root(unit, branch)
     except _BranchUnavailable as stop:
         raise ProjectionError(
-            f"branch {branch!r} unavailable: {stop.reason}",
-            diagnosis=classify(u, cfg),
+            f"branch {branch!r} unavailable: {stop.reason}", diagnosis=diagnosis
         ) from None
-    sign = _root_sign(norm, t_star_n)
+    sign = _root_sign(unit, t_star_n)
     want = 1 if branch == "plus" else -1
     if sign != want:
         raise ProjectionError(
             f"branch {branch!r} unavailable: balance slope sign {sign} at the root",
-            diagnosis=classify(u, cfg),
+            diagnosis=diagnosis,
         )
-    t_star = t_star_n / scale
+    t_star = t_star_n / unit.scale
     return u.scaled(t_star), t_star
 
 
@@ -620,21 +600,21 @@ def project(u: Field, cfg: ProblemConfig, branch: str) -> NehariPoint:
 
 
 def sample_ray(u: Field, cfg: ProblemConfig, t_values) -> dict[str, list[float]]:
-    """Tabulate γ, γ', γ'', m, η along the ray (for diagnosis CSV output)."""
+    """Tabulate γ, γ', γ'', m, η along the ray (for diagnosis CSV output).
+
+    The field is read once; each t costs one Φ bulk and one (m_0, m_1).
+    """
+    ray = _Ray(u, cfg)
     out: dict[str, list[float]] = {
-        "t": [],
-        "gamma": [],
-        "gamma_dt": [],
-        "gamma_dt2": [],
-        "balance": [],
-        "peak_eq": [],
+        key: [] for key in ("t", "gamma", "gamma_dt", "gamma_dt2", "balance", "peak_eq")
     }
     for t in t_values:
-        t = float(t)
+        t = _check_t(t)
+        bulk, (m0, m1) = ray.bulk(t), ray.moments(t)
         out["t"].append(t)
-        out["gamma"].append(ray_energy(u, t, cfg))
-        out["gamma_dt"].append(ray_energy_dt(u, t, cfg))
-        out["gamma_dt2"].append(ray_energy_dt2(u, t, cfg))
-        out["balance"].append(ray_balance(u, t, cfg))
-        out["peak_eq"].append(peak_equation(u, t, cfg))
+        out["gamma"].append(ray.gamma(t, bulk))
+        out["gamma_dt"].append(ray.gamma_dt(t, m0))
+        out["gamma_dt2"].append(ray.gamma_dt2(t, m0, m1))
+        out["balance"].append(ray.balance(t, m0))
+        out["peak_eq"].append(ray.peak_eq(t, m0, m1))
     return out

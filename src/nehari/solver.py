@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import ProblemConfig, dual_norm, energy, energy_gradient, nehari_residual
-from .errors import ProjectionError, SeedingError, SolverError
+from .errors import NehariError, ProjectionError, SeedingError, SolverError
 from .fibering import NehariPoint, classify, project_scale, ray_energy_dt2
 from .grid import Field, inner, random_smooth_field
 from .thresholds import ADMISSIBLE, INADMISSIBLE, ThresholdReport, admissibility
@@ -94,6 +94,7 @@ class SolvePair:
 class MultistartReport:
     branch: str
     energies: tuple[float, ...]
+    converged: tuple[bool, ...]
     spread: float
     distinct_minimizers: bool
 
@@ -101,6 +102,7 @@ class MultistartReport:
         return {
             "branch": self.branch,
             "energies": list(self.energies),
+            "converged": list(self.converged),
             "spread": self.spread,
             "distinct_minimizers": self.distinct_minimizers,
         }
@@ -358,7 +360,8 @@ def solve_both(
 
     The rising-branch minimizer is the negative-energy ground state; the
     falling-branch minimizer has positive energy.  A failing branch is
-    reported, not raised, so the other branch's result survives.
+    reported, not raised, so the other branch's result survives; so is a
+    failure diagnosis that cannot itself be computed.
     """
     reports: dict[str, Optional[SolveReport]] = {"minus": None, "plus": None}
     failures: dict[str, str] = {}
@@ -367,11 +370,17 @@ def solve_both(
             reports[branch] = minimize_branch(
                 cfg, branch, thresholds=thresholds, force=force
             )
-        except (SolverError, SeedingError, ProjectionError) as err:
+        except NehariError as err:
             failures[branch] = str(err)
-            diag = getattr(err, "diagnosis", None)
-            if diag is not None:
-                failures[branch + "_diagnosis"] = diag.as_dict()
+            try:
+                diag = getattr(err, "diagnosis", None)
+            except NehariError as diag_err:
+                failures[branch + "_diagnosis"] = {
+                    "error": f"{type(diag_err).__name__}: {diag_err}"
+                }
+            else:
+                if diag is not None:
+                    failures[branch + "_diagnosis"] = diag.as_dict()
     ordering: Optional[bool] = None
     if reports["minus"] and reports["plus"]:
         ordering = (
@@ -402,6 +411,7 @@ def multistart(
     rng = np.random.default_rng(seed)
     base = seed_field(cfg, branch)
     energies = []
+    converged = []
     for k in range(n_starts):
         if k == 0:
             start = base
@@ -412,11 +422,13 @@ def multistart(
             start = Field(cfg.grid, base.values + scale * bump.values)
         report = minimize_branch(cfg, branch, seed=start, thresholds=thresholds)
         energies.append(report.point.energy)
+        converged.append(report.converged)
     lo, hi = min(energies), max(energies)
     spread = (hi - lo) / max(abs(lo), abs(hi), 1e-30)
     return MultistartReport(
         branch=branch,
         energies=tuple(energies),
+        converged=tuple(converged),
         spread=spread,
         distinct_minimizers=spread > rel_tol,
     )

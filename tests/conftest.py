@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nehari.energy import ProblemConfig
 from nehari.grid import Grid, make_weight, random_smooth_field
 from nehari.phi import constant_model, stuart_model
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def two_lobe_weights(grid):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nehari.energy import concave_integral, convex_integral, energy, second_derivative_forms
-from nehari.errors import DomainError, ProjectionError
+from nehari.config import parse_config, prepare_run
+from nehari.errors import BracketError, DomainError, ProjectionError
 from nehari.fibering import (
     CASE_BOTH_TWO_ROOTS,
     CASE_CONCAVE_ONLY,
@@ -17,6 +18,7 @@ from nehari.fibering import (
     peak_equation,
     peak_equation_dt,
     project,
+    project_scale,
     ray_balance,
     ray_balance_dt,
     ray_energy,
@@ -24,10 +26,10 @@ from nehari.fibering import (
     ray_energy_dt2,
     sample_ray,
 )
-from nehari.grid import Field, Grid, integrate, pointwise_energy
+from nehari.grid import Field, Grid, integrate, pointwise_energy, random_smooth_field
 from nehari.phi import constant_model, stuart_model
 
-from conftest import make_problem, smooth_fields
+from conftest import CONFIG_DIR, make_problem, smooth_fields
 
 
 def fixed_sign_problem(sign_a, sign_b, nodes=(5, 5, 5), phi=None, lam=1.0):
@@ -417,3 +419,73 @@ def test_sample_ray_table(cfg_small):
     assert abs(table["gamma"][1] - energy(u, cfg_small)) <= 1e-12 * (
         1.0 + abs(energy(u, cfg_small))
     )
+
+
+def test_sample_ray_matches_public_functions_bitwise(cfg_small):
+    u = smooth_fields(cfg_small.grid, 1, seed=46)[0]
+    t_values = [0.01, 0.7, 1.0, 3.3, 50.0]
+    table = sample_ray(u, cfg_small, t_values)
+    public = {
+        "gamma": ray_energy,
+        "gamma_dt": ray_energy_dt,
+        "gamma_dt2": ray_energy_dt2,
+        "balance": ray_balance,
+        "peak_eq": peak_equation,
+    }
+    for i, t in enumerate(t_values):
+        for key, fn in public.items():
+            assert table[key][i] == fn(u, t, cfg_small), (key, t)
+
+
+@pytest.mark.parametrize(
+    "sign_a, sign_b, lam",
+    [(-1.0, -1.0, 1.0), (1.0, -1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, 1.0, 0.5), (1.0, 1.0, 1e6)],
+)
+def test_project_scale_matches_classify_roots(sign_a, sign_b, lam):
+    cfg = fixed_sign_problem(sign_a, sign_b, lam=lam)
+    for k, u in enumerate(smooth_fields(cfg.grid, 3, seed=47)):
+        u = u.scaled(10.0 ** (k - 1))  # the projection starts at input scale 1
+        roots = {sign: t for t, sign in classify(u, cfg).roots}
+        for branch, sign in (("plus", 1), ("minus", -1)):
+            if sign in roots:
+                _, t_star = project_scale(u, cfg, branch)
+                assert abs(t_star - roots[sign]) <= 1e-12 * roots[sign]
+            else:
+                with pytest.raises(ProjectionError):
+                    project_scale(u, cfg, branch)
+
+
+def test_classify_finds_a_root_below_one_billionth():
+    # field 24 of default_rng(0): A > 0 is so small that the rising root
+    # lies at t ~ 2e-10 of the input scale
+    prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
+    cfg = prep.problem
+    rng = np.random.default_rng(0)
+    u = [random_smooth_field(cfg.grid, rng) for _ in range(25)][24]
+    diag = classify(u, cfg)
+    assert [sign for _, sign in diag.roots] == [1, -1]
+    dens = pointwise_energy(u)
+    for t, _ in diag.roots:
+        m0 = integrate(cfg.grid, cfg.phi.phi(dens * (t * t / 2.0)) * dens)
+        scale = t * m0 + cfg.lam * t**cfg.q * abs(diag.concave) + t**cfg.p * abs(diag.convex)
+        assert abs(ray_energy_dt(u, t, cfg)) <= 1e-9 * scale
+
+
+def test_failed_projection_defers_its_diagnosis(monkeypatch):
+    import nehari.fibering as fibering
+
+    calls = []
+
+    def failing_classify(u, cfg):
+        calls.append(u)
+        raise BracketError("diagnosis failed")
+
+    monkeypatch.setattr(fibering, "classify", failing_classify)
+    cfg = fixed_sign_problem(-1.0, -1.0)
+    u = smooth_fields(cfg.grid, 1, seed=43)[0]
+    with pytest.raises(ProjectionError) as err:
+        fibering.project_scale(u, cfg, "plus")
+    assert calls == []
+    with pytest.raises(BracketError):
+        err.value.diagnosis
+    assert len(calls) == 1

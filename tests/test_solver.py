@@ -1,15 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import nehari.solver as solver
+from nehari.config import parse_config, prepare_run
 from nehari.energy import ProblemConfig, concave_integral, convex_integral
-from nehari.errors import SeedingError, SolverError
+from nehari.errors import BracketError, ProjectionError, SeedingError, SolverError
 from nehari.fibering import classify
 from nehari.grid import Field, Grid, estimate_sobolev, make_weight
 from nehari.phi import constant_model, stuart_model, verify_hypotheses
 from nehari.solver import minimize_branch, multistart, seed_field, solve_both
 from nehari.thresholds import compute_thresholds
 
-from conftest import make_problem, two_lobe_weights
+from conftest import CONFIG_DIR, make_problem, two_lobe_weights
 
 
 def with_thresholds(cfg0, fraction=0.5):
@@ -180,3 +184,50 @@ def test_seed_narrowing_reaches_positive_lobe():
     assert concave_integral(wide, cfg) < 0.0  # the default width would fail
     seed = seed_field(cfg, "plus")
     assert concave_integral(seed, cfg) > 0.0
+
+
+def test_projection_reads_few_phi_values():
+    # mean raw_phi calls per projection over a whole stuart 9^3 solve
+    prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
+    counts = {"phi": 0, "projections": 0, "inside": False}
+    raw_phi = prep.problem.phi.raw_phi
+
+    def counted_phi(s):
+        counts["phi"] += counts["inside"]
+        return raw_phi(s)
+
+    project_scale = solver.project_scale
+
+    def counted_projection(*args):
+        counts["projections"] += 1
+        counts["inside"] = True
+        try:
+            return project_scale(*args)
+        finally:
+            counts["inside"] = False
+
+    phi = dataclasses.replace(prep.problem.phi, raw_phi=counted_phi)
+    cfg = dataclasses.replace(prep.problem, phi=phi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "project_scale", counted_projection)
+        pair = solve_both(cfg, thresholds=prep.thresholds)
+    assert not pair.failures and pair.ordering_ok
+    assert counts["projections"] > 1000
+    assert counts["phi"] / counts["projections"] <= 15.0
+
+
+def test_solve_both_reports_a_failing_diagnosis(monkeypatch, cfg_const):
+    def failing_classify(u, cfg):
+        raise BracketError("diagnosis failed")
+
+    monkeypatch.setattr(solver, "classify", failing_classify)
+    pair = solve_both(cfg_const)
+    assert pair.failures == {"minus": "diagnosis failed", "plus": "diagnosis failed"}
+
+    def lost_projection(cfg, branch, **kwargs):
+        raise ProjectionError("lost", diagnosis=lambda: failing_classify(None, cfg))
+
+    monkeypatch.setattr(solver, "minimize_branch", lost_projection)
+    pair = solve_both(cfg_const)
+    assert pair.failures["plus"] == "lost"
+    assert pair.failures["plus_diagnosis"] == {"error": "BracketError: diagnosis failed"}
