@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .grid import Field, Grid, _diff_central, gradient, integrate, pointwise_energy
+from .grid import Field, Grid, _diff_central, _fsum, gradient, integrate, pointwise_energy
 from .phi import PhiModel
 
 __all__ = [
@@ -131,9 +131,7 @@ def dual_norm(grad_arr: np.ndarray, grid: Grid) -> float:
     Equals the L² norm of the pointwise gradient field, so its magnitude is
     grid-resolution independent.
     """
-    return math.sqrt(
-        math.fsum((grad_arr.ravel(order="C") ** 2).tolist()) / grid.cell_volume
-    )
+    return math.sqrt(_fsum(grad_arr**2) / grid.cell_volume)
 
 
 def nehari_residual(u: Field, cfg: ProblemConfig) -> float:
@@ -143,7 +141,7 @@ def nehari_residual(u: Field, cfg: ProblemConfig) -> float:
     """
     _check_field(u, cfg)
     g = energy_gradient(u, cfg)
-    return math.fsum((g * u.values).ravel(order="C").tolist())
+    return _fsum(g * u.values)
 
 
 class SecondDerivativeForms(NamedTuple):

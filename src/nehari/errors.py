@@ -35,8 +35,8 @@ class BracketError(NehariError):
     """A root bracket could not be established within the growth cap."""
 
 
-class ProjectionError(NehariError):
-    """The requested Nehari branch is not reachable along this ray.
+class _Diagnosed(NehariError):
+    """An error that carries the diagnosis of the ray it failed on.
 
     ``diagnosis`` may be given as a callable that computes it; it is then
     called when the attribute is first read, so failures that nobody
@@ -54,17 +54,13 @@ class ProjectionError(NehariError):
         return self._diagnosis
 
 
-class SeedingError(NehariError):
-    """No admissible seed field found after narrowing."""
+class ProjectionError(_Diagnosed):
+    """The requested Nehari branch is not reachable along this ray."""
 
-    def __init__(self, message: str, diagnosis=None):
-        super().__init__(message)
-        self.diagnosis = diagnosis
+
+class SeedingError(_Diagnosed):
+    """No admissible seed field found after narrowing."""
 
 
 class SolverError(NehariError):
     """Branch minimization failed."""
-
-    def __init__(self, message: str, history=None):
-        super().__init__(message)
-        self.history = history

@@ -10,25 +10,29 @@ curve
 
 with the level λ·A, since γ'(t) = t^q (m(t) − λA).  The balance curve is
 strictly increasing when B ≤ 0 and unimodal when B > 0; its unique peak is
-the root of the strictly decreasing peak equation η(t) = (p−q)B, and
-m'(t) = t^{p−q−1}(η(t) − (p−q)B), so the sign of m' tells on which side of
-the peak a scaling lies.
+the root of the peak equation η(t) = (p−q)B, where η is strictly
+decreasing under φ5, and m'(t) = t^{p−q−1}(η(t) − (p−q)B), so the sign of
+m' tells on which side of the peak a scaling lies.  The bare energy
+h(t) = ∫Φ − t^{p+1}B/(p+1) has h'(t) = t^p (t^{1−p}m_0(t) − B), and
+t^{1−p}m_0 is strictly decreasing under φ4, so for B > 0 h has one
+maximum too.
 
 Every ray quantity comes from one engine, built once per field.  Every root
-(a branch crossing, the balance peak, a critical point of the bare energy)
-is refined by one routine: Newton steps inside a sign-changing bracket,
-replaced by bisection whenever a step would leave the bracket (rtsafe), and
-stopped at the problem's relative ``root_tol``.  A branch crossing is
-bracketed from a warm start at the input scale t = 1, next to which the
-trial points of a descent lie: since m is unimodal, the signs of m − λA and
-of m' at points spaced by factors of 2 place a bracket that holds that
-crossing and no other.  The peak is solved only when they cannot, when the
-tangency rule needs it, or when a diagnosis reports it.  Brackets are capped
-at [smallest normal double, 1e9]; every downward search meets a guaranteed
-sign change before 0⁺.  Reported values use the exact compensated
-quadrature; root loops use plain deterministic vector sums on the
-unit-energy copy of the ray (the stopping tolerance, not summation error,
-limits root accuracy).
+(a branch crossing, the balance peak, the bare peak) is found by walking
+by factors of 2 from a warm start at the input scale t = 1 to a sign
+change, and refined by one routine: Newton steps inside a sign-changing
+bracket, replaced by bisection whenever a step would leave the bracket
+(rtsafe), and stopped at the problem's relative ``root_tol``.  The two
+peaks are roots of decreasing functions, so the sign at the start says
+which way to walk.  Trial points of a descent lie next to a branch
+crossing: since m is unimodal, the signs of m − λA and of m' at the walk's
+points place a bracket that holds that crossing and no other.  The balance
+peak is solved only when they cannot, when the tangency rule needs it, or
+when a diagnosis reports it.  Brackets are capped at [smallest normal
+double, 1e9]; every downward search meets a guaranteed sign change before
+0⁺.  Reported values use the exact compensated quadrature; root loops use
+plain deterministic vector sums on the unit-energy copy of the ray (the
+stopping tolerance, not summation error, limits root accuracy).
 """
 
 from __future__ import annotations
@@ -195,7 +199,7 @@ class _Ray:
 
     @cached_property
     def peak(self) -> float:
-        """Maximizer of the balance curve (B > 0), searched from ``scale``."""
+        """Maximizer of the balance curve (B > 0): the root of η = (p−q)B."""
         if self.convex <= 0.0:
             raise DomainError("balance peak requires ∫b|u|^{p+1} > 0")
         target = (self.p - self.q) * self.convex
@@ -204,8 +208,27 @@ class _Ray:
             m0, m1, m2 = self.moments(t, 2)
             return _Point(t, self.peak_eq(t, m0, m1) - target, self.peak_eq_dt(t, m0, m1, m2))
 
+        return self._decreasing_root(g)
+
+    @cached_property
+    def bare_peak(self) -> float:
+        """Maximizer of the bare ray energy (B > 0): the root of t^{1−p}m_0 = B."""
+        if self.convex <= 0.0:
+            raise DomainError("bare ray peak requires ∫b|u|^{p+1} > 0")
+        p = self.p
+
+        def g(t: float) -> _Point:
+            m0, m1 = self.moments(t)
+            return _Point(
+                t, t ** (1.0 - p) * m0 - self.convex, t**-p * ((1.0 - p) * m0 + t * t * m1)
+            )
+
+        return self._decreasing_root(g)
+
+    def _decreasing_root(self, g) -> float:
+        """Root of a strictly decreasing g, walked to from ``scale`` and refined."""
         start = g(self.scale)
-        up = start.f >= 0.0  # η decreases: the root lies above a nonnegative point
+        up = start.f >= 0.0  # the root lies above a nonnegative point
         return _refine(g, *_walk(g, start, up, lambda pt: (pt.f >= 0.0) != up), self.root_tol)
 
 
@@ -407,46 +430,19 @@ def _root_sign(ray: _Ray, t: float) -> int:
 
 def balance_peak(u: Field, cfg: ProblemConfig) -> float:
     """Scaling at which the balance curve attains its unique maximum (B > 0)."""
-    ray = _Ray(u, cfg)
-    if ray.convex <= 0.0:
-        raise DomainError("balance peak requires ∫b|u|^{p+1} > 0")
-    unit = ray.unit()
+    unit = _Ray(u, cfg).unit()
     return unit.peak / unit.scale
 
 
 def bare_ray_peak(u: Field, cfg: ProblemConfig) -> tuple[float, float]:
-    """(t_max, value) of the bare ray energy; requires B > 0.
+    """(t_max, value) of the bare ray energy's unique maximum; requires B > 0.
 
-    The slope h'(t)/t = m_0 − t^{p−1}B is positive for small t and negative
-    for large t; a log scan brackets every sign change, each is refined, and
-    the global maximizer found is returned.
+    The value is the exact-quadrature bare energy at t_max, in input units.
     """
     ray = _Ray(u, cfg)
-    if ray.convex <= 0.0:
-        raise DomainError("bare ray peak requires ∫b|u|^{p+1} > 0")
     unit = ray.unit()
-    p, B = unit.p, unit.convex
-
-    def slope(t: float) -> _Point:
-        m0, m1 = unit.moments(t)
-        return _Point(t, m0 - t ** (p - 1.0) * B, t * m1 - (p - 1.0) * t ** (p - 2.0) * B)
-
-    # the scan reads m_0 alone; refinement starts with a bisection step
-    scan = [
-        _Point(t, unit.moments(t, 0)[0] - t ** (p - 1.0) * B, math.nan)
-        for t in np.logspace(-6, 6, 241)
-    ]
-    candidates = [
-        _refine(slope, a, b, unit.root_tol)
-        for a, b in zip(scan, scan[1:])
-        if (a.f < 0.0) != (b.f < 0.0)
-    ]
-    if not candidates:
-        raise BracketError("no critical point of the bare ray energy on the scan")
-    t_norm = max(candidates, key=lambda t: unit.bare(t, unit.bulk(t)))
-    # exact-quadrature value at the located peak, in input units
-    t_input = t_norm / unit.scale
-    return t_input, ray.bare(t_input, ray.bulk(t_input))
+    t_max = unit.bare_peak / unit.scale
+    return t_max, ray.bare(t_max, ray.bulk(t_max))
 
 
 @dataclass(frozen=True)
@@ -536,7 +532,8 @@ def classify(u: Field, cfg: ProblemConfig) -> FiberingDiagnosis:
     t_max: Optional[float] = None
     bare_value: Optional[float] = None
     if unit.convex > 0.0:
-        t_max, bare_value = bare_ray_peak(u, cfg)
+        t_max = unit.bare_peak / unit.scale
+        bare_value = ray.bare(t_max, ray.bulk(t_max))
 
     return FiberingDiagnosis(
         concave=ray.concave,

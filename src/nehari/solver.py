@@ -22,7 +22,7 @@ import numpy as np
 
 from .energy import ProblemConfig, dual_norm, energy, energy_gradient, nehari_residual
 from .errors import NehariError, ProjectionError, SeedingError, SolverError
-from .fibering import NehariPoint, classify, project_scale, ray_energy_dt2
+from .fibering import NehariPoint, project_scale, ray_energy_dt2
 from .grid import Field, inner, random_smooth_field
 from .thresholds import ADMISSIBLE, INADMISSIBLE, ThresholdReport, admissibility
 
@@ -118,19 +118,15 @@ def _gaussian_bump(cfg: ProblemConfig, center_index: tuple[int, ...], sigma: flo
     return Field(grid, np.exp(-r2 / sigma**2))
 
 
-def _branch_available(diag, branch: str) -> bool:
-    want = 1 if branch == "plus" else -1
-    return any(sign == want for _, sign in diag.roots)
-
-
 def seed_field(cfg: ProblemConfig, branch: str, sigma: float | None = None) -> Field:
     """Smooth bump concentrated where the branch-relevant weight peaks.
 
     The rising branch needs a positive concave integral, so the bump sits at
     the maximizer of a; the falling branch needs a positive convex integral
-    and uses b.  If the classification does not admit the requested
-    projection the bump is narrowed (width halved, up to 6 times).  Ties in
-    the weight maximum break to the lowest lexicographic node index.
+    and uses b.  If the bump does not project onto the requested branch it
+    is narrowed (width halved, up to 6 times); the SeedingError raised after
+    that carries the last projection's diagnosis.  Ties in the weight
+    maximum break to the lowest lexicographic node index.
     """
     weight = cfg.a if branch == "plus" else cfg.b
     if not (np.any(weight.values > 0)):
@@ -141,16 +137,17 @@ def seed_field(cfg: ProblemConfig, branch: str, sigma: float | None = None) -> F
     center = np.unravel_index(flat_index, cfg.grid.shape)
     if sigma is None:
         sigma = min(cfg.grid.lengths) / 4.0
-    last_diag = None
     for _ in range(7):
         candidate = _gaussian_bump(cfg, center, sigma)
-        diag = classify(candidate, cfg)
-        if _branch_available(diag, branch):
+        try:
+            project_scale(candidate, cfg, branch)
             return candidate
-        last_diag = diag
+        except ProjectionError as err:
+            last = err
         sigma /= 2.0
     raise SeedingError(
-        f"no admissible seed for branch {branch!r} after narrowing", diagnosis=last_diag
+        f"no admissible seed for branch {branch!r} after narrowing",
+        diagnosis=lambda: last.diagnosis,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -489,3 +490,59 @@ def test_failed_projection_defers_its_diagnosis(monkeypatch):
     with pytest.raises(BracketError):
         err.value.diagnosis
     assert len(calls) == 1
+
+
+def test_bare_peak_beyond_a_million():
+    # phi = 1 and B tiny: t_max = (E/B)^{1/(p-1)} ~ 6e7, far from the input scale
+    cfg = fixed_sign_problem(1.0, 1e-13, phi=constant_model(1.0))
+    u = smooth_fields(cfg.grid, 1, seed=48)[0]
+    E = integrate(cfg.grid, pointwise_energy(u))
+    B = convex_integral(u, cfg)
+    expect = (E / B) ** (1.0 / (cfg.p - 1.0))
+    assert expect > 1e6
+    t_max, _ = bare_ray_peak(u, cfg)
+    assert abs(t_max - expect) <= 1e-9 * expect
+    diag = classify(u, cfg)
+    assert diag.case == CASE_BOTH_TWO_ROOTS
+    assert [sign for _, sign in diag.roots] == [1, -1]
+    assert diag.t_max == t_max
+
+
+def test_bare_peak_is_the_maximum_on_a_dense_grid(cfg_small):
+    checked = 0
+    for u in smooth_fields(cfg_small.grid, 10, seed=49):
+        if convex_integral(u, cfg_small) <= 0.0:
+            continue
+        t_max, value = bare_ray_peak(u, cfg_small)
+        grid_max = max(bare_ray_energy(u, t, cfg_small) for t in np.logspace(-3, 3, 2001))
+        assert value >= grid_max - 1e-14 * abs(value)
+        checked += 1
+        if checked >= 3:
+            break
+    assert checked == 3
+
+
+def test_classify_reads_few_phi_values():
+    # mean raw_phi calls per classify over the default_rng(0) stuart 9^3
+    # fields with B > 0, whose roots are all walked to and refined
+    prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
+    calls = []
+    raw_phi = prep.problem.phi.raw_phi
+
+    def counted_phi(s):
+        calls.append(1)
+        return raw_phi(s)
+
+    phi = dataclasses.replace(prep.problem.phi, raw_phi=counted_phi)
+    cfg = dataclasses.replace(prep.problem, phi=phi)
+    rng = np.random.default_rng(0)
+    per_field = []
+    for _ in range(48):
+        u = random_smooth_field(cfg.grid, rng)
+        if convex_integral(u, cfg) <= 0.0:
+            continue
+        calls.clear()
+        classify(u, cfg)
+        per_field.append(len(calls))
+    assert len(per_field) >= 20
+    assert sum(per_field) / len(per_field) <= 150.0
