@@ -32,7 +32,10 @@ when a diagnosis reports it.  Brackets are capped at [smallest normal
 double, 1e9]; every downward search meets a guaranteed sign change before
 0⁺.  Reported values use the exact compensated quadrature; root loops use
 plain deterministic vector sums on the unit-energy copy of the ray (the
-stopping tolerance, not summation error, limits root accuracy).
+stopping tolerance, not summation error, limits root accuracy).  A
+projection reports J(t*·u) as γ(t*) of the ray it has already built: one
+exact Φ sum at the t*-scaled density, with A and B scaled by powers of t*.
+That equals ``energy`` of the projected field to round-off, not bitwise.
 """
 
 from __future__ import annotations
@@ -46,13 +49,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .energy import (
-    ProblemConfig,
-    concave_integral,
-    convex_integral,
-    energy,
-    nehari_residual,
-)
+from .energy import ProblemConfig, concave_integral, convex_integral, nehari_residual
 from .errors import BracketError, DomainError, ProjectionError
 from .grid import Field, integrate, pointwise_energy
 
@@ -547,17 +544,21 @@ def classify(u: Field, cfg: ProblemConfig) -> FiberingDiagnosis:
     )
 
 
-def project_scale(u: Field, cfg: ProblemConfig, branch: str) -> tuple[Field, float]:
-    """Projection without the report payload: the scaled field and t*.
+def project_scale(
+    u: Field, cfg: ProblemConfig, branch: str
+) -> tuple[Field, float, float]:
+    """Projection without the report payload: the scaled field, t* and J.
 
     The search starts at t = 1.  The branch sign is verified through the
     balance slope at the root (exact identity with the second ray derivative
-    of the scaled field).  A ProjectionError computes its diagnosis only
+    of the scaled field).  J = γ(t*) comes from this ray's exact sums (see
+    the module docstring).  A ProjectionError computes its diagnosis only
     when it is read.
     """
     if branch not in ("plus", "minus"):
         raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
-    unit = _Ray(u, cfg).unit()
+    ray = _Ray(u, cfg)
+    unit = ray.unit()
     diagnosis = partial(classify, u, cfg)
     try:
         t_star_n = _branch_root(unit, branch)
@@ -573,7 +574,7 @@ def project_scale(u: Field, cfg: ProblemConfig, branch: str) -> tuple[Field, flo
             diagnosis=diagnosis,
         )
     t_star = t_star_n / unit.scale
-    return u.scaled(t_star), t_star
+    return u.scaled(t_star), t_star, ray.gamma(t_star, ray.bulk(t_star))
 
 
 def project(u: Field, cfg: ProblemConfig, branch: str) -> NehariPoint:
@@ -584,12 +585,12 @@ def project(u: Field, cfg: ProblemConfig, branch: str) -> NehariPoint:
     peak).  Raises ProjectionError, carrying the diagnosis, if the ray does
     not reach the branch.
     """
-    projected, t_star = project_scale(u, cfg, branch)
+    projected, t_star, J = project_scale(u, cfg, branch)
     gamma2 = ray_energy_dt2(projected, 1.0, cfg)
     return NehariPoint(
         field=projected,
         branch=branch,
-        energy=energy(projected, cfg),
+        energy=J,
         constraint=abs(nehari_residual(projected, cfg)),
         gamma2=gamma2,
         scale=t_star,

@@ -18,6 +18,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -91,11 +92,13 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return self.nodes
 
-    @property
+    # cached in the instance __dict__, outside the dataclass fields, so
+    # equality, hashing and repr still read nodes and lengths only
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / (n + 1) for n, L in zip(self.nodes, self.lengths))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         vol = 1.0
         for h in self.spacing:

@@ -8,6 +8,12 @@ the ray direction, vanishing tangential residual forces the Lagrange
 multiplier to vanish as well (the second ray derivative is nonzero on both
 branches), and the stopping test asserts the full, unprojected gradient
 norm.
+
+A trial point's energy is the J that its projection returns: the exact
+quadrature of Φ at the t*-scaled density of the projection's own ray,
+equal to ``energy`` of the projected field to round-off, not bitwise.  The
+Armijo test uses the step slope −‖d‖², which is ⟨g,d⟩ because d is minus
+the tangential part of the gradient g.
 """
 
 from __future__ import annotations
@@ -20,10 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import ProblemConfig, dual_norm, energy, energy_gradient, nehari_residual
+from .energy import ProblemConfig, dual_norm, energy_gradient, nehari_residual
 from .errors import NehariError, ProjectionError, SeedingError, SolverError
 from .fibering import NehariPoint, project_scale, ray_energy_dt2
-from .grid import Field, inner, random_smooth_field
+from .grid import Field, _fsum, inner, random_smooth_field
 from .thresholds import ADMISSIBLE, INADMISSIBLE, ThresholdReport, admissibility
 
 logger = logging.getLogger(__name__)
@@ -152,7 +158,11 @@ def seed_field(cfg: ProblemConfig, branch: str, sigma: float | None = None) -> F
 
 
 def _descent_state(u: Field, cfg: ProblemConfig):
-    """Gradient data at an on-manifold iterate."""
+    """Gradient data at an on-manifold iterate, each quadrature summed once.
+
+    Returns (g, d, slope, tan_res, full_res, gu): the slope along d is
+    −‖d‖² (see the module docstring) and gu = ⟨g,u⟩ is the Nehari residual.
+    """
     grid = cfg.grid
     grad_arr = energy_gradient(u, cfg)
     g = grad_arr / grid.cell_volume  # pointwise (L²-representative) gradient
@@ -160,9 +170,8 @@ def _descent_state(u: Field, cfg: ProblemConfig):
     gu = inner(grid, g, u.values)
     uu = inner(grid, u.values, u.values)
     d = -(g - (gu / uu) * u.values)
-    tan_res = math.sqrt(max(inner(grid, d, d), 0.0))
-    slope = inner(grid, g, d)  # directional derivative of J along d
-    return g, d, slope, tan_res, full_res
+    dd = max(inner(grid, d, d), 0.0)
+    return g, d, -dd, math.sqrt(dd), full_res, gu
 
 
 def minimize_branch(
@@ -222,8 +231,8 @@ def _run_descent(
     restarts: int,
     t_start: float,
 ) -> SolveReport:
-    u, t_star = project_scale(start, cfg, branch)
-    energy_history = [energy(u, cfg)]
+    u, t_star, start_energy = project_scale(start, cfg, branch)
+    energy_history = [start_energy]
     residual_history: list[float] = []
     max_constraint = abs(nehari_residual(u, cfg))
     monotone = True
@@ -233,9 +242,9 @@ def _run_descent(
     prev_g: np.ndarray | None = None
 
     for iterations in range(1, cfg.max_iter + 1):
-        g, d, slope, tan_res, full_res = _descent_state(u, cfg)
+        g, d, slope, tan_res, full_res, gu = _descent_state(u, cfg)
         residual_history.append(tan_res)
-        max_constraint = max(max_constraint, abs(inner(cfg.grid, g, u.values)))
+        max_constraint = max(max_constraint, abs(gu))
         if tan_res <= cfg.residual_tol and full_res <= cfg.residual_tol:
             converged = True
             break
@@ -260,13 +269,12 @@ def _run_descent(
         while alpha >= ALPHA_MIN:
             trial_values = u.values + alpha * d
             try:
-                trial_u, trial_scale = project_scale(
+                trial_u, trial_scale, trial_energy = project_scale(
                     Field(cfg.grid, trial_values), cfg, branch
                 )
             except ProjectionError:
                 alpha *= SHRINK
                 continue
-            trial_energy = energy(trial_u, cfg)
             decrease_needed = -ARMIJO * alpha * slope
             if trial_energy <= current - decrease_needed:
                 accepted = (trial_u, trial_energy, trial_scale)
@@ -288,19 +296,19 @@ def _run_descent(
         energy_history.append(new_energy)
 
     if not residual_history:
-        g, d, slope, tan_res, full_res = _descent_state(u, cfg)
+        _, _, _, tan_res, full_res, _ = _descent_state(u, cfg)
         residual_history.append(tan_res)
         converged = tan_res <= cfg.residual_tol and full_res <= cfg.residual_tol
 
+    final_grad = energy_gradient(u, cfg)
     point = NehariPoint(
         field=u,
         branch=branch,
         energy=energy_history[-1],
-        constraint=abs(nehari_residual(u, cfg)),
+        constraint=abs(_fsum(final_grad * u.values)),  # G(u), as nehari_residual
         gamma2=ray_energy_dt2(u, 1.0, cfg),
         scale=t_star,
     )
-    final_grad = energy_gradient(u, cfg)
     final_full = dual_norm(final_grad, cfg.grid)
     invariants = {
         "monotone_energy": monotone,

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nehari.energy import concave_integral, convex_integral, energy, second_derivative_forms
 from nehari.config import parse_config, prepare_run
@@ -449,11 +450,40 @@ def test_project_scale_matches_classify_roots(sign_a, sign_b, lam):
         roots = {sign: t for t, sign in classify(u, cfg).roots}
         for branch, sign in (("plus", 1), ("minus", -1)):
             if sign in roots:
-                _, t_star = project_scale(u, cfg, branch)
+                field, t_star, J = project_scale(u, cfg, branch)
                 assert abs(t_star - roots[sign]) <= 1e-12 * roots[sign]
+                # J comes from the projection's ray, not from energy()
+                E = energy(field, cfg)
+                assert abs(J - E) <= 1e-12 * abs(E)
+                assert abs(project(u, cfg, branch).energy - E) <= 1e-12 * abs(E)
             else:
                 with pytest.raises(ProjectionError):
                     project_scale(u, cfg, branch)
+
+
+@pytest.fixture(scope="module")
+def cfg_stuart9():
+    return prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text())).problem
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_amp=st.floats(-3.0, 3.0),
+    log_lam=st.floats(-2.0, 1.0),
+    branch=st.sampled_from(["plus", "minus"]),
+)
+def test_project_scale_energy_or_projection_error(cfg_stuart9, seed, log_amp, log_lam, branch):
+    # a smooth stuart 9^3 field of peak amplitude 1e-3..1e3, at 0.01..10 times
+    # the reference lambda: J is energy() to round-off, or the branch is refused
+    cfg = cfg_stuart9.with_lambda(cfg_stuart9.lam * 10.0**log_lam)
+    u = random_smooth_field(cfg.grid, np.random.default_rng(seed))
+    u = u.scaled(10.0**log_amp / float(np.max(np.abs(u.values))))
+    try:
+        field, _, J = project_scale(u, cfg, branch)
+    except ProjectionError:
+        return
+    assert abs(J - energy(field, cfg)) <= 1e-12 * max(1.0, abs(J))
 
 
 def test_classify_finds_a_root_below_one_billionth():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -275,3 +277,16 @@ def test_make_weight_from_csv(tmp_path):
     other = Grid(nodes=(5, 5), lengths=(1.0, 1.0))
     with pytest.raises(ConfigError):
         make_weight(other, {"kind": "csv", "path": str(path)})
+
+
+def test_grid_geometry_cache_keeps_equality_and_hash():
+    grid = Grid(nodes=(5, 6, 7), lengths=(1.0, 2.0, 0.5))
+    spacing, volume = grid.spacing, grid.cell_volume
+    assert spacing == (1.0 / 6, 2.0 / 7, 0.5 / 8)
+    assert volume == spacing[0] * spacing[1] * spacing[2]
+    fresh = Grid(nodes=(5, 6, 7), lengths=(1.0, 2.0, 0.5))
+    assert grid == fresh and hash(grid) == hash(fresh)
+    assert repr(grid) == repr(fresh)
+    for twin in (pickle.loads(pickle.dumps(grid)), copy.copy(grid)):
+        assert twin == grid and hash(twin) == hash(grid)
+        assert twin.spacing == spacing and twin.cell_volume == volume

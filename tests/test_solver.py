@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -232,6 +233,40 @@ def test_projection_reads_few_phi_values():
     assert not pair.failures and pair.ordering_ok
     assert counts["projections"] > 1000
     assert counts["phi"] / counts["projections"] <= 15.0
+
+
+def test_descent_sums_each_quadrature_once():
+    # exact sums per descent iteration over a whole stuart 9^3 solve: a trial
+    # takes its energy from its projection, so energy() is never called
+    import nehari.fibering as fibering
+    import nehari.grid as grid_module
+
+    # the package re-exports the function ``energy`` under the module's name
+    energy_module = importlib.import_module("nehari.energy")
+    prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
+    counts = {"fsum": 0, "energy": 0}
+    fsum, energy = grid_module._fsum, energy_module.energy
+
+    def counted_fsum(values):
+        counts["fsum"] += 1
+        return fsum(values)
+
+    def counted_energy(*args):
+        counts["energy"] += 1
+        return energy(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (grid_module, energy_module, fibering, solver):
+            if getattr(mod, "_fsum", None) is fsum:
+                mp.setattr(mod, "_fsum", counted_fsum)
+            if getattr(mod, "energy", None) is energy:
+                mp.setattr(mod, "energy", counted_energy)
+        pair = solve_both(prep.problem, thresholds=prep.thresholds)
+    assert not pair.failures and pair.ordering_ok
+    iterations = pair.minus.iterations + pair.plus.iterations
+    assert iterations > 500
+    assert counts["energy"] == 0
+    assert counts["fsum"] / iterations <= 14.0
 
 
 def test_solve_both_reports_a_failing_diagnosis(monkeypatch, cfg_const):
