@@ -25,8 +25,6 @@ from .grid import Field, load_field, norms, random_smooth_field, save_field
 from .solver import seed_field, solve_both
 from .thresholds import admissibility
 
-logger = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
@@ -130,8 +128,6 @@ def cmd_solve(prep: PreparedRun, out: Path, args) -> int:
             },
         )
         return EXIT_INVARIANT
-    if verdict == "marginal":
-        logger.warning("lambda %g is marginal: branch guarantees may fail", cfg.lam)
 
     pair = solve_both(cfg, thresholds=prep.thresholds, force=args.force)
     payload = pair.as_dict()

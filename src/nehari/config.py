@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .energy import ProblemConfig
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .grid import Grid, SobolevEstimate, Weight, estimate_sobolev, make_weight
 from .phi import (
     HypothesisReport,
@@ -126,9 +126,12 @@ class RunConfig:
 def _get_float(parser, section: str, key: str) -> float:
     raw = parser.get(section, key)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(section, key, f"expected a number, got {raw!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(section, key, f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _get_int(parser, section: str, key: str) -> int:
@@ -142,11 +145,14 @@ def _get_int(parser, section: str, key: str) -> int:
 def _get_floats(parser, section: str, key: str) -> list[float]:
     raw = parser.get(section, key)
     try:
-        return [float(tok) for tok in raw.split()]
+        values = [float(tok) for tok in raw.split()]
     except ValueError:
+        values = [math.nan]
+    if not all(map(math.isfinite, values)):
         raise ConfigError(
-            section, key, f"expected space-separated numbers, got {raw!r}"
-        ) from None
+            section, key, f"expected space-separated finite numbers, got {raw!r}"
+        )
+    return values
 
 
 def _get_bool(parser, section: str, key: str) -> bool:
@@ -188,7 +194,10 @@ def parse_config(text: str) -> RunConfig:
     dim = _get_int(parser, "grid", "dim")
     if dim < 1:
         raise ConfigError("grid", "dim", f"dimension must be >= 1, got {dim}")
-    nodes = [int(v) for v in _get_floats(parser, "grid", "nodes")]
+    nodes = _get_floats(parser, "grid", "nodes")
+    if not all(v.is_integer() for v in nodes):
+        raise ConfigError("grid", "nodes", "node counts must be whole numbers")
+    nodes = [int(v) for v in nodes]
     if len(nodes) == 1:
         nodes = nodes * dim
     if len(nodes) != dim:
@@ -245,8 +254,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 "problem", "lambda", f"malformed auto fraction {lam_raw!r}"
             ) from None
-        if frac <= 0:
-            raise ConfigError("problem", "lambda", "auto fraction must be positive")
+        if not (0.0 < frac < math.inf):
+            raise ConfigError("problem", "lambda", "auto fraction must be positive and finite")
         lam_mode, lam_value = "auto", frac
     else:
         try:
@@ -255,8 +264,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 "problem", "lambda", f"expected a number or auto:f, got {lam_raw!r}"
             ) from None
-        if lam <= 0:
-            raise ConfigError("problem", "lambda", f"lambda must be positive, got {lam}")
+        if not (0.0 < lam < math.inf):
+            raise ConfigError(
+                "problem", "lambda", f"lambda must be positive and finite, got {lam}"
+            )
         lam_mode, lam_value = "fixed", lam
 
     def weight_spec(section: str) -> dict:
@@ -306,8 +317,9 @@ def parse_config(text: str) -> RunConfig:
     residual_tol = _get_float(parser, "solver", "residual_tol")
     max_iter = _get_int(parser, "solver", "max_iter")
     seed = _get_int(parser, "solver", "seed")
-    if root_tol <= 0 or residual_tol <= 0:
-        raise ConfigError("solver", "root_tol", "tolerances must be positive")
+    for key, tol in (("root_tol", root_tol), ("residual_tol", residual_tol)):
+        if tol <= 0:
+            raise ConfigError("solver", key, "tolerances must be positive")
     if max_iter < 1:
         raise ConfigError("solver", "max_iter", "need at least one iteration")
 
@@ -349,23 +361,41 @@ def _default_weight_spec(grid: Grid, axis: int) -> dict:
 
 
 def build_phi(phi_spec: dict) -> PhiModel:
+    """The φ model of a parsed spec; a rejected value is a ``[phi]`` config error."""
     kind = phi_spec["kind"]
-    if kind == "constant":
-        return constant_model(phi_spec.get("value", 1.0))
-    if kind == "stuart_example":
-        return stuart_model(phi_spec["offset"])
-    if kind == "tabulated":
-        import csv as _csv
-
-        s_nodes, phi_nodes = [], []
-        with open(phi_spec["table"], newline="") as fh:
-            for row in _csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                s_nodes.append(float(row[0]))
-                phi_nodes.append(float(row[1]))
-        return tabulated_model(s_nodes, phi_nodes)
+    try:
+        if kind == "constant":
+            return constant_model(phi_spec.get("value", 1.0))
+        if kind == "stuart_example":
+            return stuart_model(phi_spec["offset"])
+        if kind == "tabulated":
+            return tabulated_model(*_read_phi_table(phi_spec["table"]))
+    except DomainError as err:
+        key = {"constant": "value", "stuart_example": "offset"}.get(kind, "table")
+        raise ConfigError("phi", key, str(err)) from None
     raise ConfigError("phi", "kind", f"unknown phi kind {kind!r}")
+
+
+def _read_phi_table(path: str) -> tuple[list[float], list[float]]:
+    """The (s, φ(s)) columns of a CSV; a row whose first cell starts with # is skipped."""
+    import csv as _csv
+
+    with open(path, newline="") as fh:
+        rows = [r for r in _csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    try:
+        return [float(r[0]) for r in rows], [float(r[1]) for r in rows]
+    except (IndexError, ValueError):
+        raise ConfigError("phi", "table", f"{path}: rows must hold two numbers") from None
+
+
+def _build_weight(grid: Grid, spec: dict, section: str) -> Weight:
+    """``make_weight``, its errors addressed to the config section of the weight."""
+    try:
+        return make_weight(grid, spec)
+    except ConfigError as err:
+        if err.section != "weights":
+            raise  # a node-value CSV's own error, addressed to the file
+        raise ConfigError(section, err.key, err.message) from None
 
 
 @dataclass(frozen=True)
@@ -404,8 +434,8 @@ def prepare_run(run: RunConfig, need_problem: bool = True) -> PreparedRun:
             thresholds=None,
             lam=None,
         )
-    weight_a = make_weight(run.grid, run.weight_a_spec)
-    weight_b = make_weight(run.grid, run.weight_b_spec)
+    weight_a = _build_weight(run.grid, run.weight_a_spec, "weights.a")
+    weight_b = _build_weight(run.grid, run.weight_b_spec, "weights.b")
     sob = {
         run.q + 1.0: estimate_sobolev(run.grid, run.q + 1.0),
         run.p + 1.0: estimate_sobolev(run.grid, run.p + 1.0),

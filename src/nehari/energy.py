@@ -54,8 +54,8 @@ class ProblemConfig:
     max_iter: int = 5000
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise DomainError(f"lambda must be positive, got {self.lam}")
+        if not (0.0 < self.lam < math.inf):
+            raise DomainError(f"lambda must be positive and finite, got {self.lam}")
         if not (0.0 < self.q < 1.0):
             raise DomainError(f"q must lie in (0, 1), got {self.q}")
         two_star = self.grid.critical_exponent()
@@ -66,8 +66,10 @@ class ProblemConfig:
         for name, w in (("a", self.a), ("b", self.b)):
             if w.grid != self.grid:
                 raise DomainError(f"weight {name} lives on a different grid")
-        if self.root_tol <= 0 or self.residual_tol <= 0:
+        if not (self.root_tol > 0 and self.residual_tol > 0):
             raise DomainError("tolerances must be positive")
+        if self.max_iter < 1:
+            raise DomainError(f"max_iter must be at least 1, got {self.max_iter}")
 
     def with_lambda(self, lam: float) -> "ProblemConfig":
         return replace(self, lam=float(lam))

@@ -19,7 +19,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -76,8 +76,8 @@ class Grid:
             raise ConfigError("grid", "lengths", "need one length per axis")
         if any(n < 3 for n in nodes):
             raise ConfigError("grid", "nodes", "need at least 3 interior nodes per axis")
-        if any(L <= 0 for L in lengths):
-            raise ConfigError("grid", "lengths", "side lengths must be positive")
+        if not all(0.0 < L < math.inf for L in lengths):
+            raise ConfigError("grid", "lengths", "side lengths must be positive and finite")
         if len(nodes) <= 2:
             logger.warning(
                 "grid dimension %d <= 2: the critical exponent is treated as +inf",
@@ -405,10 +405,9 @@ def make_weight(grid: Grid, spec: dict) -> Weight:
     elif kind == "sinusoid":
         freqs = [float(f) for f in spec.get("freq", [1.0] * grid.dim)]
         phases = [float(t) for t in spec.get("phase", [0.0] * grid.dim)]
-        if len(freqs) != grid.dim or len(phases) != grid.dim:
-            raise ConfigError(
-                "weights", "freq", f"need {grid.dim} frequencies and phases"
-            )
+        for key, vals in (("freq", freqs), ("phase", phases)):
+            if len(vals) != grid.dim:
+                raise ConfigError("weights", key, f"need {grid.dim} values, got {len(vals)}")
         values = np.ones(grid.shape)
         for f, t, x in zip(freqs, phases, coords):
             values = values * np.sin(2.0 * math.pi * f * x + t)
@@ -433,13 +432,15 @@ def make_weight(grid: Grid, spec: dict) -> Weight:
 
 
 def _gaussian_pair(grid: Grid, spec: dict, coords: list[np.ndarray]) -> np.ndarray:
-    def bump(center: Sequence[float], sigma: float) -> np.ndarray:
+    def bump(side: str) -> np.ndarray:
+        center = spec[f"center_{side}"]
+        sigma = float(spec.get(f"sigma_{side}", 0.15))
         if len(center) != grid.dim:
             raise ConfigError(
-                "weights", "center", f"center needs {grid.dim} coordinates"
+                "weights", f"center_{side}", f"center needs {grid.dim} coordinates"
             )
-        if sigma <= 0:
-            raise ConfigError("weights", "sigma", "Gaussian width must be positive")
+        if not sigma > 0:
+            raise ConfigError("weights", f"sigma_{side}", "Gaussian width must be positive")
         r2 = np.zeros(grid.shape)
         for c, x in zip(center, coords):
             r2 = r2 + (x - float(c)) ** 2
@@ -447,8 +448,8 @@ def _gaussian_pair(grid: Grid, spec: dict, coords: list[np.ndarray]) -> np.ndarr
 
     amp_pos = float(spec.get("amp_pos", 1.0))
     amp_neg = float(spec.get("amp_neg", 1.0))
-    pos = bump(spec["center_pos"], float(spec.get("sigma_pos", 0.15)))
-    neg = bump(spec["center_neg"], float(spec.get("sigma_neg", 0.15)))
+    pos = bump("pos")
+    neg = bump("neg")
     return amp_pos * pos - amp_neg * neg
 
 

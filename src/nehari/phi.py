@@ -120,6 +120,8 @@ def tabulated_model(s_nodes, phi_nodes) -> PhiModel:
     phi_nodes = np.asarray(phi_nodes, dtype=float)
     if s_nodes.ndim != 1 or s_nodes.size < 4:
         raise DomainError("tabulated phi needs at least 4 samples")
+    if not (np.all(np.isfinite(s_nodes)) and np.all(np.isfinite(phi_nodes))):
+        raise DomainError("tabulated phi samples must be finite")
     if s_nodes[0] != 0.0:
         raise DomainError("tabulated phi must start at s = 0")
     if np.any(np.diff(s_nodes) <= 0):

@@ -28,8 +28,8 @@ import numpy as np
 
 from .energy import ProblemConfig, dual_norm, energy_gradient, nehari_residual
 from .errors import NehariError, ProjectionError, SeedingError, SolverError
-from .fibering import NehariPoint, project_scale, ray_energy_dt2
-from .grid import Field, _fsum, inner, random_smooth_field
+from .fibering import NehariPoint, project_scale
+from .grid import Field, inner, random_smooth_field
 from .thresholds import ADMISSIBLE, INADMISSIBLE, ThresholdReport, admissibility
 
 logger = logging.getLogger(__name__)
@@ -47,7 +47,6 @@ __all__ = [
 ARMIJO = 1e-4
 SHRINK = 0.5
 ALPHA_MIN = 1e-20
-MAX_RESTARTS = 3
 ENERGY_SLACK = 1e-14
 
 
@@ -102,7 +101,6 @@ class MultistartReport:
     energies: tuple[float, ...]
     converged: tuple[bool, ...]
     spread: float
-    distinct_minimizers: bool
 
     def as_dict(self) -> dict:
         return {
@@ -110,7 +108,6 @@ class MultistartReport:
             "energies": list(self.energies),
             "converged": list(self.converged),
             "spread": self.spread,
-            "distinct_minimizers": self.distinct_minimizers,
         }
 
 
@@ -183,9 +180,13 @@ def minimize_branch(
 ) -> SolveReport:
     """Minimize the energy over one Nehari branch by projected descent.
 
-    Stops when both the tangential and the full gradient dual norms fall
-    below the configured residual tolerance.  Projection loss mid-run
-    restarts from a narrowed seed at most three times.
+    Starts from ``seed``, or from :func:`seed_field` when none is given.  A
+    given seed that does not project onto the branch is replaced once by
+    :func:`seed_field` at half the default width, and ``restarts`` is then
+    1.  No other restart exists: :func:`seed_field` returns only seeds that
+    project, and the line search shrinks the step past every trial that
+    does not.  Stops when both the tangential and the full gradient dual
+    norms fall below the configured residual tolerance.
     """
     t_start = time.perf_counter()
     if thresholds is not None and not force:
@@ -197,47 +198,41 @@ def minimize_branch(
             )
         if verdict != ADMISSIBLE:
             logger.warning(
-                "lambda %g is %s (lambda0 %g): branch guarantees may fail",
+                "branch %s: lambda %g is %s (lambda0 %g): branch guarantees may fail",
+                branch,
                 cfg.lam,
                 verdict,
                 thresholds.lambda0,
             )
 
-    sigma0 = min(cfg.grid.lengths) / 4.0
-    restarts = 0
-    last_error: Exception | None = None
-    while restarts <= MAX_RESTARTS:
-        if restarts == 0 and seed is not None:
-            start = seed
-        else:
-            start = seed_field(cfg, branch, sigma=sigma0 / (2.0**restarts))
-        try:
-            report = _run_descent(cfg, branch, start, thresholds, restarts, t_start)
-            return report
-        except ProjectionError as err:
-            logger.info("branch %s: projection loss (%s); restarting", branch, err)
-            last_error = err
-            restarts += 1
-    raise SolverError(
-        f"branch {branch!r}: projection lost after {MAX_RESTARTS} restarts: {last_error}"
-    )
+    if seed is None:
+        seed = seed_field(cfg, branch)  # projects: seed_field checked it
+    try:
+        start = project_scale(seed, cfg, branch)
+        restarts = 0
+    except ProjectionError as err:
+        logger.info("branch %s: the given seed does not project (%s); reseeding", branch, err)
+        start = project_scale(
+            seed_field(cfg, branch, sigma=min(cfg.grid.lengths) / 8.0), cfg, branch
+        )
+        restarts = 1
+    return _run_descent(cfg, branch, start, thresholds, restarts, t_start)
 
 
 def _run_descent(
     cfg: ProblemConfig,
     branch: str,
-    start: Field,
+    start: tuple[Field, float, float],
     thresholds: ThresholdReport | None,
     restarts: int,
     t_start: float,
 ) -> SolveReport:
-    u, t_star, start_energy = project_scale(start, cfg, branch)
+    """Projected descent from ``start``, a ``project_scale`` result."""
+    u, t_star, start_energy = start
     energy_history = [start_energy]
     residual_history: list[float] = []
     max_constraint = abs(nehari_residual(u, cfg))
-    monotone = True
     converged = False
-    iterations = 0
     prev_u: np.ndarray | None = None
     prev_g: np.ndarray | None = None
 
@@ -286,34 +281,18 @@ def _run_descent(
                 break
             alpha *= SHRINK
         if accepted is None:
-            # no decrease available along the tangential direction
-            if full_res <= cfg.residual_tol and tan_res <= cfg.residual_tol:
-                converged = True
-            break
+            break  # no decrease available along the tangential direction
         u, new_energy, t_star = accepted
-        if new_energy > energy_history[-1] + slack:
-            monotone = False
         energy_history.append(new_energy)
 
-    if not residual_history:
-        _, _, _, tan_res, full_res, _ = _descent_state(u, cfg)
-        residual_history.append(tan_res)
-        converged = tan_res <= cfg.residual_tol and full_res <= cfg.residual_tol
-
-    final_grad = energy_gradient(u, cfg)
-    point = NehariPoint(
-        field=u,
-        branch=branch,
-        energy=energy_history[-1],
-        constraint=abs(_fsum(final_grad * u.values)),  # G(u), as nehari_residual
-        gamma2=ray_energy_dt2(u, 1.0, cfg),
-        scale=t_star,
-    )
-    final_full = dual_norm(final_grad, cfg.grid)
+    point = NehariPoint.build(u, cfg, branch, energy_history[-1], t_star)
     invariants = {
-        "monotone_energy": monotone,
+        "monotone_energy": all(
+            new <= old + ENERGY_SLACK * (1.0 + abs(old))
+            for old, new in zip(energy_history, energy_history[1:])
+        ),
         "max_constraint_residual": max_constraint,
-        "final_full_residual": final_full,
+        "final_full_residual": dual_norm(energy_gradient(u, cfg), cfg.grid),
         "final_energy": point.energy,
         "energy_sign_ok": (point.energy < 0.0)
         if branch == "plus"
@@ -406,12 +385,11 @@ def multistart(
     n_starts: int = 5,
     seed: int = 0,
     thresholds: ThresholdReport | None = None,
-    rel_tol: float = 1e-6,
 ) -> MultistartReport:
     """Consistency check: perturbed seeds should reach the same energy.
 
-    A spread above ``rel_tol`` flags distinct local minimizers instead of
-    failing, since the theory guarantees existence, not uniqueness.
+    ``spread`` is the relative energy range over the starts; it is reported,
+    not judged, since the theory guarantees existence, not uniqueness.
     """
     rng = np.random.default_rng(seed)
     base = seed_field(cfg, branch)
@@ -435,5 +413,4 @@ def multistart(
         energies=tuple(energies),
         converged=tuple(converged),
         spread=spread,
-        distinct_minimizers=spread > rel_tol,
     )

@@ -230,3 +230,96 @@ def test_solve_refuses_inadmissible_without_force(tmp_path):
     assert main(["solve", "--config", str(cfgp), "--out", str(out)]) == 2
     report = json.loads((out / "solve.json").read_text())
     assert "error" in report and report["verdict"] == "inadmissible"
+
+
+PHI_ROWS = "0.0,1.0\n1.0,1.0\n2.0,1.0\n"
+BAD_PHI_TABLES = {
+    "short.csv": PHI_ROWS,  # 3 samples, 4 needed
+    "column.csv": PHI_ROWS + "3.0\n",
+    "nan.csv": PHI_ROWS + "3.0,nan\n",
+}
+
+
+@pytest.mark.parametrize(
+    "text, address",
+    [
+        pytest.param("[problem]\nlambda = nan\n", "[problem] lambda", id="lambda-nan"),
+        pytest.param("[problem]\nlambda = auto:inf\n", "[problem] lambda", id="auto-inf"),
+        pytest.param("[grid]\nnodes = inf\n", "[grid] nodes", id="nodes-inf"),
+        pytest.param("[grid]\nnodes = nan\n", "[grid] nodes", id="nodes-nan"),
+        pytest.param("[grid]\nnodes = 9.7\n", "[grid] nodes", id="nodes-fraction"),
+        pytest.param("[grid]\nnodes = 5\nlengths = nan\n", "[grid] lengths", id="length-nan"),
+        pytest.param(
+            "[grid]\nnodes = 5\n[solver]\nresidual_tol = nan\n",
+            "[solver] residual_tol",
+            id="residual_tol-nan",
+        ),
+        pytest.param(
+            "[grid]\nnodes = 5\n[solver]\nresidual_tol = -1\n",
+            "[solver] residual_tol",
+            id="residual_tol-negative",
+        ),
+        pytest.param("[phi]\nvalue = -1\n[grid]\nnodes = 5\n", "[phi] value", id="phi-value"),
+        pytest.param(
+            "[phi]\nkind = stuart_example\noffset = -2\n[grid]\nnodes = 5\n",
+            "[phi] offset",
+            id="phi-offset",
+        ),
+        pytest.param(
+            "[phi]\nkind = tabulated\ntable = TMP/short.csv\n[grid]\nnodes = 5\n",
+            "[phi] table",
+            id="phi-table-short",
+        ),
+        pytest.param(
+            "[phi]\nkind = tabulated\ntable = TMP/column.csv\n[grid]\nnodes = 5\n",
+            "[phi] table",
+            id="phi-table-column",
+        ),
+        pytest.param(
+            "[phi]\nkind = tabulated\ntable = TMP/nan.csv\n[grid]\nnodes = 5\n",
+            "[phi] table",
+            id="phi-table-nan",
+        ),
+        pytest.param(
+            "[grid]\nnodes = 5\n[weights.a]\nsigma_pos = 0\n",
+            "[weights.a] sigma_pos",
+            id="weights-a-sigma",
+        ),
+        pytest.param(
+            "[grid]\nnodes = 5\n[weights.b]\nsigma_neg = -0.1\n",
+            "[weights.b] sigma_neg",
+            id="weights-b-sigma",
+        ),
+        pytest.param(
+            "[grid]\nnodes = 5\n[weights.b]\nkind = affine\ncoeffs = 1 1 1 1\n",
+            "[weights.b] coeffs",
+            id="weights-b-coeffs",
+        ),
+        pytest.param(
+            "[grid]\nnodes = 5\n[weights.a]\nkind = sinusoid\nphase = 0 0\n",
+            "[weights.a] phase",
+            id="weights-a-phase",
+        ),
+    ],
+)
+def test_bad_config_values_are_config_errors(tmp_path, capsys, text, address):
+    for name, rows in BAD_PHI_TABLES.items():
+        (tmp_path / name).write_text(rows)
+    path = tmp_path / "bad.ini"
+    path.write_text(text.replace("TMP", str(tmp_path)))
+    out = tmp_path / "o"
+    assert main(["thresholds", "--config", str(path), "--out", str(out)]) == 1
+    assert f"config error: {address}" in capsys.readouterr().err
+    assert not (out / "thresholds.json").exists()
+
+
+def test_marginal_lambda_warns_once_per_branch(tmp_path, caplog):
+    # λ = 1.05·λ0 lies between λ0 = λ2 and λ1 on this grid: marginal
+    cfgp = tmp_path / "marginal.ini"
+    cfgp.write_text(QUICK.replace("lambda = auto:0.5", "lambda = auto:1.05"))
+    main(["solve", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    report = json.loads((tmp_path / "o" / "solve.json").read_text())
+    assert report["verdict"] == "marginal"
+    warnings = [r.getMessage() for r in caplog.records if "marginal" in r.getMessage()]
+    assert len(warnings) == 2
+    assert warnings[0].startswith("branch minus:") and warnings[1].startswith("branch plus:")

@@ -37,6 +37,15 @@ def test_config_validation():
     with pytest.raises(DomainError):
         # p + 1 must stay below 2* = 6 in three dimensions
         ProblemConfig(grid=grid, phi=constant_model(), a=a.field, b=b.field, lam=1.0, q=0.5, p=5.0)
+    base = dict(grid=grid, phi=constant_model(), a=a.field, b=b.field, lam=1.0, q=0.5, p=3.0)
+    for key, value in (
+        ("lam", math.nan),
+        ("lam", math.inf),
+        ("root_tol", math.nan),
+        ("residual_tol", math.nan),
+    ):
+        with pytest.raises(DomainError):
+            ProblemConfig(**{**base, key: value})
     # low dimension: the critical exponent is +inf, large p admitted
     g1 = Grid(nodes=(9,), lengths=(1.0,))
     z = Field(g1, np.zeros(g1.shape))

@@ -50,6 +50,9 @@ def test_grid_validation():
         Grid(nodes=(5, 5), lengths=(1.0,))
     with pytest.raises(ConfigError):
         Grid(nodes=(5,), lengths=(-1.0,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            Grid(nodes=(5,), lengths=(bad,))
 
 
 def test_gradient_zero_field():

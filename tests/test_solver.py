@@ -7,7 +7,13 @@ import pytest
 import nehari.solver as solver
 from nehari.config import parse_config, prepare_run
 from nehari.energy import ProblemConfig, concave_integral, convex_integral
-from nehari.errors import BracketError, ProjectionError, SeedingError, SolverError
+from nehari.errors import (
+    BracketError,
+    DomainError,
+    ProjectionError,
+    SeedingError,
+    SolverError,
+)
 from nehari.fibering import CASE_BOTH_NO_ROOT, classify
 from nehari.grid import Field, Grid, estimate_sobolev, make_weight
 from nehari.phi import constant_model, stuart_model, verify_hypotheses
@@ -267,6 +273,27 @@ def test_descent_sums_each_quadrature_once():
     assert iterations > 500
     assert counts["energy"] == 0
     assert counts["fsum"] / iterations <= 14.0
+
+
+def test_seed_that_does_not_project_reseeds_once():
+    # a bump centred where a is most negative has A < 0: no rising crossing
+    cfg, th = with_thresholds(make_problem(phi=constant_model(1.0)))
+    sink = np.unravel_index(int(np.argmin(cfg.a.values)), cfg.grid.shape)
+    bad = solver._gaussian_bump(cfg, sink, min(cfg.grid.lengths) / 4.0)
+    with pytest.raises(ProjectionError):
+        solver.project_scale(bad, cfg, "plus")
+    report = minimize_branch(cfg, "plus", seed=bad, thresholds=th)
+    assert report.restarts == 1
+    narrowed = seed_field(cfg, "plus", sigma=min(cfg.grid.lengths) / 8.0)
+    start = solver.project_scale(narrowed, cfg, "plus")
+    expected = solver._run_descent(cfg, "plus", start, th, 1, 0.0)
+    assert report.as_dict() == expected.as_dict()
+    assert np.array_equal(report.point.field.values, expected.point.field.values)
+
+
+def test_problem_needs_an_iteration(cfg_const):
+    with pytest.raises(DomainError):
+        dataclasses.replace(cfg_const, max_iter=0)
 
 
 def test_solve_both_reports_a_failing_diagnosis(monkeypatch, cfg_const):
