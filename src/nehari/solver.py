@@ -28,7 +28,7 @@ import numpy as np
 
 from .energy import ProblemConfig, dual_norm, energy_gradient, nehari_residual
 from .errors import NehariError, ProjectionError, SeedingError, SolverError
-from .fibering import NehariPoint, project_scale
+from .fibering import NehariPoint, project_scale, ray_energy
 from .grid import Field, inner, random_smooth_field
 from .thresholds import ADMISSIBLE, INADMISSIBLE, ThresholdReport, admissibility
 
@@ -131,6 +131,13 @@ def seed_field(cfg: ProblemConfig, branch: str, sigma: float | None = None) -> F
     that carries the last projection's diagnosis.  Ties in the weight
     maximum break to the lowest lexicographic node index.
     """
+    return _projected_seed(cfg, branch, sigma)[0]
+
+
+def _projected_seed(
+    cfg: ProblemConfig, branch: str, sigma: float | None = None
+) -> tuple[Field, tuple[Field, float, float]]:
+    """:func:`seed_field`'s bump together with its ``project_scale`` result."""
     weight = cfg.a if branch == "plus" else cfg.b
     if not (np.any(weight.values > 0)):
         raise SeedingError(
@@ -143,8 +150,7 @@ def seed_field(cfg: ProblemConfig, branch: str, sigma: float | None = None) -> F
     for _ in range(7):
         candidate = _gaussian_bump(cfg, center, sigma)
         try:
-            project_scale(candidate, cfg, branch)
-            return candidate
+            return candidate, project_scale(candidate, cfg, branch)
         except ProjectionError as err:
             last = err
         sigma /= 2.0
@@ -205,17 +211,18 @@ def minimize_branch(
                 thresholds.lambda0,
             )
 
+    restarts = 0
     if seed is None:
-        seed = seed_field(cfg, branch)  # projects: seed_field checked it
-    try:
-        start = project_scale(seed, cfg, branch)
-        restarts = 0
-    except ProjectionError as err:
-        logger.info("branch %s: the given seed does not project (%s); reseeding", branch, err)
-        start = project_scale(
-            seed_field(cfg, branch, sigma=min(cfg.grid.lengths) / 8.0), cfg, branch
-        )
-        restarts = 1
+        start = _projected_seed(cfg, branch)[1]
+    else:
+        try:
+            start = project_scale(seed, cfg, branch)
+        except ProjectionError as err:
+            logger.info(
+                "branch %s: the given seed does not project (%s); reseeding", branch, err
+            )
+            start = _projected_seed(cfg, branch, sigma=min(cfg.grid.lengths) / 8.0)[1]
+            restarts = 1
     return _run_descent(cfg, branch, start, thresholds, restarts, t_start)
 
 
@@ -286,11 +293,15 @@ def _run_descent(
         energy_history.append(new_energy)
 
     point = NehariPoint.build(u, cfg, branch, energy_history[-1], t_star)
+    # J of the final field from a fresh ray of that field, not from the
+    # projection that produced the history; they agree to round-off
+    recomputed = ray_energy(u, 1.0, cfg)
     invariants = {
         "monotone_energy": all(
             new <= old + ENERGY_SLACK * (1.0 + abs(old))
             for old, new in zip(energy_history, energy_history[1:])
-        ),
+        )
+        and abs(recomputed - point.energy) <= 1e-12 * max(1.0, abs(point.energy)),
         "max_constraint_residual": max_constraint,
         "final_full_residual": dual_norm(energy_gradient(u, cfg), cfg.grid),
         "final_energy": point.energy,

@@ -19,6 +19,7 @@ from nehari.grid import (
     make_weight,
     norms,
     pointwise_energy,
+    random_smooth_field,
     save_field,
 )
 
@@ -203,6 +204,57 @@ def test_sobolev_order_domain():
         estimate_sobolev(g, 1.0)
     g1 = Grid(nodes=(9,), lengths=(1.0,))
     estimate_sobolev(g1, 7.0)  # any order >= 1 in low dimension
+
+
+def test_sobolev_matches_eigen_oracle_anisotropic_even():
+    nodes, lengths = (4, 7, 6), (1.0, 0.5, 2.0)
+    est = estimate_sobolev(Grid(nodes=nodes, lengths=lengths), 2.0)
+    oracle = oracle_first_eigenvalue(nodes, lengths) ** -0.5
+    assert abs(est.value - oracle) <= 1e-6 * oracle
+
+
+def test_sobolev_never_below_trial_fields():
+    # any field's ratio is a lower bound on the best constant
+    def ratio(u, order):
+        return norms(u, orders=(order,)).lp[order] / math.sqrt(dirichlet_energy(u))
+
+    def bump(g, width):
+        r2 = 0.0
+        for k, x in enumerate(g.coords()):
+            c = g.axis_coords(k)[g.nodes[k] // 2]
+            r2 = r2 + ((x - c) / (width * g.lengths[k])) ** 2
+        return Field(g, np.exp(-r2))
+
+    cases = [
+        ((6, 6, 6), 4.0),
+        ((6, 6, 6), 5.9),
+        ((4, 4, 4), 4.0),
+        ((255,), 4.0),
+        ((255,), 7.0),
+        ((9, 9, 9), 1.5),
+        ((9, 9, 9), 4.0),
+    ]
+    for nodes, order in cases:
+        g = Grid(nodes=nodes, lengths=(1.0,) * len(nodes))
+        rng = np.random.default_rng(0)
+        trials = [bump(g, w) for w in (0.35, 0.2, 0.1, 0.05)]
+        trials += [random_smooth_field(g, rng) for _ in range(20)]
+        value = estimate_sobolev(g, order).value
+        for u in trials:
+            assert value >= ratio(u, order) * (1.0 - 1e-12), (nodes, order)
+
+
+def test_sobolev_reference_values():
+    expected = {
+        (9, 1.5): 0.1628378198,
+        (9, 4.0): 0.2822447138,
+        (17, 1.5): 0.1628289196,
+        (17, 4.0): 0.2748365926,
+    }
+    for (n, order), value in expected.items():
+        est = estimate_sobolev(Grid(nodes=(n, n, n), lengths=(1.0, 1.0, 1.0)), order)
+        assert est.method == "inverse-power"
+        assert abs(est.value - value) <= 1e-8 * value, (n, order)
 
 
 def test_make_weight_affine_sign_changing():

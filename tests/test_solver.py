@@ -311,3 +311,47 @@ def test_solve_both_reports_a_failing_diagnosis(monkeypatch, cfg_const):
     pair = solve_both(cfg_const)
     assert pair.failures["plus"] == "lost"
     assert pair.failures["plus_diagnosis"] == {"error": "BracketError: diagnosis failed"}
+
+
+def test_monotone_energy_fails_when_projection_misreports(monkeypatch, cfg_const):
+    cfg, th = with_thresholds(cfg_const)
+    assert minimize_branch(cfg, "plus", thresholds=th).invariants["monotone_energy"]
+    project_scale = solver.project_scale
+
+    def understated(u, cfg, branch):
+        field, t_star, J = project_scale(u, cfg, branch)
+        return field, t_star, J - 1e-6 * max(1.0, abs(J))
+
+    monkeypatch.setattr(solver, "project_scale", understated)
+    report = minimize_branch(cfg, "plus", thresholds=th)
+    # the history still passes the descent's own rule; only J of the
+    # final field, computed afresh, can show the misreport
+    history = report.energy_history
+    slack = solver.ENERGY_SLACK
+    assert all(new <= old + slack * (1 + abs(old)) for old, new in zip(history, history[1:]))
+    assert not report.invariants["monotone_energy"]
+
+
+def test_default_seed_is_projected_once(monkeypatch, cfg_const):
+    cfg, th = with_thresholds(cfg_const)
+    project_scale = solver.project_scale
+    calls = {"project_scale": 0, "at_descent": None}
+
+    def counted(u, cfg, branch):
+        calls["project_scale"] += 1
+        return project_scale(u, cfg, branch)
+
+    class Stop(Exception):
+        pass
+
+    def first_step(*args):
+        calls["at_descent"] = calls["project_scale"]
+        raise Stop
+
+    monkeypatch.setattr(solver, "project_scale", counted)
+    monkeypatch.setattr(solver, "_run_descent", first_step)
+    for branch in ("plus", "minus"):
+        calls["project_scale"] = 0
+        with pytest.raises(Stop):
+            minimize_branch(cfg, branch, thresholds=th)
+        assert calls["at_descent"] == 1, branch
