@@ -41,10 +41,9 @@ def _write_history_csv(path: Path, report) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "energy", "residual"])
-        residuals = list(report.residual_history)
+        res = report.residual_history
         for i, e in enumerate(report.energy_history):
-            res = residuals[i] if i < len(residuals) else ""
-            writer.writerow([i, repr(e), repr(res) if res != "" else ""])
+            writer.writerow([i, repr(e), repr(res[i]) if i < len(res) else ""])
 
 
 def _sobolev_dict(prep: PreparedRun) -> dict:
@@ -140,12 +139,9 @@ def cmd_solve(prep: PreparedRun, out: Path, args) -> int:
             continue
         save_field(str(out / f"{name}_field.csv"), report.point.field)
         _write_history_csv(out / f"history_{name}.csv", report)
-        if not report.converged:
-            ok = False
-        if not report.invariants.get("energy_sign_ok", False):
-            ok = False
-        if not report.invariants.get("gamma2_sign_ok", False):
-            ok = False
+        inv = report.invariants
+        ok = ok and report.converged and inv["energy_sign_ok"] and inv["gamma2_sign_ok"]
+        ok = ok and inv.get("delta_lambda_bound_ok", True)  # minus, with thresholds
     _write_json(out / "solve.json", payload)
     return EXIT_OK if ok else EXIT_INVARIANT
 

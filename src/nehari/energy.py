@@ -4,11 +4,11 @@ The functional is
 
     J(u) = ∫ Φ((u² + |∇u|²)/2) − (λ/(q+1)) ∫ a|u|^{q+1} − (1/(p+1)) ∫ b|u|^{p+1},
 
-with all integrals the grid quadrature and ∇ the central difference.  The
-gradient returned here is the exact derivative of this discrete J with
-respect to node values (adjoint-of-stencil assembly), not a discretization
-of the continuum Euler-Lagrange operator: directional derivatives therefore
-match finite differences of J to round-off.
+with all integrals the grid quadrature and ∇ the edge differences of
+``grid.gradient``.  The gradient returned here is the exact derivative of
+this discrete J with respect to node values (adjoint-of-stencil assembly),
+not a discretization of the continuum Euler-Lagrange operator: directional
+derivatives therefore match finite differences of J to round-off.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .grid import Field, Grid, _diff_central, _fsum, gradient, integrate, pointwise_energy
+from .grid import Field, Grid, _edge_diff, _fsum, integrate, pointwise_energy
 from .phi import PhiModel
 
 __all__ = [
@@ -114,14 +114,18 @@ def energy_gradient(u: Field, cfg: ProblemConfig) -> np.ndarray:
     _check_field(u, cfg)
     grid = cfg.grid
     vals = u.values
-    grad = gradient(u)
-    dens = vals**2 + np.sum(grad**2, axis=0)
-    coeff = np.asarray(cfg.phi.phi(dens / 2.0), dtype=float)
+    coeff = np.asarray(cfg.phi.phi(pointwise_energy(u) / 2.0), dtype=float)
 
     out = coeff * vals
-    # adjoint of the central-difference stencil: D_k^T = -D_k
-    for k in range(grid.dim):
-        out -= _diff_central(coeff * grad[k], k, grid.spacing[k])
+    # transpose of the gradient: the flux form −Σ_k D₋(φ_{k+½} D₊u), with φ on
+    # an edge the mean over its two nodes, or its one node's on the boundary
+    for k, h in enumerate(grid.spacing):
+        c = coeff.swapaxes(0, k)
+        flux = _edge_diff(vals, k, h)
+        flux[0] *= c[0]
+        flux[1:-1] *= 0.5 * (c[1:] + c[:-1])
+        flux[-1] *= c[-1]
+        out.swapaxes(0, k)[...] -= np.diff(flux, axis=0) / h
     out -= cfg.lam * cfg.a.values * np.sign(vals) * np.abs(vals) ** cfg.q
     out -= cfg.b.values * np.sign(vals) * np.abs(vals) ** cfg.p
     return grid.cell_volume * out

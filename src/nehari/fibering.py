@@ -479,12 +479,6 @@ class NehariPoint:
     gamma2: float  # second ray derivative at 1 for the projected field
     scale: float  # t* applied to the input field
 
-    @classmethod
-    def build(cls, field: Field, cfg: ProblemConfig, branch: str, energy: float, scale: float):
-        """The point for an on-branch ``field``: reads |G| and γ″(1) from the field."""
-        constraint = abs(nehari_residual(field, cfg))
-        return cls(field, branch, energy, constraint, ray_energy_dt2(field, 1.0, cfg), scale)
-
     def as_dict(self) -> dict:
         return {
             "branch": self.branch,
@@ -592,7 +586,9 @@ def project(u: Field, cfg: ProblemConfig, branch: str) -> NehariPoint:
     not reach the branch.
     """
     projected, t_star, J = project_scale(u, cfg, branch)
-    return NehariPoint.build(projected, cfg, branch, J, t_star)
+    constraint = abs(nehari_residual(projected, cfg))
+    gamma2 = ray_energy_dt2(projected, 1.0, cfg)
+    return NehariPoint(projected, branch, J, constraint, gamma2, t_star)
 
 
 def sample_ray(u: Field, cfg: ProblemConfig, t_values) -> dict[str, list[float]]:

@@ -5,8 +5,8 @@ node-valued fields over this grid.  The conventions are:
 
 * interior nodes only are stored; the boundary value is identically zero
   and enters every stencil as a ghost value,
-* the discrete gradient is the per-axis central difference, so the
-  discrete energy is an exact, differentiable function of the node values,
+* every difference is a compact edge difference Δu/h, so the energy, its
+  gradient and the Sobolev constants share one quadratic form,
 * quadrature is the node rule (cell volume times node sum), which under
   the zero boundary is the trapezoid rule, and is reduced with exact
   compensated summation in lexicographic order for bit-reproducibility.
@@ -78,11 +78,6 @@ class Grid:
             raise ConfigError("grid", "nodes", "need at least 3 interior nodes per axis")
         if not all(0.0 < L < math.inf for L in lengths):
             raise ConfigError("grid", "lengths", "side lengths must be positive and finite")
-        if len(nodes) <= 2:
-            logger.warning(
-                "grid dimension %d <= 2: the critical exponent is treated as +inf",
-                len(nodes),
-            )
 
     @property
     def dim(self) -> int:
@@ -160,39 +155,44 @@ def field_from_function(grid: Grid, fn: Callable[..., np.ndarray]) -> Field:
     return Field(grid, values)
 
 
-def _diff_central(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Central difference along one axis with zero ghost boundary."""
-    out = np.zeros_like(values)
-    head = [slice(None)] * values.ndim
-    tail = [slice(None)] * values.ndim
-    head[axis] = slice(None, -1)
-    tail[axis] = slice(1, None)
-    head_t, tail_t = tuple(head), tuple(tail)
-    np.add(out[head_t], values[tail_t], out=out[head_t])
-    np.subtract(out[tail_t], values[head_t], out=out[tail_t])
-    out /= 2.0 * h
-    return out
+def _edge_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """The n+1 edge differences (Δu/h) along one axis, zero ghosts at both ends.
+
+    The result has that axis swapped with axis 0; its entry j is the edge
+    from node j−1 to node j, so entries 0 and n are the boundary edges.
+    """
+    v = values.swapaxes(0, axis)
+    d = np.zeros((v.shape[0] + 1,) + v.shape[1:])
+    d[:-1] = v
+    d[1:] -= v
+    d /= h
+    return d
 
 
 def gradient(u: Field) -> np.ndarray:
-    """Discrete gradient: one central-difference component per axis.
+    """Forward and backward edge differences per axis, shape (2N, *grid.shape).
 
-    Returns an array of shape (N, *grid.shape).
+    Components 2k and 2k+1 are the forward and backward difference along
+    axis k.  An interior edge has weight 1/√2 at each of its two nodes, a
+    boundary edge weight 1 at its one node, so ∫|∇u|² counts each edge once
+    and equals :func:`dirichlet_energy`.
     """
     grid = u.grid
-    comps = [
-        _diff_central(u.values, k, grid.spacing[k]) for k in range(grid.dim)
-    ]
-    return np.stack(comps)
+    out = np.empty((2 * grid.dim,) + grid.shape)
+    for k, h in enumerate(grid.spacing):
+        d = _edge_diff(u.values, k, h)
+        d[1:-1] *= math.sqrt(0.5)
+        out[2 * k].swapaxes(0, k)[...] = d[1:]
+        out[2 * k + 1].swapaxes(0, k)[...] = d[:-1]
+    return out
 
 
 def laplacian(u: Field) -> np.ndarray:
-    """Composed divergence-of-gradient (central differences twice)."""
+    """Compact (2N+1)-point Laplacian, −gradientᵀ·gradient in the quadrature."""
     grid = u.grid
     out = np.zeros(grid.shape)
-    for k in range(grid.dim):
-        h = grid.spacing[k]
-        out += _diff_central(_diff_central(u.values, k, h), k, h)
+    for k, h in enumerate(grid.spacing):
+        out.swapaxes(0, k)[...] += np.diff(_edge_diff(u.values, k, h), axis=0) / h
     return out
 
 
@@ -228,8 +228,7 @@ def norms(u: Field, orders: Iterable[float] = ()) -> Norms:
     """Quadrature-based ‖u‖_2, ‖∇u‖_2 and requested ‖u‖_r, r >= 1."""
     grid = u.grid
     l2 = math.sqrt(max(integrate(grid, u.values**2), 0.0))
-    g = gradient(u)
-    grad_l2 = math.sqrt(max(integrate(grid, np.sum(g**2, axis=0)), 0.0))
+    grad_l2 = math.sqrt(dirichlet_energy(u))
     lp: dict[float, float] = {}
     for r in orders:
         r = float(r)
@@ -241,14 +240,10 @@ def norms(u: Field, orders: Iterable[float] = ()) -> Norms:
 
 # -- Sobolev constants -------------------------------------------------------
 #
-# The ratio uses the compact two-point-difference Dirichlet form (per-edge
-# differences, zero boundary) rather than the wide central-difference
-# stencil: the composed central operator annihilates checkerboard modes on
-# odd node counts, so the ratio would be unbounded and the discrete first
-# eigenvalue would not approach the continuum Π-limit.
-#
-# The sine transform (DST-I) diagonalizes that form exactly.  Along an axis
-# with n nodes the symmetric matrix S[i, j] = sin(π(i+1)(j+1)/(n+1)) holds
+# The ratio uses the Dirichlet form Σ_edges (Δu/h)² of the energy's own edge
+# differences, so the constants bound the functional that the solver
+# minimizes.  The sine transform (DST-I) diagonalizes it exactly.  Along an
+# axis with n nodes the symmetric matrix S[i, j] = sin(π(i+1)(j+1)/(n+1)) holds
 # the eigenvectors, S² = ((n+1)/2)·I, and mode (j_k) has the eigenvalue
 # Σ_k (4/h_k²) sin²((j_k+1)π/(2(n_k+1))).  Dense per-axis matrices keep the
 # transform in numpy: importing scipy.fft doubles the peak memory of a run.
@@ -281,13 +276,8 @@ def dirichlet_energy(u: Field) -> float:
     """Compact-stencil H¹₀ seminorm squared: Σ_edges (Δu/h)² · cell volume."""
     grid = u.grid
     total = 0.0
-    for k in range(grid.dim):
-        h = grid.spacing[k]
-        pad = [(0, 0)] * u.values.ndim
-        pad[k] = (1, 1)
-        padded = np.pad(u.values, pad, mode="constant")
-        d = np.diff(padded, axis=k) / h
-        total += grid.cell_volume * _fsum(d**2)
+    for k, h in enumerate(grid.spacing):
+        total += grid.cell_volume * _fsum(_edge_diff(u.values, k, h) ** 2)
     return total
 
 
@@ -439,8 +429,8 @@ def random_smooth_field(
     """Seeded superposition of low-frequency sine products.
 
     Smooth trial fields are the desk-scale stand-in for H¹₀ functions; pure
-    node noise is dominated by checkerboard modes invisible to the central
-    difference and exercises nothing the theory speaks about.
+    node noise is dominated by grid-scale modes and exercises nothing the
+    theory speaks about.
     """
     values = np.zeros(grid.shape)
     modes = np.stack(

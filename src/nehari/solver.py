@@ -26,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import ProblemConfig, dual_norm, energy_gradient, nehari_residual
+from .energy import ProblemConfig, dual_norm, energy_gradient
 from .errors import NehariError, ProjectionError, SeedingError, SolverError
-from .fibering import NehariPoint, project_scale, ray_energy
+from .fibering import NehariPoint, project_scale, ray_energy, ray_energy_dt2
 from .grid import Field, inner, random_smooth_field
 from .thresholds import ADMISSIBLE, INADMISSIBLE, ThresholdReport, admissibility
 
@@ -177,6 +177,28 @@ def _descent_state(u: Field, cfg: ProblemConfig):
     return g, d, -dd, math.sqrt(dd), full_res, gu
 
 
+def _check_lambda(
+    cfg: ProblemConfig, branch: str, thresholds: ThresholdReport | None, force: bool
+) -> None:
+    """Refuse an inadmissible λ unless forced; warn on a marginal one."""
+    if thresholds is None or force:
+        return
+    verdict = admissibility(cfg.lam, thresholds)
+    if verdict == INADMISSIBLE:
+        raise SolverError(
+            f"lambda {cfg.lam:g} is inadmissible (lambda0 {thresholds.lambda0:g}); "
+            "pass force=True to run anyway"
+        )
+    if verdict != ADMISSIBLE:
+        logger.warning(
+            "branch %s: lambda %g is %s (lambda0 %g): branch guarantees may fail",
+            branch,
+            cfg.lam,
+            verdict,
+            thresholds.lambda0,
+        )
+
+
 def minimize_branch(
     cfg: ProblemConfig,
     branch: str,
@@ -195,22 +217,7 @@ def minimize_branch(
     norms fall below the configured residual tolerance.
     """
     t_start = time.perf_counter()
-    if thresholds is not None and not force:
-        verdict = admissibility(cfg.lam, thresholds)
-        if verdict == INADMISSIBLE:
-            raise SolverError(
-                f"lambda {cfg.lam:g} is inadmissible (lambda0 {thresholds.lambda0:g}); "
-                "pass force=True to run anyway"
-            )
-        if verdict != ADMISSIBLE:
-            logger.warning(
-                "branch %s: lambda %g is %s (lambda0 %g): branch guarantees may fail",
-                branch,
-                cfg.lam,
-                verdict,
-                thresholds.lambda0,
-            )
-
+    _check_lambda(cfg, branch, thresholds, force)
     restarts = 0
     if seed is None:
         start = _projected_seed(cfg, branch)[1]
@@ -238,13 +245,14 @@ def _run_descent(
     u, t_star, start_energy = start
     energy_history = [start_energy]
     residual_history: list[float] = []
-    max_constraint = abs(nehari_residual(u, cfg))
+    max_constraint = 0.0
     converged = False
     prev_u: np.ndarray | None = None
     prev_g: np.ndarray | None = None
+    state = _descent_state(u, cfg)
 
     for iterations in range(1, cfg.max_iter + 1):
-        g, d, slope, tan_res, full_res, gu = _descent_state(u, cfg)
+        g, d, slope, tan_res, full_res, gu = state
         residual_history.append(tan_res)
         max_constraint = max(max_constraint, abs(gu))
         if tan_res <= cfg.residual_tol and full_res <= cfg.residual_tol:
@@ -291,8 +299,12 @@ def _run_descent(
             break  # no decrease available along the tangential direction
         u, new_energy, t_star = accepted
         energy_history.append(new_energy)
+        state = _descent_state(u, cfg)  # read by the report if max_iter stops here
 
-    point = NehariPoint.build(u, cfg, branch, energy_history[-1], t_star)
+    *_, full_res, gu = state  # the final field's own gradient data
+    point = NehariPoint(
+        u, branch, energy_history[-1], abs(gu), ray_energy_dt2(u, 1.0, cfg), t_star
+    )
     # J of the final field from a fresh ray of that field, not from the
     # projection that produced the history; they agree to round-off
     recomputed = ray_energy(u, 1.0, cfg)
@@ -303,7 +315,7 @@ def _run_descent(
         )
         and abs(recomputed - point.energy) <= 1e-12 * max(1.0, abs(point.energy)),
         "max_constraint_residual": max_constraint,
-        "final_full_residual": dual_norm(energy_gradient(u, cfg), cfg.grid),
+        "final_full_residual": full_res,
         "final_energy": point.energy,
         "energy_sign_ok": (point.energy < 0.0)
         if branch == "plus"
@@ -403,18 +415,20 @@ def multistart(
     not judged, since the theory guarantees existence, not uniqueness.
     """
     rng = np.random.default_rng(seed)
-    base = seed_field(cfg, branch)
+    base, base_start = _projected_seed(cfg, branch)
     energies = []
     converged = []
     for k in range(n_starts):
-        if k == 0:
-            start = base
+        if k == 0:  # descend from the base seed's own projection
+            t_start = time.perf_counter()
+            _check_lambda(cfg, branch, thresholds, False)
+            report = _run_descent(cfg, branch, base_start, thresholds, 0, t_start)
         else:
             bump = random_smooth_field(cfg.grid, rng, max_mode=2)
             scale = 0.2 * float(np.max(np.abs(base.values)))
             scale /= max(float(np.max(np.abs(bump.values))), 1e-30)
             start = Field(cfg.grid, base.values + scale * bump.values)
-        report = minimize_branch(cfg, branch, seed=start, thresholds=thresholds)
+            report = minimize_branch(cfg, branch, seed=start, thresholds=thresholds)
         energies.append(report.point.energy)
         converged.append(report.converged)
     lo, hi = min(energies), max(energies)

@@ -300,7 +300,10 @@ def test_criterion_8_theorem_end_to_end(config_name):
             ok = ok and rep.point.energy < 0.0 and rep.point.gamma2 > 0.0
         else:
             ok = ok and rep.point.energy > 0.0 and rep.point.gamma2 < 0.0
+            # the paper's falling-branch floor J >= delta_lambda > 0
+            ok = ok and rep.invariants["delta_lambda_bound_ok"]
         details.append(f"{branch}: J={rep.point.energy:.4g} res={rep.residual_history[-1]:.1e}")
+    details.append(f"delta_lambda floor {pair.minus.invariants['delta_lambda_floor']:.4g}")
     ms = multistart(cfg, "plus", n_starts=5, seed=run.seed, thresholds=prep.thresholds)
     # every start converges, and none ends below the reported ground state
     floor = pair.plus.point.energy

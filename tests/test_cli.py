@@ -323,3 +323,21 @@ def test_marginal_lambda_warns_once_per_branch(tmp_path, caplog):
     warnings = [r.getMessage() for r in caplog.records if "marginal" in r.getMessage()]
     assert len(warnings) == 2
     assert warnings[0].startswith("branch minus:") and warnings[1].startswith("branch plus:")
+
+
+def test_solve_exits_2_below_the_delta_lambda_floor(tmp_path, monkeypatch):
+    import nehari.cli as cli
+
+    solve_both = cli.solve_both
+
+    def below_floor(*args, **kwargs):
+        pair = solve_both(*args, **kwargs)
+        assert pair.minus.invariants["delta_lambda_bound_ok"]
+        pair.minus.invariants["delta_lambda_bound_ok"] = False
+        return pair
+
+    monkeypatch.setattr(cli, "solve_both", below_floor)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", write_quick(tmp_path), "--out", str(out)]) == 2
+    payload = json.loads((out / "solve.json").read_text())
+    assert payload["minus"]["invariants"]["delta_lambda_bound_ok"] is False

@@ -91,21 +91,31 @@ def test_gradient_zero_field(cfg_small):
 
 
 def test_gradient_matches_finite_differences(cfg_small):
-    rng = np.random.default_rng(3)
-    u = smooth_fields(cfg_small.grid, 1, seed=3)[0]
-    grad = energy_gradient(u, cfg_small)
     from nehari.grid import norms
 
-    step = 1e-5 * (1.0 + norms(u).grad_l2)
-    worst = 0.0
-    for _ in range(20):
-        v = rng.standard_normal(cfg_small.grid.shape)
-        analytic = float(np.vdot(grad, v))
-        jp = energy(Field(cfg_small.grid, u.values + step * v), cfg_small)
-        jm = energy(Field(cfg_small.grid, u.values - step * v), cfg_small)
-        fd = (jp - jm) / (2.0 * step)
-        worst = max(worst, abs(analytic - fd) / (1.0 + abs(fd)))
-    assert worst <= 1e-6
+    # also a 1-D grid and an even, anisotropic 3-D one
+    anisotropic = Grid(nodes=(4, 7, 6), lengths=(1.0, 0.5, 2.0))
+    a, b = two_lobe_weights(anisotropic)
+    for cfg in (
+        cfg_small,
+        make_problem(nodes=(6,)),
+        ProblemConfig(
+            grid=anisotropic, phi=stuart_model(6.0), a=a.field, b=b.field, lam=1.0, q=0.5, p=3.0
+        ),
+    ):
+        rng = np.random.default_rng(3)
+        u = smooth_fields(cfg.grid, 1, seed=3)[0]
+        grad = energy_gradient(u, cfg)
+        step = 1e-5 * (1.0 + norms(u).grad_l2)
+        worst = 0.0
+        for _ in range(20):
+            v = rng.standard_normal(cfg.grid.shape)
+            analytic = float(np.vdot(grad, v))
+            jp = energy(Field(cfg.grid, u.values + step * v), cfg)
+            jm = energy(Field(cfg.grid, u.values - step * v), cfg)
+            fd = (jp - jm) / (2.0 * step)
+            worst = max(worst, abs(analytic - fd) / (1.0 + abs(fd)))
+        assert worst <= 1e-6, cfg.grid
 
 
 def test_gradient_linear_case_stencil():

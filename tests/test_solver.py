@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -212,7 +213,8 @@ def test_seed_narrowing_reaches_positive_lobe():
 
 
 def test_projection_reads_few_phi_values():
-    # mean raw_phi calls per projection over a whole stuart 9^3 solve
+    # mean raw_phi calls per projection over whole stuart 9^3 solves at two
+    # of the benchmark panel's lambda fractions, together over 1000 projections
     prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
     counts = {"phi": 0, "projections": 0, "inside": False}
     raw_phi = prep.problem.phi.raw_phi
@@ -232,11 +234,13 @@ def test_projection_reads_few_phi_values():
             counts["inside"] = False
 
     phi = dataclasses.replace(prep.problem.phi, raw_phi=counted_phi)
-    cfg = dataclasses.replace(prep.problem, phi=phi)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "project_scale", counted_projection)
-        pair = solve_both(cfg, thresholds=prep.thresholds)
-    assert not pair.failures and pair.ordering_ok
+        for fraction in (0.47, 0.5):
+            lam = fraction * prep.thresholds.lambda0
+            cfg = dataclasses.replace(prep.problem, phi=phi, lam=lam)
+            pair = solve_both(cfg, thresholds=prep.thresholds)
+            assert not pair.failures and pair.ordering_ok
     assert counts["projections"] > 1000
     assert counts["phi"] / counts["projections"] <= 15.0
 
@@ -355,3 +359,66 @@ def test_default_seed_is_projected_once(monkeypatch, cfg_const):
         with pytest.raises(Stop):
             minimize_branch(cfg, branch, thresholds=th)
         assert calls["at_descent"] == 1, branch
+
+
+def test_descent_builds_one_gradient_per_iteration(monkeypatch):
+    # the start's |G|, the reported |G| and the final full residual are read
+    # from the descent states; only a run stopped by max_iter builds one more
+    energy_module = importlib.import_module("nehari.energy")
+    prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
+    energy_gradient = energy_module.energy_gradient
+    calls = {"n": 0}
+
+    def counted(*args):
+        calls["n"] += 1
+        return energy_gradient(*args)
+
+    for mod in (energy_module, solver):
+        monkeypatch.setattr(mod, "energy_gradient", counted)
+    for branch in ("minus", "plus"):
+        calls["n"] = 0
+        report = minimize_branch(prep.problem, branch, thresholds=prep.thresholds)
+        assert report.converged
+        assert calls["n"] == report.iterations, branch
+    calls["n"] = 0
+    capped = dataclasses.replace(prep.problem, max_iter=5)
+    report = minimize_branch(capped, "minus", thresholds=prep.thresholds)
+    assert not report.converged and report.iterations == 5
+    assert calls["n"] == 6
+
+
+def test_multistart_projects_its_base_seed_once(monkeypatch, cfg_const):
+    cfg, th = with_thresholds(cfg_const)
+    project_scale = solver.project_scale
+    calls = {"n": 0}
+
+    def counted(u, cfg, branch):
+        calls["n"] += 1
+        return project_scale(u, cfg, branch)
+
+    monkeypatch.setattr(solver, "project_scale", counted)
+    single = minimize_branch(cfg, "plus", thresholds=th)
+    one_solve, calls["n"] = calls["n"], 0
+    report = multistart(cfg, "plus", n_starts=1, thresholds=th)
+    assert calls["n"] == one_solve
+    assert report.energies == (single.point.energy,)
+
+
+def test_one_dimensional_refinement_converges_at_second_order():
+    # constant phi, fixed lambda, n = 15/31/63: both energies converge at
+    # second order and neither solution is a grid-scale artifact
+    energies = {"minus": [], "plus": []}
+    for n in (15, 31, 63):
+        cfg = make_problem(nodes=(n,), phi=constant_model(1.0), lam=3.0)
+        j = np.arange(1, n + 1)
+        sines = np.sin(np.pi * np.outer(j, j) / (n + 1))  # DST-I modes
+        for branch, found in energies.items():
+            report = minimize_branch(cfg, branch)
+            assert report.converged, (n, branch)
+            found.append(report.point.energy)
+            coeffs = sines @ report.point.field.values
+            upper_share = np.sum(coeffs[j > n / 2] ** 2) / np.sum(coeffs**2)
+            assert upper_share < 1e-2, (n, branch, upper_share)
+    for branch, (coarse, mid, fine) in energies.items():
+        order = math.log2((mid - coarse) / (fine - mid))
+        assert order >= 1.8, (branch, order)
