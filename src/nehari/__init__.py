@@ -28,7 +28,6 @@ from .grid import Field, Grid, estimate_sobolev, integrate, make_weight, norms
 from .phi import (
     HypothesisReport,
     PhiModel,
-    SamplePlan,
     constant_model,
     evaluate,
     stuart_min_offset,
@@ -65,7 +64,6 @@ __all__ = [
     "norms",
     "HypothesisReport",
     "PhiModel",
-    "SamplePlan",
     "constant_model",
     "evaluate",
     "stuart_min_offset",

@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, PreparedRun, parse_config, prepare_run
+from .config import DEFAULT_CONFIG, PreparedRun, RunConfig, build_phi, parse_config, prepare_run
 from .energy import energy, energy_gradient
 from .errors import ConfigError, NehariError
 from .fibering import classify, sample_ray
 from .grid import Field, load_field, norms, random_smooth_field, save_field
+from .phi import verify_hypotheses
 from .solver import seed_field, solve_both
 from .thresholds import admissibility
 
@@ -58,11 +59,15 @@ def _sobolev_dict(prep: PreparedRun) -> dict:
     }
 
 
-def cmd_verify_phi(prep: PreparedRun, out: Path, args) -> int:
-    report = prep.hypotheses.as_dict()
-    report["phi_kind"] = prep.phi_model.kind
+def cmd_verify_phi(run: RunConfig, out: Path, args) -> int:
+    """Certify φ alone: reads ``[phi]``, q and p, and builds no problem."""
+    model = build_phi(run.phi_spec)
+    hypotheses = verify_hypotheses(model, run.q, run.p)
+    report = hypotheses.as_dict()
+    report["phi_kind"] = model.kind
     _write_json(out / "hypotheses.json", report)
-    return EXIT_OK if prep.hypotheses.all_pass else EXIT_INVARIANT
+    return EXIT_OK if hypotheses.all_pass else EXIT_INVARIANT
+
 
 def cmd_thresholds(prep: PreparedRun, out: Path, args) -> int:
     if prep.thresholds is None:
@@ -150,7 +155,8 @@ def cmd_gradcheck(prep: PreparedRun, out: Path, args) -> int:
     cfg = prep.problem
     rng = np.random.default_rng(prep.run.seed)
     u = random_smooth_field(cfg.grid, rng)
-    step = 1e-5 * (1.0 + norms(u).grad_l2)
+    # |u|^{q+1} has a kink at u = 0: a step this small straddles it at few nodes
+    step = 1e-7 * (1.0 + norms(u).grad_l2)
     grad = energy_gradient(u, cfg)
     worst = 0.0
     for _ in range(20):
@@ -211,14 +217,11 @@ def main(argv=None) -> int:
     try:
         text = DEFAULT_CONFIG if args.config is None else Path(args.config).read_text()
         run = parse_config(text)
-        prep = prepare_run(run, need_problem=args.command != "verify-phi")
+        prep = run if args.command == "verify-phi" else prepare_run(run)
         out = Path(args.out) if args.out else Path(run.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](prep, out, args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as err:
+    except (ConfigError, FileNotFoundError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except NehariError as err:

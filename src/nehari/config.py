@@ -1,8 +1,10 @@
 """Run configuration: INI-style structured text, strict validation, pipeline.
 
 Sections: phi, grid, weights.a, weights.b, problem, solver, output.  Every
-key has a documented default (see DEFAULT_CONFIG below); unknown sections or
-keys are rejected with an error addressed by section and key.  The
+key has a documented default: DEFAULT_CONFIG below, and for the weights two
+Gaussian lobes scaled to the grid (``_default_weight_spec``), which a
+partial weights section fills in from.  Unknown sections or keys are
+rejected with an error addressed by section and key.  The
 place-holder "auto:f" for lambda resolves to f·lambda0 once thresholds are
 computed, so reproduction runs need no hand-computed constants.
 """
@@ -47,24 +49,6 @@ dim = 3
 nodes = 17               ; interior nodes per axis (one value or dim values)
 lengths = 1.0            ; box side lengths (one value or dim values)
 
-[weights.a]
-kind = gaussians
-amp_pos = 1.0
-center_pos = 0.3 0.5 0.5
-sigma_pos = 0.18
-amp_neg = 1.0
-center_neg = 0.7 0.5 0.5
-sigma_neg = 0.18
-
-[weights.b]
-kind = gaussians
-amp_pos = 1.0
-center_pos = 0.5 0.3 0.5
-sigma_pos = 0.18
-amp_neg = 1.0
-center_neg = 0.5 0.7 0.5
-sigma_neg = 0.18
-
 [problem]
 q = 0.5
 p = 3.0
@@ -84,20 +68,8 @@ t_samples = true
 _KNOWN_KEYS = {
     "phi": {"kind", "value", "offset", "table"},
     "grid": {"dim", "nodes", "lengths"},
-    "weights.a": {
-        "kind",
-        "const",
-        "coeffs",
-        "freq",
-        "phase",
-        "amp_pos",
-        "center_pos",
-        "sigma_pos",
-        "amp_neg",
-        "center_neg",
-        "sigma_neg",
-        "path",
-    },
+    "weights.a": {"kind", "const", "coeffs", "freq", "phase", "path"}
+    | {"amp_pos", "center_pos", "sigma_pos", "amp_neg", "center_neg", "sigma_neg"},
     "problem": {"q", "p", "lambda"},
     "solver": {"root_tol", "residual_tol", "max_iter", "seed"},
     "output": {"dir", "t_samples"},
@@ -185,6 +157,8 @@ def parse_config(text: str) -> RunConfig:
     for section in user.sections():
         if section not in _KNOWN_KEYS:
             raise ConfigError(section, "-", "unknown section")
+        if not parser.has_section(section):
+            parser.add_section(section)  # a weights section: its defaults scale with the grid
         for key in user.options(section):
             if key not in _KNOWN_KEYS[section]:
                 raise ConfigError(section, key, "unknown key")
@@ -209,27 +183,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(
             "grid", "lengths", f"need 1 or {dim} values, got {len(lengths)}"
         )
-    try:
-        grid = Grid(nodes=tuple(nodes), lengths=tuple(lengths))
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError("grid", "nodes", str(exc)) from None
-
-    # phi family
-    kind = parser.get("phi", "kind").strip()
-    if kind == "constant":
-        phi_spec = {"kind": kind, "value": _get_float(parser, "phi", "value")}
-    elif kind == "stuart_example":
-        if not parser.has_option("phi", "offset") or parser.get("phi", "offset") is None:
-            raise ConfigError("phi", "offset", "stuart_example requires an offset")
-        phi_spec = {"kind": kind, "offset": _get_float(parser, "phi", "offset")}
-    elif kind == "tabulated":
-        if not parser.has_option("phi", "table") or parser.get("phi", "table") is None:
-            raise ConfigError("phi", "table", "tabulated phi requires a table path")
-        phi_spec = {"kind": kind, "table": parser.get("phi", "table").strip()}
-    else:
-        raise ConfigError("phi", "kind", f"unknown phi kind {kind!r}")
+    grid = Grid(nodes=tuple(nodes), lengths=tuple(lengths))
+    phi_spec = _read_spec(parser, "phi", {})
 
     # exponents
     q = _get_float(parser, "problem", "q")
@@ -270,48 +225,8 @@ def parse_config(text: str) -> RunConfig:
             )
         lam_mode, lam_value = "fixed", lam
 
-    def weight_spec(section: str) -> dict:
-        wkind = parser.get(section, "kind").strip()
-        spec: dict = {"kind": wkind}
-        if wkind == "affine":
-            if parser.has_option(section, "const"):
-                spec["const"] = _get_float(parser, section, "const")
-            if parser.has_option(section, "coeffs"):
-                spec["coeffs"] = _get_floats(parser, section, "coeffs")
-        elif wkind == "sinusoid":
-            if parser.has_option(section, "freq"):
-                spec["freq"] = _get_floats(parser, section, "freq")
-            if parser.has_option(section, "phase"):
-                spec["phase"] = _get_floats(parser, section, "phase")
-        elif wkind == "gaussians":
-            for req in ("center_pos", "center_neg"):
-                if not parser.has_option(section, req):
-                    raise ConfigError(section, req, "gaussians require both centers")
-                center = _get_floats(parser, section, req)
-                if len(center) != dim:
-                    raise ConfigError(
-                        section, req, f"need {dim} coordinates, got {len(center)}"
-                    )
-                spec[req] = center
-            for opt in ("amp_pos", "amp_neg", "sigma_pos", "sigma_neg"):
-                if parser.has_option(section, opt):
-                    spec[opt] = _get_float(parser, section, opt)
-        elif wkind == "csv":
-            if not parser.has_option(section, "path"):
-                raise ConfigError(section, "path", "csv weights require a path")
-            spec["path"] = parser.get(section, "path").strip()
-        else:
-            raise ConfigError(section, "kind", f"unknown weight kind {wkind!r}")
-        return spec
-
-    if user.has_section("weights.a"):
-        a_spec = weight_spec("weights.a")
-    else:
-        a_spec = _default_weight_spec(grid, axis=0)
-    if user.has_section("weights.b"):
-        b_spec = weight_spec("weights.b")
-    else:
-        b_spec = _default_weight_spec(grid, axis=min(1, dim - 1))
+    a_spec = _read_spec(parser, "weights.a", _default_weight_spec(grid, axis=0))
+    b_spec = _read_spec(parser, "weights.b", _default_weight_spec(grid, axis=min(1, dim - 1)))
 
     root_tol = _get_float(parser, "solver", "root_tol")
     residual_tol = _get_float(parser, "solver", "residual_tol")
@@ -341,8 +256,29 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
+# spec keys read as lists of numbers, and as text; every other key is one number
+_LIST_KEYS = {"coeffs", "freq", "phase", "center_pos", "center_neg"}
+_TEXT_KEYS = {"kind", "table", "path"}
+
+
+def _read_spec(parser, section: str, base: dict) -> dict:
+    """``base`` overlaid with the section's keys, each read by its type.
+
+    The keys a kind needs are checked by its builder (``build_phi``, ``make_weight``).
+    """
+    spec = dict(base)
+    for key in parser.options(section) if parser.has_section(section) else ():
+        if key in _TEXT_KEYS:
+            spec[key] = parser.get(section, key).strip()
+        elif key in _LIST_KEYS:
+            spec[key] = _get_floats(parser, section, key)
+        else:
+            spec[key] = _get_float(parser, section, key)
+    return spec
+
+
 def _default_weight_spec(grid: Grid, axis: int) -> dict:
-    """Two opposite Gaussian lobes along the given axis (dimension-aware)."""
+    """Two opposite Gaussian lobes at 0.3 and 0.7 of the given axis, σ = 0.18·min L."""
     L = grid.lengths
     center_pos = [0.5 * Lk for Lk in L]
     center_neg = [0.5 * Lk for Lk in L]
@@ -351,29 +287,25 @@ def _default_weight_spec(grid: Grid, axis: int) -> dict:
     sigma = 0.18 * min(L)
     return {
         "kind": "gaussians",
-        "amp_pos": 1.0,
         "center_pos": center_pos,
         "sigma_pos": sigma,
-        "amp_neg": 1.0,
         "center_neg": center_neg,
         "sigma_neg": sigma,
     }
 
 
 def build_phi(phi_spec: dict) -> PhiModel:
-    """The φ model of a parsed spec; a rejected value is a ``[phi]`` config error."""
-    kind = phi_spec["kind"]
+    """The φ model of a parsed spec; a missing or rejected value is a ``[phi]`` config error."""
+    kind = phi_spec.get("kind")
+    if kind not in _PHI_KINDS:
+        raise ConfigError("phi", "kind", f"unknown phi kind {kind!r}")
+    key, build = _PHI_KINDS[kind]
+    if key not in phi_spec:
+        raise ConfigError("phi", key, f"{kind} phi requires {key}")
     try:
-        if kind == "constant":
-            return constant_model(phi_spec.get("value", 1.0))
-        if kind == "stuart_example":
-            return stuart_model(phi_spec["offset"])
-        if kind == "tabulated":
-            return tabulated_model(*_read_phi_table(phi_spec["table"]))
+        return build(phi_spec[key])
     except DomainError as err:
-        key = {"constant": "value", "stuart_example": "offset"}.get(kind, "table")
         raise ConfigError("phi", key, str(err)) from None
-    raise ConfigError("phi", "kind", f"unknown phi kind {kind!r}")
 
 
 def _read_phi_table(path: str) -> tuple[list[float], list[float]]:
@@ -386,6 +318,14 @@ def _read_phi_table(path: str) -> tuple[list[float], list[float]]:
         return [float(r[0]) for r in rows], [float(r[1]) for r in rows]
     except (IndexError, ValueError):
         raise ConfigError("phi", "table", f"{path}: rows must hold two numbers") from None
+
+
+# each φ kind: the one key it is built from, and its builder
+_PHI_KINDS = {
+    "constant": ("value", constant_model),
+    "stuart_example": ("offset", stuart_model),
+    "tabulated": ("table", lambda path: tabulated_model(*_read_phi_table(path))),
+}
 
 
 def _build_weight(grid: Grid, spec: dict, section: str) -> Weight:
@@ -402,38 +342,25 @@ def _build_weight(grid: Grid, spec: dict, section: str) -> Weight:
 class PreparedRun:
     """Everything the subcommands need: problem, certification, thresholds.
 
-    With ``need_problem=False`` only the model and its certification are
-    built (enough for verify-phi, even when the hypotheses fail and an
-    auto lambda could not be resolved).
+    ``thresholds`` is None when the hypotheses are not certified (a fixed
+    lambda can still be solved, an auto one cannot be resolved).
     """
 
     run: RunConfig
-    problem: Optional[ProblemConfig]
+    problem: ProblemConfig
     phi_model: PhiModel
-    weight_a: Optional[Weight]
-    weight_b: Optional[Weight]
+    weight_a: Weight
+    weight_b: Weight
     hypotheses: HypothesisReport
     sobolev: dict[float, SobolevEstimate]
     thresholds: Optional[ThresholdReport]
-    lam: Optional[float]
+    lam: float
 
 
-def prepare_run(run: RunConfig, need_problem: bool = True) -> PreparedRun:
+def prepare_run(run: RunConfig) -> PreparedRun:
     """Build the problem and resolve lambda (auto:f needs the thresholds)."""
     model = build_phi(run.phi_spec)
     hyp = verify_hypotheses(model, run.q, run.p)
-    if not need_problem:
-        return PreparedRun(
-            run=run,
-            problem=None,
-            phi_model=model,
-            weight_a=None,
-            weight_b=None,
-            hypotheses=hyp,
-            sobolev={},
-            thresholds=None,
-            lam=None,
-        )
     weight_a = _build_weight(run.grid, run.weight_a_spec, "weights.a")
     weight_b = _build_weight(run.grid, run.weight_b_spec, "weights.b")
     sob = {

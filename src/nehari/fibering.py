@@ -49,7 +49,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .energy import ProblemConfig, concave_integral, convex_integral, nehari_residual
+from .energy import ProblemConfig, concave_integral, convex_integral
 from .errors import BracketError, DomainError, ProjectionError
 from .grid import Field, integrate, pointwise_energy
 
@@ -544,15 +544,12 @@ def classify(u: Field, cfg: ProblemConfig) -> FiberingDiagnosis:
     )
 
 
-def project_scale(
-    u: Field, cfg: ProblemConfig, branch: str
-) -> tuple[Field, float, float]:
-    """Projection without the report payload: the scaled field, t* and J.
+def _project_ray(u: Field, cfg: ProblemConfig, branch: str) -> tuple[_Ray, float]:
+    """The exact ray of u and its branch crossing t*, in input units.
 
     The search starts at t = 1.  The branch sign is verified through the
     balance slope at the root (exact identity with the second ray derivative
-    of the scaled field).  J = γ(t*) comes from this ray's exact sums (see
-    the module docstring).  A ProjectionError computes its diagnosis only
+    of the scaled field).  A ProjectionError computes its diagnosis only
     when it is read.
     """
     if branch not in ("plus", "minus"):
@@ -573,7 +570,17 @@ def project_scale(
             f"branch {branch!r} unavailable: balance slope sign {sign} at the root",
             diagnosis=diagnosis,
         )
-    t_star = t_star_n / unit.scale
+    return ray, t_star_n / unit.scale
+
+
+def project_scale(
+    u: Field, cfg: ProblemConfig, branch: str
+) -> tuple[Field, float, float]:
+    """Projection without the report payload: the scaled field, t* and J.
+
+    J = γ(t*) comes from the ray's exact sums (see the module docstring).
+    """
+    ray, t_star = _project_ray(u, cfg, branch)
     return u.scaled(t_star), t_star, ray.gamma(t_star, ray.bulk(t_star))
 
 
@@ -583,12 +590,13 @@ def project(u: Field, cfg: ProblemConfig, branch: str) -> NehariPoint:
     branch "plus" needs a crossing with positive balance slope (rising
     side), branch "minus" one with negative slope (falling side past the
     peak).  Raises ProjectionError, carrying the diagnosis, if the ray does
-    not reach the branch.
+    not reach the branch.  The report reads the projection's own ray at t*:
+    for the scaled field, G = t*·γ′(t*) and γ″(1) = t*²·γ″(t*).
     """
-    projected, t_star, J = project_scale(u, cfg, branch)
-    constraint = abs(nehari_residual(projected, cfg))
-    gamma2 = ray_energy_dt2(projected, 1.0, cfg)
-    return NehariPoint(projected, branch, J, constraint, gamma2, t_star)
+    ray, t = _project_ray(u, cfg, branch)
+    m0, m1 = ray.moments(t)
+    J, G = ray.gamma(t, ray.bulk(t)), t * ray.gamma_dt(t, m0)
+    return NehariPoint(u.scaled(t), branch, J, abs(G), t * t * ray.gamma_dt2(t, m0, m1), t)
 
 
 def sample_ray(u: Field, cfg: ProblemConfig, t_values) -> dict[str, list[float]]:

@@ -356,9 +356,10 @@ def make_weight(grid: Grid, spec: dict) -> Weight:
     """Sample a weight expression at the interior nodes.
 
     Supported kinds: affine, sinusoid (product of per-axis sinusoids),
-    gaussians (signed pair of bumps), csv (node values).  A weight that does
-    not change sign violates the standing sign-changing assumption and is
-    flagged (and logged), not rejected.
+    gaussians (signed pair of bumps; centres required), csv (node values;
+    path required).  A missing or rejected key is a ``[weights]``
+    config error.  A weight that does not change sign violates the standing
+    sign-changing assumption and is flagged (and logged), not rejected.
     """
     kind = spec.get("kind")
     coords = grid.coords()
@@ -384,7 +385,7 @@ def make_weight(grid: Grid, spec: dict) -> Weight:
     elif kind == "gaussians":
         values = _gaussian_pair(grid, spec, coords)
     elif kind == "csv":
-        loaded = load_field(spec["path"])
+        loaded = load_field(_required(spec, "path"))
         if loaded.grid != grid:
             raise ConfigError(
                 "weights", "path", "node-value CSV grid does not match the run grid"
@@ -401,9 +402,15 @@ def make_weight(grid: Grid, spec: dict) -> Weight:
     return Weight(field=fld, sup_norm=sup, sign_changing=changing)
 
 
+def _required(spec: dict, key: str):
+    if key not in spec:
+        raise ConfigError("weights", key, f"{spec['kind']} weights require {key}")
+    return spec[key]
+
+
 def _gaussian_pair(grid: Grid, spec: dict, coords: list[np.ndarray]) -> np.ndarray:
     def bump(side: str) -> np.ndarray:
-        center = spec[f"center_{side}"]
+        center = _required(spec, f"center_{side}")
         sigma = float(spec.get(f"sigma_{side}", 0.15))
         if len(center) != grid.dim:
             raise ConfigError(

@@ -21,7 +21,6 @@ from .errors import DomainError
 
 __all__ = [
     "PhiModel",
-    "SamplePlan",
     "HypothesisReport",
     "constant_model",
     "stuart_model",
@@ -32,6 +31,15 @@ __all__ = [
 ]
 
 HYPOTHESES = ("phi1", "phi2", "phi3", "phi4", "phi5", "phi6", "phi7")
+
+# the certification samples: s = 0 and N_SAMPLES − 1 log-spaced points on
+# [10^S_MIN_EXP, S_MAX]; constants are moved SAFETY toward the conservative
+# side, and φ7 holds when φ(S_MAX) and φ(S_MAX/2) agree to TAIL_RTOL
+S_MAX = 1e6
+N_SAMPLES = 4096
+S_MIN_EXP = -8.0
+SAFETY = 1e-3
+TAIL_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -175,19 +183,9 @@ def evaluate(model: PhiModel, s: float) -> tuple[float, float, float, float]:
     )
 
 
-@dataclass(frozen=True)
-class SamplePlan:
-    """Log-spaced certification grid on [0, s_max]."""
-
-    s_max: float = 1e6
-    n_samples: int = 4096
-    s_min_exp: float = -8.0
-    safety: float = 1e-3
-    tail_rtol: float = 1e-6
-
-    def samples(self) -> np.ndarray:
-        log_part = np.logspace(self.s_min_exp, math.log10(self.s_max), self.n_samples - 1)
-        return np.concatenate([[0.0], log_part])
+def _samples() -> np.ndarray:
+    log_part = np.logspace(S_MIN_EXP, math.log10(S_MAX), N_SAMPLES - 1)
+    return np.concatenate([[0.0], log_part])
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,6 @@ class HypothesisReport:
     rho6: float
     phi_inf: float
     margins: dict[str, float]
-    plan: SamplePlan
     q: float
     p: float
 
@@ -234,9 +231,9 @@ class HypothesisReport:
             },
             "margins": dict(self.margins),
             "plan": {
-                "s_max": self.plan.s_max,
-                "n_samples": self.plan.n_samples,
-                "safety": self.plan.safety,
+                "s_max": S_MAX,
+                "n_samples": N_SAMPLES,
+                "safety": SAFETY,
                 "note": "sample-based certification; tail beyond s_max trusted via flatness check",
             },
             "q": self.q,
@@ -244,10 +241,8 @@ class HypothesisReport:
         }
 
 
-def verify_hypotheses(
-    model: PhiModel, q: float, p: float, plan: SamplePlan | None = None
-) -> HypothesisReport:
-    """Check the seven structural hypotheses on a dense sample plan.
+def verify_hypotheses(model: PhiModel, q: float, p: float) -> HypothesisReport:
+    """Check the seven structural hypotheses on the dense sample plan above.
 
     Violations are reported (pass flag false, margin showing the worst
     sample), never raised.
@@ -258,15 +253,13 @@ def verify_hypotheses(
         raise DomainError(f"q must lie in (0, 1), got {q}")
     if p <= 1.0:
         raise DomainError(f"p must exceed 1, got {p}")
-    if plan is None:
-        plan = SamplePlan()
 
-    s = plan.samples()
+    s = _samples()
     phi = np.asarray(model.phi(s), dtype=float)
     dphi = np.asarray(model.dphi(s), dtype=float)
     d2phi = np.asarray(model.d2phi(s), dtype=float)
-    shrink = 1.0 - plan.safety
-    expand = 1.0 + plan.safety
+    shrink = 1.0 - SAFETY
+    expand = 1.0 + SAFETY
 
     passes: dict[str, bool] = {}
     margins: dict[str, float] = {}
@@ -319,10 +312,10 @@ def verify_hypotheses(
     margins["phi6"] = float(np.min(slope_gaps))
 
     # finite positive limit, checked by tail flatness
-    phi_end = float(model.phi(plan.s_max))
-    phi_half = float(model.phi(plan.s_max / 2.0))
+    phi_end = float(model.phi(S_MAX))
+    phi_half = float(model.phi(S_MAX / 2.0))
     tail = abs(phi_end - phi_half)
-    passes["phi7"] = phi_end > 0.0 and tail < plan.tail_rtol * (1.0 + abs(phi_end))
+    passes["phi7"] = phi_end > 0.0 and tail < TAIL_RTOL * (1.0 + abs(phi_end))
     margins["phi7"] = tail
 
     return HypothesisReport(
@@ -336,7 +329,6 @@ def verify_hypotheses(
         rho6=rho6,
         phi_inf=phi_end,
         margins=margins,
-        plan=plan,
         q=q,
         p=p,
     )

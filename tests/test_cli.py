@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from nehari.cli import main
-from nehari.config import parse_config, prepare_run
+from nehari.config import build_phi, parse_config, prepare_run
 from nehari.errors import ConfigError
 from nehari.grid import save_field
 from nehari.solver import seed_field
+
+from conftest import CONFIG_DIR
 
 QUICK = """\
 [phi]
@@ -341,3 +343,79 @@ def test_solve_exits_2_below_the_delta_lambda_floor(tmp_path, monkeypatch):
     assert main(["solve", "--config", write_quick(tmp_path), "--out", str(out)]) == 2
     payload = json.loads((out / "solve.json").read_text())
     assert payload["minus"]["invariants"]["delta_lambda_bound_ok"] is False
+
+
+def test_default_config_commands_exit_0(tmp_path):
+    # the default 17³ config: every command but solve, with no --config
+    for command in ("verify-phi", "thresholds", "fibering", "gradcheck"):
+        assert main([command, "--out", str(tmp_path)]) == 0, command
+    report = json.loads((tmp_path / "gradcheck.json").read_text())
+    assert report["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "grid, centers, sigma",
+    [
+        pytest.param("dim = 2\nnodes = 5\n", ([0.3, 0.5], [0.7, 0.5]), 0.18, id="2d"),
+        pytest.param(
+            "nodes = 5\nlengths = 2.0\n", ([0.6, 1.0, 1.0], [1.4, 1.0, 1.0]), 0.36, id="L2"
+        ),
+    ],
+)
+def test_partial_weights_section_keeps_grid_defaults(grid, centers, sigma):
+    run = parse_config(f"[grid]\n{grid}[weights.a]\nsigma_pos = 0.1\n")
+    spec = run.weight_a_spec
+    assert spec["kind"] == "gaussians"
+    assert (spec["center_pos"], spec["center_neg"]) == centers
+    assert (spec["sigma_pos"], spec["sigma_neg"]) == (0.1, sigma)
+    omitted = parse_config(f"[grid]\n{grid}")
+    assert {**omitted.weight_a_spec, "sigma_pos": 0.1} == spec
+    assert omitted.weight_b_spec == run.weight_b_spec
+    assert prepare_run(run).weight_a.sign_changing
+
+
+def test_omitted_weights_equal_the_reference_sections():
+    text = (CONFIG_DIR / "reference_constant.ini").read_text()
+    start, end = text.index("[weights.a]"), text.index("[problem]")
+    assert "[weights.b]" in text[start:end]
+    spelled = prepare_run(parse_config(text))
+    omitted = prepare_run(parse_config(text[:start] + text[end:]))
+    for name in ("weight_a", "weight_b"):
+        assert np.array_equal(
+            getattr(omitted, name).field.values, getattr(spelled, name).field.values
+        ), name
+    assert omitted.lam == spelled.lam
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"kind": "stuart_example"}, "offset"),
+        ({"kind": "tabulated"}, "table"),
+        ({"kind": "constant"}, "value"),
+        ({"kind": "quadratic", "value": 1.0}, "kind"),
+    ],
+)
+def test_build_phi_names_the_missing_key(spec, key):
+    with pytest.raises(ConfigError) as err:
+        build_phi(spec)
+    assert (err.value.section, err.value.key) == ("phi", key)
+
+
+def test_bad_kinds_fail_when_built(tmp_path, capsys):
+    # kinds are checked by their builders: parse_config accepts the names,
+    # every command that builds them exits 1 with the same address
+    weights = "[grid]\nnodes = 5\n[weights.b]\nkind = triangle\n"
+    phi = "[grid]\nnodes = 5\n[phi]\nkind = quadratic\n"
+    for text, address, commands in (
+        (weights, "[weights.b] kind", ("thresholds", "fibering", "solve", "gradcheck")),
+        (phi, "[phi] kind", ("verify-phi", "thresholds", "fibering", "solve", "gradcheck")),
+    ):
+        parse_config(text)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        for command in commands:
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+            assert f"config error: {address}" in capsys.readouterr().err
+    path.write_text(weights)
+    assert main(["verify-phi", "--config", str(path), "--out", str(tmp_path / "o")]) == 0

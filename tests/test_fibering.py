@@ -576,3 +576,44 @@ def test_classify_reads_few_phi_values():
         per_field.append(len(calls))
     assert len(per_field) >= 20
     assert sum(per_field) / len(per_field) <= 150.0
+
+
+def test_project_reads_its_own_ray(cfg_small, monkeypatch):
+    # the report's |G| and γ″(1) are formulas in the projection's ray at t*:
+    # one density, no gradient, and the same values as a fresh read
+    import importlib
+
+    energy_module = importlib.import_module("nehari.energy")
+    fibering_module = importlib.import_module("nehari.fibering")
+
+    calls = {"density": 0, "gradient": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        fibering_module, "pointwise_energy", counted("density", pointwise_energy)
+    )
+    monkeypatch.setattr(
+        energy_module, "energy_gradient", counted("gradient", energy_module.energy_gradient)
+    )
+    checked = 0
+    for u in smooth_fields(cfg_small.grid, 10, seed=44):
+        for branch in ("plus", "minus"):
+            before = dict(calls)
+            try:
+                point = project(u, cfg_small, branch)
+            except ProjectionError:
+                continue
+            assert calls["density"] - before["density"] == 1
+            assert calls["gradient"] == before["gradient"]
+            gamma2 = ray_energy_dt2(point.field, 1.0, cfg_small)
+            residual = energy_module.nehari_residual(point.field, cfg_small)
+            assert abs(point.gamma2 - gamma2) <= 1e-12 * abs(gamma2)
+            assert abs(point.constraint - abs(residual)) <= 1e-12 * abs(gamma2)
+            checked += 1
+    assert checked >= 5

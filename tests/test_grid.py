@@ -380,6 +380,21 @@ def test_make_weight_from_csv(tmp_path):
         make_weight(other, {"kind": "csv", "path": str(path)})
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"kind": "csv"}, "path"),
+        ({"kind": "gaussians", "center_neg": [0.7, 0.5], "sigma_pos": 0.2}, "center_pos"),
+        ({"kind": "triangle"}, "kind"),
+    ],
+)
+def test_make_weight_names_the_missing_key(spec, key):
+    g = Grid(nodes=(4, 4), lengths=(1.0, 1.0))
+    with pytest.raises(ConfigError) as err:
+        make_weight(g, spec)
+    assert (err.value.section, err.value.key) == ("weights", key)
+
+
 def test_grid_geometry_cache_keeps_equality_and_hash():
     grid = Grid(nodes=(5, 6, 7), lengths=(1.0, 2.0, 0.5))
     spacing, volume = grid.spacing, grid.cell_volume

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from nehari import phi as phi_module
 from nehari.errors import DomainError
 from nehari.phi import (
-    SamplePlan,
     constant_model,
     evaluate,
     stuart_min_offset,
@@ -95,7 +95,7 @@ def test_pinch_margin_matches_reduction():
     # (1-q) phi(s) + 2 phi'(s) s >= (1-q) A - 81/128 on every sample
     q, p, A = 0.5, 3.0, 6.0
     model = stuart_model(A)
-    s = SamplePlan().samples()
+    s = phi_module._samples()
     comb = (1.0 - q) * model.phi(s) + 2.0 * model.dphi(s) * s
     assert float(np.min(comb)) >= (1.0 - q) * A - 81.0 / 128.0
 
@@ -156,7 +156,7 @@ def test_tabulated_matches_closed_form():
     probe = np.logspace(-3, 6, 50)
     assert np.allclose(model.phi(probe), base.phi(probe), rtol=1e-6)
     assert np.allclose(model.Phi(probe), base.Phi(probe), rtol=1e-4, atol=1e-8)
-    report = verify_hypotheses(model, 0.5, 3.0, SamplePlan(s_max=1e6))
+    report = verify_hypotheses(model, 0.5, 3.0)
     for name in ("phi1", "phi3", "phi4", "phi7"):
         assert report.passes[name], name
 

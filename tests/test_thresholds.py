@@ -5,7 +5,7 @@ from nehari.energy import ProblemConfig, convex_integral
 from nehari.errors import ConfigError, DomainError
 from nehari.fibering import project
 from nehari.grid import Field, Grid, SobolevEstimate, estimate_sobolev
-from nehari.phi import HypothesisReport, SamplePlan, constant_model, verify_hypotheses
+from nehari.phi import HypothesisReport, constant_model, verify_hypotheses
 from nehari.thresholds import (
     ADMISSIBLE,
     INADMISSIBLE,
@@ -30,7 +30,6 @@ def synthetic_report(q, p, rho0=1.0, rho1=1.0, rho3=1.0, rho5=1.0):
         rho6=1.0,
         phi_inf=1.0,
         margins={},
-        plan=SamplePlan(),
         q=q,
         p=p,
     )
@@ -134,7 +133,6 @@ def test_thresholds_require_certification():
         rho6=report.rho6,
         phi_inf=report.phi_inf,
         margins={},
-        plan=report.plan,
         q=q,
         p=p,
     )
