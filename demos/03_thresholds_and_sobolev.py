@@ -47,7 +47,7 @@ print(f"  lambda1 = {th.lambda1:.6f}   (below it the degenerate set is empty)")
 print(f"  lambda2 = {th.lambda2:.6f}   (below it the falling branch stays above a floor)")
 print(f"  lambda0 = {th.lambda0:.6f}   = min of the two")
 print(f"  delta   = {th.delta:.6f}, c1 = {th.c1:.6f}")
-print(f"  resolved lambda (auto:0.5) = {prep.lam:.6f}")
+print(f"  resolved lambda (auto:0.5) = {prep.problem.lam:.6f}")
 print()
 
 print("Walking lambda through the window:")

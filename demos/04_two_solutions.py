@@ -17,7 +17,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 for name in ("reference_constant.ini", "reference_stuart.ini"):
     run = parse_config((CONFIG_DIR / name).read_text())
     prep = prepare_run(run)
-    print(f"=== {name} (lambda = {prep.lam:.4f} = 0.5 * lambda0) ===")
+    print(f"=== {name} (lambda = {prep.problem.lam:.4f} = 0.5 * lambda0) ===")
     pair = solve_both(prep.problem, thresholds=prep.thresholds)
     for branch, rep in (("rising (ground state)", pair.plus), ("falling", pair.minus)):
         point = rep.point

@@ -24,12 +24,11 @@ from .errors import (
     SolverError,
 )
 from .fibering import FiberingDiagnosis, NehariPoint, classify, project
-from .grid import Field, Grid, estimate_sobolev, integrate, make_weight, norms
+from .grid import Field, Grid, estimate_sobolev, integrate, make_weight
 from .phi import (
     HypothesisReport,
     PhiModel,
     constant_model,
-    evaluate,
     stuart_min_offset,
     stuart_model,
     tabulated_model,
@@ -61,11 +60,9 @@ __all__ = [
     "estimate_sobolev",
     "integrate",
     "make_weight",
-    "norms",
     "HypothesisReport",
     "PhiModel",
     "constant_model",
-    "evaluate",
     "stuart_min_offset",
     "stuart_model",
     "tabulated_model",

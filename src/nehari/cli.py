@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .config import DEFAULT_CONFIG, PreparedRun, RunConfig, build_phi, parse_con
 from .energy import energy, energy_gradient
 from .errors import ConfigError, NehariError
 from .fibering import classify, sample_ray
-from .grid import Field, load_field, norms, random_smooth_field, save_field
+from .grid import Field, dirichlet_energy, load_field, random_smooth_field, save_field
 from .phi import verify_hypotheses
 from .solver import seed_field, solve_both
 from .thresholds import admissibility
@@ -76,13 +77,12 @@ def cmd_thresholds(prep: PreparedRun, out: Path, args) -> int:
             {"error": "hypotheses not certified; thresholds undefined"},
         )
         return EXIT_INVARIANT
+    lam = prep.problem.lam
     payload = prep.thresholds.as_dict()
-    payload["lambda_resolved"] = prep.lam
-    payload["verdict"] = admissibility(prep.lam, prep.thresholds)
+    payload["lambda_resolved"] = lam
+    payload["verdict"] = admissibility(lam, prep.thresholds)
     payload["delta_lambda_at_resolved"] = (
-        prep.thresholds.delta_lambda(prep.lam)
-        if prep.lam < prep.thresholds.lambda2
-        else None
+        prep.thresholds.delta_lambda(lam) if lam < prep.thresholds.lambda2 else None
     )
     payload["sobolev"] = _sobolev_dict(prep)
     _write_json(out / "thresholds.json", payload)
@@ -156,7 +156,7 @@ def cmd_gradcheck(prep: PreparedRun, out: Path, args) -> int:
     rng = np.random.default_rng(prep.run.seed)
     u = random_smooth_field(cfg.grid, rng)
     # |u|^{q+1} has a kink at u = 0: a step this small straddles it at few nodes
-    step = 1e-7 * (1.0 + norms(u).grad_l2)
+    step = 1e-7 * (1.0 + math.sqrt(dirichlet_energy(u)))
     grad = energy_gradient(u, cfg)
     worst = 0.0
     for _ in range(20):

@@ -20,7 +20,6 @@ from .energy import ProblemConfig
 from .errors import ConfigError, DomainError
 from .grid import Grid, SobolevEstimate, Weight, estimate_sobolev, make_weight
 from .phi import (
-    HypothesisReport,
     PhiModel,
     constant_model,
     stuart_model,
@@ -348,13 +347,8 @@ class PreparedRun:
 
     run: RunConfig
     problem: ProblemConfig
-    phi_model: PhiModel
-    weight_a: Weight
-    weight_b: Weight
-    hypotheses: HypothesisReport
     sobolev: dict[float, SobolevEstimate]
     thresholds: Optional[ThresholdReport]
-    lam: float
 
 
 def prepare_run(run: RunConfig) -> PreparedRun:
@@ -397,13 +391,5 @@ def prepare_run(run: RunConfig) -> PreparedRun:
     else:
         lam = run.lam_value
     return PreparedRun(
-        run=run,
-        problem=base.with_lambda(lam),
-        phi_model=model,
-        weight_a=weight_a,
-        weight_b=weight_b,
-        hypotheses=hyp,
-        sobolev=sob,
-        thresholds=thresholds,
-        lam=lam,
+        run=run, problem=base.with_lambda(lam), sobolev=sob, thresholds=thresholds
     )

@@ -19,7 +19,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +30,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "Grid",
     "Field",
-    "Norms",
     "SobolevEstimate",
     "Weight",
     "gradient",
@@ -38,11 +37,9 @@ __all__ = [
     "pointwise_energy",
     "integrate",
     "inner",
-    "norms",
     "dirichlet_energy",
     "estimate_sobolev",
     "make_weight",
-    "field_from_function",
     "random_smooth_field",
     "save_field",
     "load_field",
@@ -148,13 +145,6 @@ class Field:
         return Field(self.grid, t * self.values)
 
 
-def field_from_function(grid: Grid, fn: Callable[..., np.ndarray]) -> Field:
-    """Sample ``fn(x_0, ..., x_{N-1})`` at the interior nodes."""
-    values = np.asarray(fn(*grid.coords()), dtype=float)
-    values = np.broadcast_to(values, grid.shape)
-    return Field(grid, values)
-
-
 def _edge_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """The n+1 edge differences (Δu/h) along one axis, zero ghosts at both ends.
 
@@ -215,27 +205,6 @@ def integrate(grid: Grid, values: np.ndarray) -> float:
 def inner(grid: Grid, x: np.ndarray, y: np.ndarray) -> float:
     """Quadrature-weighted L² inner product of two node arrays."""
     return integrate(grid, np.asarray(x) * np.asarray(y))
-
-
-@dataclass(frozen=True)
-class Norms:
-    l2: float
-    grad_l2: float
-    lp: dict[float, float]
-
-
-def norms(u: Field, orders: Iterable[float] = ()) -> Norms:
-    """Quadrature-based ‖u‖_2, ‖∇u‖_2 and requested ‖u‖_r, r >= 1."""
-    grid = u.grid
-    l2 = math.sqrt(max(integrate(grid, u.values**2), 0.0))
-    grad_l2 = math.sqrt(dirichlet_energy(u))
-    lp: dict[float, float] = {}
-    for r in orders:
-        r = float(r)
-        if r < 1:
-            raise DomainError(f"Lp order must be >= 1, got {r}")
-        lp[r] = integrate(grid, np.abs(u.values) ** r) ** (1.0 / r)
-    return Norms(l2=l2, grad_l2=grad_l2, lp=lp)
 
 
 # -- Sobolev constants -------------------------------------------------------
@@ -348,7 +317,6 @@ def estimate_sobolev(grid: Grid, order: float) -> SobolevEstimate:
 @dataclass(frozen=True)
 class Weight:
     field: Field
-    sup_norm: float
     sign_changing: bool
 
 
@@ -356,10 +324,11 @@ def make_weight(grid: Grid, spec: dict) -> Weight:
     """Sample a weight expression at the interior nodes.
 
     Supported kinds: affine, sinusoid (product of per-axis sinusoids),
-    gaussians (signed pair of bumps; centres required), csv (node values;
-    path required).  A missing or rejected key is a ``[weights]``
-    config error.  A weight that does not change sign violates the standing
-    sign-changing assumption and is flagged (and logged), not rejected.
+    gaussians (signed pair of bumps; centres and widths required), csv
+    (node values; path required).  A missing or rejected key is a
+    ``[weights]`` config error.  A weight that does not change sign violates
+    the standing sign-changing assumption and is flagged (and logged), not
+    rejected.
     """
     kind = spec.get("kind")
     coords = grid.coords()
@@ -395,11 +364,10 @@ def make_weight(grid: Grid, spec: dict) -> Weight:
         raise ConfigError("weights", "kind", f"unknown weight kind {kind!r}")
 
     fld = Field(grid, values)
-    sup = float(np.max(np.abs(fld.values)))
     changing = bool(np.any(fld.values > 0.0) and np.any(fld.values < 0.0))
     if not changing:
         logger.warning("weight of kind %r is not sign-changing on the grid", kind)
-    return Weight(field=fld, sup_norm=sup, sign_changing=changing)
+    return Weight(field=fld, sign_changing=changing)
 
 
 def _required(spec: dict, key: str):
@@ -411,7 +379,7 @@ def _required(spec: dict, key: str):
 def _gaussian_pair(grid: Grid, spec: dict, coords: list[np.ndarray]) -> np.ndarray:
     def bump(side: str) -> np.ndarray:
         center = _required(spec, f"center_{side}")
-        sigma = float(spec.get(f"sigma_{side}", 0.15))
+        sigma = float(_required(spec, f"sigma_{side}"))
         if len(center) != grid.dim:
             raise ConfigError(
                 "weights", f"center_{side}", f"center needs {grid.dim} coordinates"
@@ -430,9 +398,7 @@ def _gaussian_pair(grid: Grid, spec: dict, coords: list[np.ndarray]) -> np.ndarr
     return amp_pos * pos - amp_neg * neg
 
 
-def random_smooth_field(
-    grid: Grid, rng: np.random.Generator, max_mode: int = 3, scale: float = 1.0
-) -> Field:
+def random_smooth_field(grid: Grid, rng: np.random.Generator, max_mode: int = 3) -> Field:
     """Seeded superposition of low-frequency sine products.
 
     Smooth trial fields are the desk-scale stand-in for H¹₀ functions; pure
@@ -453,7 +419,7 @@ def random_smooth_field(
             shape[axis] = -1
             term = term * np.sin(math.pi * k[axis] * x).reshape(shape)
         values += amp * term
-    return Field(grid, scale * values)
+    return Field(grid, values)
 
 
 # -- field CSV I/O -----------------------------------------------------------
@@ -494,7 +460,14 @@ def load_field(path: str) -> Field:
         for row in reader:
             if not row:
                 continue
-            flat.append(float(row[0]))
+            try:
+                value = float(row[0]) if len(row) == 1 else math.nan
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                message = f"line {reader.line_num}: expected one finite number, got {row}"
+                raise ConfigError("field", path, message)
+            flat.append(value)
     if len(flat) != grid.size:
         raise ConfigError(
             "field", path, f"expected {grid.size} node values, found {len(flat)}"

@@ -25,7 +25,6 @@ __all__ = [
     "constant_model",
     "stuart_model",
     "tabulated_model",
-    "evaluate",
     "verify_hypotheses",
     "stuart_min_offset",
 ]
@@ -68,9 +67,6 @@ class PhiModel:
 
     def d2phi(self, s):
         return self.raw_d2phi(_check_nonneg(s))
-
-    def __call__(self, s):
-        return self.phi(s)
 
 
 def _check_nonneg(s):
@@ -167,19 +163,6 @@ def tabulated_model(s_nodes, phi_nodes) -> PhiModel:
         raw_phi=_clamped(interp, phi_hi),
         raw_dphi=_clamped(d1, 0.0),
         raw_d2phi=_clamped(d2, 0.0),
-    )
-
-
-def evaluate(model: PhiModel, s: float) -> tuple[float, float, float, float]:
-    """(Φ(s), φ(s), φ'(s), φ''(s)) at a single s >= 0."""
-    s = float(s)
-    if s < 0:
-        raise DomainError(f"phi evaluation needs s >= 0, got {s}")
-    return (
-        float(model.Phi(s)),
-        float(model.phi(s)),
-        float(model.dphi(s)),
-        float(model.d2phi(s)),
     )
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .energy import ProblemConfig, dual_norm, energy_gradient
 from .errors import NehariError, ProjectionError, SeedingError, SolverError
-from .fibering import NehariPoint, project_scale, ray_energy, ray_energy_dt2
+from .fibering import NehariPoint, project_scale, sample_ray
 from .grid import Field, inner, random_smooth_field
 from .thresholds import ADMISSIBLE, INADMISSIBLE, ThresholdReport, admissibility
 
@@ -302,12 +302,13 @@ def _run_descent(
         state = _descent_state(u, cfg)  # read by the report if max_iter stops here
 
     *_, full_res, gu = state  # the final field's own gradient data
+    # γ'' and J of the final field from one fresh ray of that field, not from
+    # the projection that produced the history; the two J agree to round-off
+    fresh = sample_ray(u, cfg, [1.0])
+    recomputed = fresh["gamma"][0]
     point = NehariPoint(
-        u, branch, energy_history[-1], abs(gu), ray_energy_dt2(u, 1.0, cfg), t_star
+        u, branch, energy_history[-1], abs(gu), fresh["gamma_dt2"][0], t_star
     )
-    # J of the final field from a fresh ray of that field, not from the
-    # projection that produced the history; they agree to round-off
-    recomputed = ray_energy(u, 1.0, cfg)
     invariants = {
         "monotone_energy": all(
             new <= old + ENERGY_SLACK * (1.0 + abs(old))

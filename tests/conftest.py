@@ -50,7 +50,7 @@ def make_problem(nodes=(5, 5, 5), phi=None, lam=1.0, q=0.5, p=3.0, **kw):
 
 def smooth_fields(grid, count, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
-    return [random_smooth_field(grid, rng, scale=scale) for _ in range(count)]
+    return [random_smooth_field(grid, rng).scaled(scale) for _ in range(count)]
 
 
 @pytest.fixture(scope="session")

@@ -371,7 +371,8 @@ def test_partial_weights_section_keeps_grid_defaults(grid, centers, sigma):
     omitted = parse_config(f"[grid]\n{grid}")
     assert {**omitted.weight_a_spec, "sigma_pos": 0.1} == spec
     assert omitted.weight_b_spec == run.weight_b_spec
-    assert prepare_run(run).weight_a.sign_changing
+    a = prepare_run(run).problem.a.values
+    assert a.min() < 0.0 < a.max()  # sign-changing
 
 
 def test_omitted_weights_equal_the_reference_sections():
@@ -380,11 +381,11 @@ def test_omitted_weights_equal_the_reference_sections():
     assert "[weights.b]" in text[start:end]
     spelled = prepare_run(parse_config(text))
     omitted = prepare_run(parse_config(text[:start] + text[end:]))
-    for name in ("weight_a", "weight_b"):
+    for name in ("a", "b"):
         assert np.array_equal(
-            getattr(omitted, name).field.values, getattr(spelled, name).field.values
+            getattr(omitted.problem, name).values, getattr(spelled.problem, name).values
         ), name
-    assert omitted.lam == spelled.lam
+    assert omitted.problem.lam == spelled.problem.lam
 
 
 @pytest.mark.parametrize(
@@ -419,3 +420,24 @@ def test_bad_kinds_fail_when_built(tmp_path, capsys):
             assert f"config error: {address}" in capsys.readouterr().err
     path.write_text(weights)
     assert main(["verify-phi", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan"])
+def test_malformed_field_csv_is_a_config_error(tmp_path, capsys, bad):
+    # one node-value row that is not a finite number, read through --field
+    # and through a csv weight: exit 1 addressed to the file, no traceback
+    field_path = tmp_path / "field.csv"
+    rows = ["3,5,5,5,1.0,1.0,1.0"] + ["0.5"] * 125
+    rows[7] = bad
+    field_path.write_text("\n".join(rows) + "\n")
+    cfgp = write_quick(tmp_path)
+    csv_cfgp = tmp_path / "csv.ini"
+    csv_cfgp.write_text(QUICK + f"[weights.a]\nkind = csv\npath = {field_path}\n")
+    for args in (
+        ["fibering", "--config", cfgp, "--field", str(field_path)],
+        ["thresholds", "--config", str(csv_cfgp)],
+    ):
+        assert main(args + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: [field] {field_path}: line 8" in err
+        assert "Traceback" not in err

@@ -9,6 +9,8 @@ from nehari.energy import concave_integral, convex_integral, energy, second_deri
 from nehari.config import parse_config, prepare_run
 from nehari.errors import BracketError, DomainError, ProjectionError
 from nehari.fibering import (
+    CASE_BOTH_NO_ROOT,
+    CASE_BOTH_TANGENT,
     CASE_BOTH_TWO_ROOTS,
     CASE_CONCAVE_ONLY,
     CASE_CONVEX_ONLY,
@@ -484,6 +486,47 @@ def test_project_scale_energy_or_projection_error(cfg_stuart9, seed, log_amp, lo
     except ProjectionError:
         return
     assert abs(J - energy(field, cfg)) <= 1e-12 * max(1.0, abs(J))
+
+
+# the roots and their γ'' signs that each case admits
+CASE_ROOT_SIGNS = {
+    CASE_NEITHER: (),
+    CASE_CONCAVE_ONLY: (1,),
+    CASE_CONVEX_ONLY: (-1,),
+    CASE_BOTH_NO_ROOT: (),
+    CASE_BOTH_TANGENT: (0,),
+    CASE_BOTH_TWO_ROOTS: (1, -1),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_amp=st.floats(-3.0, 3.0),
+    log_lam=st.floats(-2.0, 1.0),
+)
+def test_classify_roots_match_their_case(cfg_stuart9, seed, log_amp, log_lam):
+    # a smooth stuart 9^3 field of peak amplitude 1e-3..1e3, at 0.01..10 times
+    # the reference lambda: classify never raises, its case follows the signs
+    # of A and B, and each root is a crossing with γ'' of the reported sign
+    cfg = cfg_stuart9.with_lambda(cfg_stuart9.lam * 10.0**log_lam)
+    u = random_smooth_field(cfg.grid, np.random.default_rng(seed))
+    u = u.scaled(10.0**log_amp / float(np.max(np.abs(u.values))))
+    diag = classify(u, cfg)
+    if diag.convex <= 0.0:
+        assert diag.case == (CASE_CONCAVE_ONLY if diag.concave > 0.0 else CASE_NEITHER)
+    elif diag.concave <= 0.0:
+        assert diag.case == CASE_CONVEX_ONLY
+    else:
+        assert diag.case in (CASE_BOTH_NO_ROOT, CASE_BOTH_TANGENT, CASE_BOTH_TWO_ROOTS)
+    assert tuple(sign for _, sign in diag.roots) == CASE_ROOT_SIGNS[diag.case]
+    dens = pointwise_energy(u)
+    for t, sign in diag.roots:
+        m0 = integrate(cfg.grid, cfg.phi.phi(dens * (t * t / 2.0)) * dens)
+        size = t * m0 + cfg.lam * t**cfg.q * abs(diag.concave) + t**cfg.p * abs(diag.convex)
+        assert abs(ray_energy_dt(u, t, cfg)) <= 1e-9 * size
+        if sign != 0:
+            assert np.sign(ray_energy_dt2(u, t, cfg)) == sign
 
 
 def test_classify_finds_a_root_below_one_billionth():

@@ -5,7 +5,6 @@ from nehari import phi as phi_module
 from nehari.errors import DomainError
 from nehari.phi import (
     constant_model,
-    evaluate,
     stuart_min_offset,
     stuart_model,
     tabulated_model,
@@ -15,30 +14,30 @@ from nehari.phi import (
 
 def test_evaluate_constant():
     model = constant_model(1.0)
-    assert evaluate(model, 2.0) == (2.0, 1.0, 0.0, 0.0)
+    values = (model.Phi(2.0), model.phi(2.0), model.dphi(2.0), model.d2phi(2.0))
+    assert values == (2.0, 1.0, 0.0, 0.0)
 
 
 def test_evaluate_stuart_at_zero():
     model = stuart_model(5.0)
-    Phi, phi, d1, d2 = evaluate(model, 0.0)
-    assert Phi == 0.0
-    assert phi == 6.0
-    assert d1 == -3.0
-    assert d2 == 12.0
+    assert model.Phi(0.0) == 0.0
+    assert model.phi(0.0) == 6.0
+    assert model.dphi(0.0) == -3.0
+    assert model.d2phi(0.0) == 12.0
 
 
 def test_stuart_slope_combination_at_third():
     # |phi'(s)|*s at s = 1/3 equals 3*(27/256) = 81/256
     model = stuart_model(5.0)
     s = 1.0 / 3.0
-    _, _, d1, _ = evaluate(model, s)
+    d1 = float(model.dphi(s))
     assert abs(abs(d1) * s - 81.0 / 256.0) < 1e-15
 
 
 def test_negative_s_rejected():
     model = stuart_model(5.0)
     with pytest.raises(DomainError):
-        evaluate(model, -1e-9)
+        model.Phi(-1e-9)
     with pytest.raises(DomainError):
         model.phi(np.array([0.5, -0.5]))
 

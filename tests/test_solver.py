@@ -279,6 +279,31 @@ def test_descent_sums_each_quadrature_once():
     assert counts["fsum"] / iterations <= 14.0
 
 
+def test_report_reads_one_fresh_ray_per_branch(monkeypatch):
+    # every ray of a stuart 9^3 solve belongs to a projection, but for the one
+    # fresh ray of each final field that gives the report its J and γ''
+    import nehari.fibering as fibering
+
+    prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
+    counts = {"rays": 0, "project_scale": 0}
+    project_scale = solver.project_scale
+
+    class CountedRay(fibering._Ray):
+        def __init__(self, *args):
+            counts["rays"] += 1
+            super().__init__(*args)
+
+    def counted(*args):
+        counts["project_scale"] += 1
+        return project_scale(*args)
+
+    monkeypatch.setattr(fibering, "_Ray", CountedRay)
+    monkeypatch.setattr(solver, "project_scale", counted)
+    pair = solve_both(prep.problem, thresholds=prep.thresholds)
+    assert not pair.failures and pair.ordering_ok
+    assert counts["rays"] == counts["project_scale"] + 2
+
+
 def test_seed_that_does_not_project_reseeds_once():
     # a bump centred where a is most negative has A < 0: no rising crossing
     cfg, th = with_thresholds(make_problem(phi=constant_model(1.0)))
