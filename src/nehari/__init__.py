@@ -21,7 +21,6 @@ from .errors import (
     NehariError,
     ProjectionError,
     SeedingError,
-    SolverError,
 )
 from .fibering import FiberingDiagnosis, NehariPoint, classify, project
 from .grid import Field, Grid, estimate_sobolev, integrate, make_weight
@@ -50,7 +49,6 @@ __all__ = [
     "BracketError",
     "ProjectionError",
     "SeedingError",
-    "SolverError",
     "FiberingDiagnosis",
     "NehariPoint",
     "classify",

@@ -31,6 +31,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 
+logger = logging.getLogger("nehari.cli")  # the same name under python -m nehari.cli
+
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -117,6 +119,7 @@ def cmd_fibering(prep: PreparedRun, out: Path, args) -> int:
 
 
 def cmd_solve(prep: PreparedRun, out: Path, args) -> int:
+    """Solve both branches; the one place that refuses an inadmissible λ."""
     cfg = prep.problem
     if prep.thresholds is not None:
         verdict = admissibility(cfg.lam, prep.thresholds)
@@ -132,8 +135,14 @@ def cmd_solve(prep: PreparedRun, out: Path, args) -> int:
             },
         )
         return EXIT_INVARIANT
+    if verdict == "marginal":
+        logger.warning(
+            "lambda %g is marginal (lambda0 %g): branch guarantees may fail",
+            cfg.lam,
+            prep.thresholds.lambda0,
+        )
 
-    pair = solve_both(cfg, thresholds=prep.thresholds, force=args.force)
+    pair = solve_both(cfg, thresholds=prep.thresholds)
     payload = pair.as_dict()
     payload["lambda"] = cfg.lam
     payload["verdict"] = verdict

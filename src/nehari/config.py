@@ -18,7 +18,7 @@ from typing import Optional
 
 from .energy import ProblemConfig
 from .errors import ConfigError, DomainError
-from .grid import Grid, SobolevEstimate, Weight, estimate_sobolev, make_weight
+from .grid import Field, Grid, SobolevEstimate, estimate_sobolev, make_weight
 from .phi import (
     PhiModel,
     constant_model,
@@ -327,7 +327,7 @@ _PHI_KINDS = {
 }
 
 
-def _build_weight(grid: Grid, spec: dict, section: str) -> Weight:
+def _build_weight(grid: Grid, spec: dict, section: str) -> Field:
     """``make_weight``, its errors addressed to the config section of the weight."""
     try:
         return make_weight(grid, spec)
@@ -355,8 +355,8 @@ def prepare_run(run: RunConfig) -> PreparedRun:
     """Build the problem and resolve lambda (auto:f needs the thresholds)."""
     model = build_phi(run.phi_spec)
     hyp = verify_hypotheses(model, run.q, run.p)
-    weight_a = _build_weight(run.grid, run.weight_a_spec, "weights.a")
-    weight_b = _build_weight(run.grid, run.weight_b_spec, "weights.b")
+    a = _build_weight(run.grid, run.weight_a_spec, "weights.a")
+    b = _build_weight(run.grid, run.weight_b_spec, "weights.b")
     sob = {
         run.q + 1.0: estimate_sobolev(run.grid, run.q + 1.0),
         run.p + 1.0: estimate_sobolev(run.grid, run.p + 1.0),
@@ -366,8 +366,8 @@ def prepare_run(run: RunConfig) -> PreparedRun:
     base = ProblemConfig(
         grid=run.grid,
         phi=model,
-        a=weight_a.field,
-        b=weight_b.field,
+        a=a,
+        b=b,
         lam=1.0,
         q=run.q,
         p=run.p,

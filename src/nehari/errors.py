@@ -9,7 +9,6 @@ __all__ = [
     "BracketError",
     "ProjectionError",
     "SeedingError",
-    "SolverError",
 ]
 
 
@@ -60,7 +59,3 @@ class ProjectionError(_Diagnosed):
 
 class SeedingError(_Diagnosed):
     """No admissible seed field found after narrowing."""
-
-
-class SolverError(NehariError):
-    """Branch minimization failed."""

@@ -31,7 +31,6 @@ __all__ = [
     "Grid",
     "Field",
     "SobolevEstimate",
-    "Weight",
     "gradient",
     "laplacian",
     "pointwise_energy",
@@ -252,7 +251,6 @@ def dirichlet_energy(u: Field) -> float:
 
 @dataclass(frozen=True)
 class SobolevEstimate:
-    order: float
     value: float
     method: str
     iterations: int
@@ -306,29 +304,20 @@ def estimate_sobolev(grid: Grid, order: float) -> SobolevEstimate:
             SOBOLEV_RTOL,
             SOBOLEV_MAX_ITER,
         )
-    return SobolevEstimate(
-        order=order, value=best, method="inverse-power", iterations=iterations
-    )
+    return SobolevEstimate(value=best, method="inverse-power", iterations=iterations)
 
 
 # -- weight fields -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Weight:
-    field: Field
-    sign_changing: bool
-
-
-def make_weight(grid: Grid, spec: dict) -> Weight:
+def make_weight(grid: Grid, spec: dict) -> Field:
     """Sample a weight expression at the interior nodes.
 
     Supported kinds: affine, sinusoid (product of per-axis sinusoids),
     gaussians (signed pair of bumps; centres and widths required), csv
     (node values; path required).  A missing or rejected key is a
     ``[weights]`` config error.  A weight that does not change sign violates
-    the standing sign-changing assumption and is flagged (and logged), not
-    rejected.
+    the standing sign-changing assumption and is logged, not rejected.
     """
     kind = spec.get("kind")
     coords = grid.coords()
@@ -363,11 +352,10 @@ def make_weight(grid: Grid, spec: dict) -> Weight:
     else:
         raise ConfigError("weights", "kind", f"unknown weight kind {kind!r}")
 
-    fld = Field(grid, values)
-    changing = bool(np.any(fld.values > 0.0) and np.any(fld.values < 0.0))
-    if not changing:
+    weight = Field(grid, values)
+    if not (np.any(weight.values > 0.0) and np.any(weight.values < 0.0)):
         logger.warning("weight of kind %r is not sign-changing on the grid", kind)
-    return Weight(field=fld, sign_changing=changing)
+    return weight
 
 
 def _required(spec: dict, key: str):
@@ -455,7 +443,10 @@ def load_field(path: str) -> Field:
             raise ConfigError("field", path, f"malformed header: {header}") from exc
         if len(nodes) != dim or len(lengths) != dim:
             raise ConfigError("field", path, f"malformed header: {header}")
-        grid = Grid(nodes=nodes, lengths=lengths)
+        try:
+            grid = Grid(nodes=nodes, lengths=lengths)
+        except ConfigError as err:
+            raise ConfigError("field", path, f"header {header}: {err.message}") from None
         flat = []
         for row in reader:
             if not row:

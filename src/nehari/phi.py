@@ -50,7 +50,6 @@ class PhiModel:
     """
 
     kind: str
-    params: dict
     raw_Phi: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     raw_phi: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     raw_dphi: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -83,7 +82,6 @@ def constant_model(c: float = 1.0) -> PhiModel:
         raise DomainError("constant phi must be positive")
     return PhiModel(
         kind="constant",
-        params={"value": c},
         raw_Phi=lambda s: c * np.asarray(s, dtype=float),
         raw_phi=lambda s: np.full_like(np.asarray(s, dtype=float), c),
         raw_dphi=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
@@ -101,7 +99,6 @@ def stuart_model(offset: float) -> PhiModel:
         raise DomainError("stuart offset must be positive")
     return PhiModel(
         kind="stuart_example",
-        params={"offset": A},
         raw_Phi=lambda s: A * np.asarray(s, dtype=float)
         - 0.5 * (1.0 + np.asarray(s, dtype=float)) ** -2
         + 0.5,
@@ -158,7 +155,6 @@ def tabulated_model(s_nodes, phi_nodes) -> PhiModel:
 
     return PhiModel(
         kind="tabulated",
-        params={"n": int(s_nodes.size), "s_max": s_hi},
         raw_Phi=raw_Phi,
         raw_phi=_clamped(interp, phi_hi),
         raw_dphi=_clamped(d1, 0.0),

@@ -4,8 +4,8 @@ Each iterate is kept exactly on the manifold by the fibering projection
 (the one-dimensional scaling root), so the method is plain descent in the
 tangential direction with a backtracking line search that re-projects every
 trial point.  On the manifold the gradient is automatically orthogonal to
-the ray direction, vanishing tangential residual forces the Lagrange
-multiplier to vanish as well (the second ray derivative is nonzero on both
+the ray direction; a vanishing tangential residual makes the Lagrange
+multiplier vanish as well (the second ray derivative is nonzero on both
 branches), and the stopping test asserts the full, unprojected gradient
 norm.
 
@@ -27,10 +27,10 @@ from typing import Optional
 import numpy as np
 
 from .energy import ProblemConfig, dual_norm, energy_gradient
-from .errors import NehariError, ProjectionError, SeedingError, SolverError
+from .errors import NehariError, ProjectionError, SeedingError
 from .fibering import NehariPoint, project_scale, sample_ray
 from .grid import Field, inner, random_smooth_field
-from .thresholds import ADMISSIBLE, INADMISSIBLE, ThresholdReport, admissibility
+from .thresholds import ThresholdReport
 
 logger = logging.getLogger(__name__)
 
@@ -60,11 +60,8 @@ class SolveReport:
     energy_history: tuple[float, ...]
     residual_history: tuple[float, ...]
     invariants: dict
-    wall_time: float
 
     def as_dict(self) -> dict:
-        # wall_time deliberately omitted: reports must be byte-identical
-        # across reruns with the same config and seed
         return {
             "branch": self.branch,
             "point": self.point.as_dict(),
@@ -177,34 +174,11 @@ def _descent_state(u: Field, cfg: ProblemConfig):
     return g, d, -dd, math.sqrt(dd), full_res, gu
 
 
-def _check_lambda(
-    cfg: ProblemConfig, branch: str, thresholds: ThresholdReport | None, force: bool
-) -> None:
-    """Refuse an inadmissible λ unless forced; warn on a marginal one."""
-    if thresholds is None or force:
-        return
-    verdict = admissibility(cfg.lam, thresholds)
-    if verdict == INADMISSIBLE:
-        raise SolverError(
-            f"lambda {cfg.lam:g} is inadmissible (lambda0 {thresholds.lambda0:g}); "
-            "pass force=True to run anyway"
-        )
-    if verdict != ADMISSIBLE:
-        logger.warning(
-            "branch %s: lambda %g is %s (lambda0 %g): branch guarantees may fail",
-            branch,
-            cfg.lam,
-            verdict,
-            thresholds.lambda0,
-        )
-
-
 def minimize_branch(
     cfg: ProblemConfig,
     branch: str,
     seed: Field | None = None,
     thresholds: ThresholdReport | None = None,
-    force: bool = False,
 ) -> SolveReport:
     """Minimize the energy over one Nehari branch by projected descent.
 
@@ -214,10 +188,11 @@ def minimize_branch(
     1.  No other restart exists: :func:`seed_field` returns only seeds that
     project, and the line search shrinks the step past every trial that
     does not.  Stops when both the tangential and the full gradient dual
-    norms fall below the configured residual tolerance.
+    norms fall below the configured residual tolerance.  It runs at any λ:
+    ``thresholds`` only adds the δ_λ floor invariant on the minus branch,
+    and judging λ against the thresholds is left to the caller.
     """
     t_start = time.perf_counter()
-    _check_lambda(cfg, branch, thresholds, force)
     restarts = 0
     if seed is None:
         start = _projected_seed(cfg, branch)[1]
@@ -355,15 +330,10 @@ def _run_descent(
         energy_history=tuple(energy_history),
         residual_history=tuple(residual_history),
         invariants=invariants,
-        wall_time=wall,
     )
 
 
-def solve_both(
-    cfg: ProblemConfig,
-    thresholds: ThresholdReport | None = None,
-    force: bool = False,
-) -> SolvePair:
+def solve_both(cfg: ProblemConfig, thresholds: ThresholdReport | None = None) -> SolvePair:
     """Run both branches and check the sign ordering of the two energies.
 
     The rising-branch minimizer is the negative-energy ground state; the
@@ -375,9 +345,7 @@ def solve_both(
     failures: dict[str, str] = {}
     for branch in ("minus", "plus"):
         try:
-            reports[branch] = minimize_branch(
-                cfg, branch, thresholds=thresholds, force=force
-            )
+            reports[branch] = minimize_branch(cfg, branch, thresholds=thresholds)
         except NehariError as err:
             failures[branch] = str(err)
             try:
@@ -421,9 +389,9 @@ def multistart(
     converged = []
     for k in range(n_starts):
         if k == 0:  # descend from the base seed's own projection
-            t_start = time.perf_counter()
-            _check_lambda(cfg, branch, thresholds, False)
-            report = _run_descent(cfg, branch, base_start, thresholds, 0, t_start)
+            report = _run_descent(
+                cfg, branch, base_start, thresholds, 0, time.perf_counter()
+            )
         else:
             bump = random_smooth_field(cfg.grid, rng, max_mode=2)
             scale = 0.2 * float(np.max(np.abs(base.values)))

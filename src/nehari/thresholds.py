@@ -130,7 +130,7 @@ def admissibility(lam: float, report: ThresholdReport) -> str:
 
     Strictly below lambda0 both branch guarantees hold; at or above
     lambda0 but below max(lambda1, lambda2) only one of them might, and the
-    verdict is marginal; above both the solver refuses unless forced.
+    verdict is marginal; above both ``nehari solve`` refuses unless forced.
     """
     lam = float(lam)
     if lam <= 0:

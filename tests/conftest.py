@@ -39,8 +39,8 @@ def make_problem(nodes=(5, 5, 5), phi=None, lam=1.0, q=0.5, p=3.0, **kw):
     return ProblemConfig(
         grid=grid,
         phi=phi if phi is not None else stuart_model(6.0),
-        a=a.field,
-        b=b.field,
+        a=a,
+        b=b,
         lam=lam,
         q=q,
         p=p,

@@ -230,8 +230,18 @@ def test_solve_refuses_inadmissible_without_force(tmp_path):
     cfgp.write_text(QUICK.replace("lambda = auto:0.5", "lambda = 1e6"))
     out = tmp_path / "out_hot"
     assert main(["solve", "--config", str(cfgp), "--out", str(out)]) == 2
+    assert (out / "solve.json").read_text() == (
+        "{\n"
+        '  "error": "lambda 1000000.0 is inadmissible; rerun with --force to proceed",\n'
+        '  "lambda": 1000000.0,\n'
+        '  "verdict": "inadmissible"\n'
+        "}\n"
+    )
+    # the command is the only gate: with --force the library solves at this λ
+    main(["solve", "--config", str(cfgp), "--out", str(out), "--force"])
     report = json.loads((out / "solve.json").read_text())
-    assert "error" in report and report["verdict"] == "inadmissible"
+    assert {"minus", "plus", "failures"} <= set(report) and "error" not in report
+    assert report["verdict"] == "inadmissible"
 
 
 PHI_ROWS = "0.0,1.0\n1.0,1.0\n2.0,1.0\n"
@@ -315,16 +325,15 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, text, address):
     assert not (out / "thresholds.json").exists()
 
 
-def test_marginal_lambda_warns_once_per_branch(tmp_path, caplog):
-    # λ = 1.05·λ0 lies between λ0 = λ2 and λ1 on this grid: marginal
+def test_marginal_lambda_warns_once_per_run(tmp_path, caplog):
+    # λ = 1.2·λ0 lies between λ0 = 153.8 and max(λ1, λ2) = 253.6 on this grid
     cfgp = tmp_path / "marginal.ini"
-    cfgp.write_text(QUICK.replace("lambda = auto:0.5", "lambda = auto:1.05"))
-    main(["solve", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    cfgp.write_text(QUICK.replace("lambda = auto:0.5", "lambda = auto:1.2"))
+    assert main(["solve", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 0
     report = json.loads((tmp_path / "o" / "solve.json").read_text())
     assert report["verdict"] == "marginal"
-    warnings = [r.getMessage() for r in caplog.records if "marginal" in r.getMessage()]
-    assert len(warnings) == 2
-    assert warnings[0].startswith("branch minus:") and warnings[1].startswith("branch plus:")
+    warnings = [r for r in caplog.records if "marginal" in r.getMessage()]
+    assert [(r.name, r.levelname) for r in warnings] == [("nehari.cli", "WARNING")]
 
 
 def test_solve_exits_2_below_the_delta_lambda_floor(tmp_path, monkeypatch):
@@ -441,3 +450,29 @@ def test_malformed_field_csv_is_a_config_error(tmp_path, capsys, bad):
         err = capsys.readouterr().err
         assert f"config error: [field] {field_path}: line 8" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "header, reason",
+    [
+        ("3,2,2,2,1.0,1.0,1.0", "need at least 3 interior nodes per axis"),
+        ("3,5,5,5,-1.0,1.0,1.0", "side lengths must be positive and finite"),
+    ],
+    ids=["two-nodes", "negative-length"],
+)
+def test_field_csv_header_the_grid_rejects_names_the_file(tmp_path, capsys, header, reason):
+    # a header that parses but describes no valid grid is the file's error,
+    # through --field and through a csv weight
+    field_path = tmp_path / "field.csv"
+    field_path.write_text("\n".join([header] + ["0.5"] * 125) + "\n")
+    cfgp = write_quick(tmp_path)
+    csv_cfgp = tmp_path / "csv.ini"
+    csv_cfgp.write_text(QUICK + f"[weights.a]\nkind = csv\npath = {field_path}\n")
+    cells = header.split(",")
+    for args in (
+        ["fibering", "--config", cfgp, "--field", str(field_path)],
+        ["thresholds", "--config", str(csv_cfgp)],
+    ):
+        assert main(args + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: [field] {field_path}: header {cells}: {reason}" in err

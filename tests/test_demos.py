@@ -40,7 +40,7 @@ def test_readme_quickstart_builds_the_reference_problem(capsys):
     scope: dict = {}
     exec(compile(code, "README.md quickstart", "exec"), scope)
     prep = prepare_run(parse_config((ROOT / "configs" / "reference_stuart.ini").read_text()))
-    assert np.array_equal(scope["a"].field.values, prep.problem.a.values)
-    assert np.array_equal(scope["b"].field.values, prep.problem.b.values)
+    assert np.array_equal(scope["a"].values, prep.problem.a.values)
+    assert np.array_equal(scope["b"].values, prep.problem.b.values)
     assert scope["thresholds"].lambda0 == prep.thresholds.lambda0
     assert capsys.readouterr().out.strip()  # the two energies were printed

@@ -31,13 +31,13 @@ def test_config_validation():
     grid = Grid(nodes=(5, 5, 5), lengths=(1.0, 1.0, 1.0))
     a, b = two_lobe_weights(grid)
     with pytest.raises(DomainError):
-        ProblemConfig(grid=grid, phi=constant_model(), a=a.field, b=b.field, lam=0.0, q=0.5, p=3.0)
+        ProblemConfig(grid=grid, phi=constant_model(), a=a, b=b, lam=0.0, q=0.5, p=3.0)
     with pytest.raises(DomainError):
-        ProblemConfig(grid=grid, phi=constant_model(), a=a.field, b=b.field, lam=1.0, q=1.2, p=3.0)
+        ProblemConfig(grid=grid, phi=constant_model(), a=a, b=b, lam=1.0, q=1.2, p=3.0)
     with pytest.raises(DomainError):
         # p + 1 must stay below 2* = 6 in three dimensions
-        ProblemConfig(grid=grid, phi=constant_model(), a=a.field, b=b.field, lam=1.0, q=0.5, p=5.0)
-    base = dict(grid=grid, phi=constant_model(), a=a.field, b=b.field, lam=1.0, q=0.5, p=3.0)
+        ProblemConfig(grid=grid, phi=constant_model(), a=a, b=b, lam=1.0, q=0.5, p=5.0)
+    base = dict(grid=grid, phi=constant_model(), a=a, b=b, lam=1.0, q=0.5, p=3.0)
     for key, value in (
         ("lam", math.nan),
         ("lam", math.inf),
@@ -98,7 +98,7 @@ def test_gradient_matches_finite_differences(cfg_small):
         cfg_small,
         make_problem(nodes=(6,)),
         ProblemConfig(
-            grid=anisotropic, phi=stuart_model(6.0), a=a.field, b=b.field, lam=1.0, q=0.5, p=3.0
+            grid=anisotropic, phi=stuart_model(6.0), a=a, b=b, lam=1.0, q=0.5, p=3.0
         ),
     ):
         rng = np.random.default_rng(3)

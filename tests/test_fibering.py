@@ -326,6 +326,26 @@ def test_case_both_no_root(cfg_small):
         assert ray_energy_dt(u, t, cfg) < 0.0
 
 
+def test_case_both_tangent_band():
+    # at λ = m(t̃)/A the balance peak touches the concave level λA: within
+    # TANGENT_RTOL the ray is tangent; 1e-6 off, it has two roots or none
+    cfg = fixed_sign_problem(+1.0, +1.0, nodes=(9, 9, 9))
+    x, y, z = cfg.grid.coords()
+    u = Field(cfg.grid, np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z))
+    lam = ray_balance(u, balance_peak(u, cfg), cfg) / concave_integral(u, cfg)
+    for factor in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+        diag = classify(u, cfg.with_lambda(lam * factor))
+        assert diag.case == CASE_BOTH_TANGENT
+        assert [sign for _, sign in diag.roots] == [0]
+    for branch in ("plus", "minus"):
+        with pytest.raises(ProjectionError, match="tangent"):
+            project(u, cfg.with_lambda(lam), branch)
+    below = classify(u, cfg.with_lambda(lam * (1.0 - 1e-6)))
+    assert below.case == CASE_BOTH_TWO_ROOTS
+    assert [sign for _, sign in below.roots] == [1, -1]
+    assert classify(u, cfg.with_lambda(lam * (1.0 + 1e-6))).case == CASE_BOTH_NO_ROOT
+
+
 def test_classification_matches_scan_oracle():
     # lam is sized so every concave-level crossing lands inside the scan
     # window of the oracle; fields are normalized to unit energy integral

@@ -292,13 +292,18 @@ def test_sobolev_reference_values():
         assert abs(est.value - value) <= 1e-8 * value, (n, order)
 
 
-def test_make_weight_affine_sign_changing():
+def _sign_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if "not sign-changing" in r.getMessage()]
+
+
+def test_make_weight_affine_sign_changing(caplog):
     g = Grid(nodes=(5, 5, 5), lengths=(1.0, 1.0, 1.0))
     w = make_weight(g, {"kind": "affine", "const": -0.5, "coeffs": [1.0]})
-    assert w.sign_changing
+    assert np.any(w.values > 0.0) and np.any(w.values < 0.0)
+    assert _sign_warnings(caplog) == []
 
 
-def test_make_weight_gaussians_sign_changing():
+def test_make_weight_gaussians_sign_changing(caplog):
     g = Grid(nodes=(5, 5, 5), lengths=(1.0, 1.0, 1.0))
     w = make_weight(
         g,
@@ -310,13 +315,16 @@ def test_make_weight_gaussians_sign_changing():
             "sigma_neg": 0.15,
         },
     )
-    assert w.sign_changing
+    assert np.any(w.values > 0.0) and np.any(w.values < 0.0)
+    assert _sign_warnings(caplog) == []
 
 
-def test_make_weight_constant_flagged():
+def test_make_weight_constant_flagged(caplog):
     g = Grid(nodes=(5, 5, 5), lengths=(1.0, 1.0, 1.0))
     w = make_weight(g, {"kind": "affine", "const": 1.0})
-    assert not w.sign_changing  # standing assumption violated, flagged not raised
+    # standing assumption violated: logged, not raised
+    assert np.all(w.values == 1.0)
+    assert _sign_warnings(caplog) == ["weight of kind 'affine' is not sign-changing on the grid"]
 
 
 def test_make_weight_dimension_mismatch():
@@ -345,13 +353,14 @@ def test_dirichlet_energy_positive_definite():
         assert dirichlet_energy(Field(g, vals)) > 0.0
 
 
-def test_make_weight_sinusoid_values():
+def test_make_weight_sinusoid_values(caplog):
     g = Grid(nodes=(7, 7), lengths=(1.0, 1.0))
     w = make_weight(g, {"kind": "sinusoid", "freq": [1.0, 2.0], "phase": [0.0, 0.5]})
     x, y = g.coords()
     expect = np.sin(2 * np.pi * x) * np.sin(4 * np.pi * y + 0.5)
-    assert np.allclose(w.field.values, expect, rtol=1e-13, atol=1e-15)
-    assert w.sign_changing
+    assert np.allclose(w.values, expect, rtol=1e-13, atol=1e-15)
+    assert np.any(w.values > 0.0) and np.any(w.values < 0.0)
+    assert _sign_warnings(caplog) == []
 
 
 def test_make_weight_from_csv(tmp_path):
@@ -360,7 +369,7 @@ def test_make_weight_from_csv(tmp_path):
     path = tmp_path / "w.csv"
     save_field(str(path), u)
     w = make_weight(g, {"kind": "csv", "path": str(path)})
-    assert np.array_equal(w.field.values, u.values)
+    assert np.array_equal(w.values, u.values)
     other = Grid(nodes=(5, 5), lengths=(1.0, 1.0))
     with pytest.raises(ConfigError):
         make_weight(other, {"kind": "csv", "path": str(path)})

@@ -46,8 +46,8 @@ def synthetic_problem(q, p, a_value=1.0, b_value=1.0, nodes=(5, 5, 5)):
 
 def unit_sobolev(q, p):
     return {
-        q + 1.0: SobolevEstimate(order=q + 1.0, value=1.0, method="synthetic", iterations=0),
-        p + 1.0: SobolevEstimate(order=p + 1.0, value=1.0, method="synthetic", iterations=0),
+        q + 1.0: SobolevEstimate(value=1.0, method="synthetic", iterations=0),
+        p + 1.0: SobolevEstimate(value=1.0, method="synthetic", iterations=0),
     }
 
 
