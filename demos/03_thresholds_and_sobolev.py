@@ -54,8 +54,8 @@ print("Walking lambda through the window:")
 for frac in (0.1, 0.5, 0.99, 1.0, 1.5, 3.0):
     lam = frac * th.lambda0
     verdict = admissibility(lam, th)
-    if lam < th.lambda2:
-        floor = f"delta_lambda = {th.delta_lambda(lam):9.4f}"
-    else:
-        floor = "delta_lambda undefined (lambda >= lambda2)"
+    delta = th.delta_lambda(lam)
+    floor = "delta_lambda undefined (lambda > lambda2)"
+    if delta is not None:
+        floor = f"delta_lambda = {delta:9.4f}"
     print(f"  lambda = {lam:9.4f} ({frac:4.2f} * lambda0): {verdict:12s} {floor}")

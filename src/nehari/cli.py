@@ -83,9 +83,7 @@ def cmd_thresholds(prep: PreparedRun, out: Path, args) -> int:
     payload = prep.thresholds.as_dict()
     payload["lambda_resolved"] = lam
     payload["verdict"] = admissibility(lam, prep.thresholds)
-    payload["delta_lambda_at_resolved"] = (
-        prep.thresholds.delta_lambda(lam) if lam < prep.thresholds.lambda2 else None
-    )
+    payload["delta_lambda_at_resolved"] = prep.thresholds.delta_lambda(lam)
     payload["sobolev"] = _sobolev_dict(prep)
     _write_json(out / "thresholds.json", payload)
     return EXIT_OK
@@ -106,15 +104,13 @@ def cmd_fibering(prep: PreparedRun, out: Path, args) -> int:
     payload["field_source"] = source
     payload["lambda"] = cfg.lam
     _write_json(out / "fibering.json", payload)
-    if prep.run.t_samples:
-        t_grid = np.logspace(-2, 2, 201)
-        table = sample_ray(u, cfg, t_grid)
-        with open(out / "t_samples.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            names = ["t", "gamma", "gamma_dt", "gamma_dt2", "balance", "peak_eq"]
-            writer.writerow(names)
-            for i in range(len(table["t"])):
-                writer.writerow([repr(table[name][i]) for name in names])
+    table = sample_ray(u, cfg, np.logspace(-2, 2, 201))
+    with open(out / "t_samples.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        names = ["t", "gamma", "gamma_dt", "gamma_dt2", "balance", "peak_eq"]
+        writer.writerow(names)
+        for i in range(len(table["t"])):
+            writer.writerow([repr(table[name][i]) for name in names])
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ from .errors import ConfigError, DomainError
 from .grid import Field, Grid, SobolevEstimate, estimate_sobolev, make_weight
 from .phi import (
     PhiModel,
+    _check_exponents,
     constant_model,
     stuart_model,
     tabulated_model,
@@ -54,14 +55,12 @@ p = 3.0
 lambda = auto:0.5        ; positive float, or auto:f for f*lambda0
 
 [solver]
-root_tol = 1e-12
 residual_tol = 1e-6
 max_iter = 5000
 seed = 0
 
 [output]
 dir = out
-t_samples = true
 """
 
 _KNOWN_KEYS = {
@@ -70,8 +69,8 @@ _KNOWN_KEYS = {
     "weights.a": {"kind", "const", "coeffs", "freq", "phase", "path"}
     | {"amp_pos", "center_pos", "sigma_pos", "amp_neg", "center_neg", "sigma_neg"},
     "problem": {"q", "p", "lambda"},
-    "solver": {"root_tol", "residual_tol", "max_iter", "seed"},
-    "output": {"dir", "t_samples"},
+    "solver": {"residual_tol", "max_iter", "seed"},
+    "output": {"dir"},
 }
 _KNOWN_KEYS["weights.b"] = _KNOWN_KEYS["weights.a"]
 
@@ -86,12 +85,10 @@ class RunConfig:
     p: float
     lam_mode: str  # "fixed" | "auto"
     lam_value: float  # fixed value, or the fraction of lambda0
-    root_tol: float
     residual_tol: float
     max_iter: int
     seed: int
     out_dir: str
-    t_samples: bool
 
 
 def _get_float(parser, section: str, key: str) -> float:
@@ -124,15 +121,6 @@ def _get_floats(parser, section: str, key: str) -> list[float]:
             section, key, f"expected space-separated finite numbers, got {raw!r}"
         )
     return values
-
-
-def _get_bool(parser, section: str, key: str) -> bool:
-    raw = parser.get(section, key).strip().lower()
-    if raw in ("true", "yes", "on", "1"):
-        return True
-    if raw in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(section, key, f"expected a boolean, got {raw!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -185,20 +173,12 @@ def parse_config(text: str) -> RunConfig:
     grid = Grid(nodes=tuple(nodes), lengths=tuple(lengths))
     phi_spec = _read_spec(parser, "phi", {})
 
-    # exponents
     q = _get_float(parser, "problem", "q")
-    if not (0.0 < q < 1.0):
-        raise ConfigError("problem", "q", f"q must lie in (0, 1), got {q}")
     p = _get_float(parser, "problem", "p")
-    two_star = grid.critical_exponent()
-    if p <= 1.0:
-        raise ConfigError("problem", "p", f"p must exceed 1, got {p}")
-    if math.isfinite(two_star) and not (p + 1.0 < two_star):
-        raise ConfigError(
-            "problem",
-            "p",
-            f"p+1 must be < 2* = {two_star:g} for dim {dim}, got p+1 = {p + 1.0:g}",
-        )
+    try:
+        _check_exponents(q, p, grid.critical_exponent())
+    except DomainError as err:  # its message starts with the key at fault
+        raise ConfigError("problem", str(err).split()[0], str(err)) from None
 
     lam_raw = parser.get("problem", "lambda").strip()
     if lam_raw.startswith("auto:"):
@@ -227,13 +207,11 @@ def parse_config(text: str) -> RunConfig:
     a_spec = _read_spec(parser, "weights.a", _default_weight_spec(grid, axis=0))
     b_spec = _read_spec(parser, "weights.b", _default_weight_spec(grid, axis=min(1, dim - 1)))
 
-    root_tol = _get_float(parser, "solver", "root_tol")
     residual_tol = _get_float(parser, "solver", "residual_tol")
     max_iter = _get_int(parser, "solver", "max_iter")
     seed = _get_int(parser, "solver", "seed")
-    for key, tol in (("root_tol", root_tol), ("residual_tol", residual_tol)):
-        if tol <= 0:
-            raise ConfigError("solver", key, "tolerances must be positive")
+    if residual_tol <= 0:
+        raise ConfigError("solver", "residual_tol", "tolerance must be positive")
     if max_iter < 1:
         raise ConfigError("solver", "max_iter", "need at least one iteration")
 
@@ -246,12 +224,10 @@ def parse_config(text: str) -> RunConfig:
         p=p,
         lam_mode=lam_mode,
         lam_value=lam_value,
-        root_tol=root_tol,
         residual_tol=residual_tol,
         max_iter=max_iter,
         seed=seed,
         out_dir=parser.get("output", "dir").strip(),
-        t_samples=_get_bool(parser, "output", "t_samples"),
     )
 
 
@@ -371,7 +347,6 @@ def prepare_run(run: RunConfig) -> PreparedRun:
         lam=1.0,
         q=run.q,
         p=run.p,
-        root_tol=run.root_tol,
         residual_tol=run.residual_tol,
         max_iter=run.max_iter,
     )

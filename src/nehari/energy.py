@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import Field, Grid, _edge_diff, _fsum, integrate, pointwise_energy
-from .phi import PhiModel
+from .phi import PhiModel, _check_exponents
 
 __all__ = [
     "ProblemConfig",
@@ -49,25 +49,18 @@ class ProblemConfig:
     lam: float
     q: float
     p: float
-    root_tol: float = 1e-12
     residual_tol: float = 1e-6
     max_iter: int = 5000
 
     def __post_init__(self) -> None:
         if not (0.0 < self.lam < math.inf):
             raise DomainError(f"lambda must be positive and finite, got {self.lam}")
-        if not (0.0 < self.q < 1.0):
-            raise DomainError(f"q must lie in (0, 1), got {self.q}")
-        two_star = self.grid.critical_exponent()
-        if not (1.0 < self.p and self.p + 1.0 < two_star):
-            raise DomainError(
-                f"p must satisfy 1 < p and p+1 < {two_star:g}, got {self.p}"
-            )
+        _check_exponents(self.q, self.p, self.grid.critical_exponent())
         for name, w in (("a", self.a), ("b", self.b)):
             if w.grid != self.grid:
                 raise DomainError(f"weight {name} lives on a different grid")
-        if not (self.root_tol > 0 and self.residual_tol > 0):
-            raise DomainError("tolerances must be positive")
+        if not self.residual_tol > 0:
+            raise DomainError(f"residual_tol must be positive, got {self.residual_tol}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be at least 1, got {self.max_iter}")
 

@@ -22,7 +22,7 @@ Every ray quantity comes from one engine, built once per field.  Every root
 by factors of 2 from a warm start at the input scale t = 1 to a sign
 change, and refined by one routine: Newton steps inside a sign-changing
 bracket, replaced by bisection whenever a step would leave the bracket
-(rtsafe), and stopped at the problem's relative ``root_tol``.  The two
+(rtsafe), and stopped at the relative step ``ROOT_RTOL``.  The two
 peaks are roots of decreasing functions, so the sign at the start says
 which way to walk.  Trial points of a descent lie next to a branch
 crossing: since m is unimodal, the signs of m − λA and of m' at the walk's
@@ -49,7 +49,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .energy import ProblemConfig, concave_integral, convex_integral
+from .energy import ProblemConfig, _check_field, concave_integral, convex_integral
 from .errors import BracketError, DomainError, ProjectionError
 from .grid import Field, integrate, pointwise_energy
 
@@ -82,6 +82,7 @@ BRACKET_LO_CAP = sys.float_info.min
 BRACKET_HI_CAP = 1e9
 BRACKET_GROW = 2.0
 TANGENT_RTOL = 1e-10
+ROOT_RTOL = 1e-12  # a root search stops at a step of at most ROOT_RTOL·t
 MAX_REFINE = 200
 
 CASE_NEITHER = "neither_positive"
@@ -103,11 +104,9 @@ class _Ray:
     """
 
     def __init__(self, u: Field, cfg: ProblemConfig):
-        if u.grid != cfg.grid:
-            raise DomainError("field lives on a different grid than the problem")
+        _check_field(u, cfg)
         self.grid = cfg.grid
         self.phi, self.q, self.p, self.lam = cfg.phi, cfg.q, cfg.p, cfg.lam
-        self.root_tol = cfg.root_tol
         self.density = pointwise_energy(u)
         self.density2 = self.density**2
         self.energy_int = integrate(cfg.grid, self.density)
@@ -226,7 +225,7 @@ class _Ray:
         """Root of a strictly decreasing g, walked to from ``scale`` and refined."""
         start = g(self.scale)
         up = start.f >= 0.0  # the root lies above a nonnegative point
-        return _refine(g, *_walk(g, start, up, lambda pt: (pt.f >= 0.0) != up), self.root_tol)
+        return _refine(g, *_walk(g, start, up, lambda pt: (pt.f >= 0.0) != up))
 
 
 # -- public ray functions (input units, exact quadrature) --------------------
@@ -332,13 +331,13 @@ def _walk(fdf, start: _Point, up: bool, stop) -> tuple[_Point, _Point]:
             return prev, point
 
 
-def _refine(fdf, a: _Point, b: _Point, rtol: float) -> float:
+def _refine(fdf, a: _Point, b: _Point) -> float:
     """Root of f between a and b, where f < 0 at exactly one of them.
 
     Newton steps start at the end with the smaller |f|.  A step that would
     leave the bracket, or that is not at most half the step before last, is
     replaced by bisection (rtsafe, Numerical Recipes §9.4).  Stops when a
-    step moves t by at most ``rtol``·t.
+    step moves t by at most ``ROOT_RTOL``·t.
     """
     neg, pos = (a.t, b.t) if a.f < 0.0 else (b.t, a.t)
     t, f, df = min(a, b, key=lambda pt: abs(pt.f))
@@ -352,7 +351,7 @@ def _refine(fdf, a: _Point, b: _Point, rtol: float) -> float:
             newton = 0.5 * (lo + hi)
         step_old, step = step, abs(newton - t)
         t = newton
-        if step <= rtol * t:
+        if step <= ROOT_RTOL * t:
             return t
         _, f, df = fdf(t)
         if f < 0.0:
@@ -407,7 +406,7 @@ def _branch_root(ray: _Ray, branch: str) -> float:
         neg = None
     if neg is None:
         pos, neg = _walk(fdf, pos, not rising, lambda pt: pt.f < 0.0)
-    return _refine(fdf, neg, pos, ray.root_tol)
+    return _refine(fdf, neg, pos)
 
 
 def _root_sign(ray: _Ray, t: float) -> int:

@@ -341,7 +341,7 @@ def make_weight(grid: Grid, spec: dict) -> Field:
         for f, t, x in zip(freqs, phases, coords):
             values = values * np.sin(2.0 * math.pi * f * x + t)
     elif kind == "gaussians":
-        values = _gaussian_pair(grid, spec, coords)
+        values = _gaussian_pair(grid, spec)
     elif kind == "csv":
         loaded = load_field(_required(spec, "path"))
         if loaded.grid != grid:
@@ -364,7 +364,15 @@ def _required(spec: dict, key: str):
     return spec[key]
 
 
-def _gaussian_pair(grid: Grid, spec: dict, coords: list[np.ndarray]) -> np.ndarray:
+def _gaussian(grid: Grid, center, sigma: float) -> np.ndarray:
+    """Node values of exp(−|x − center|²/σ²)."""
+    r2 = np.zeros(grid.shape)
+    for c, x in zip(center, grid.coords()):
+        r2 = r2 + (x - float(c)) ** 2
+    return np.exp(-r2 / sigma**2)
+
+
+def _gaussian_pair(grid: Grid, spec: dict) -> np.ndarray:
     def bump(side: str) -> np.ndarray:
         center = _required(spec, f"center_{side}")
         sigma = float(_required(spec, f"sigma_{side}"))
@@ -374,10 +382,7 @@ def _gaussian_pair(grid: Grid, spec: dict, coords: list[np.ndarray]) -> np.ndarr
             )
         if not sigma > 0:
             raise ConfigError("weights", f"sigma_{side}", "Gaussian width must be positive")
-        r2 = np.zeros(grid.shape)
-        for c, x in zip(center, coords):
-            r2 = r2 + (x - float(c)) ** 2
-        return np.exp(-r2 / sigma**2)
+        return _gaussian(grid, center, sigma)
 
     amp_pos = float(spec.get("amp_pos", 1.0))
     amp_neg = float(spec.get("amp_neg", 1.0))

@@ -68,6 +68,18 @@ class PhiModel:
         return self.raw_d2phi(_check_nonneg(s))
 
 
+def _check_exponents(q: float, p: float, two_star: float = math.inf) -> None:
+    """The exponent rule 0 < q < 1 < p, p + 1 < 2*.
+
+    A violation raises ``DomainError`` whose message starts with the
+    exponent at fault, ``q`` or ``p``.
+    """
+    if not (0.0 < q < 1.0):
+        raise DomainError(f"q must lie in (0, 1), got {q}")
+    if not (1.0 < p and p + 1.0 < two_star):
+        raise DomainError(f"p must satisfy 1 < p and p+1 < 2* = {two_star:g}, got {p}")
+
+
 def _check_nonneg(s):
     arr = np.asarray(s, dtype=float)
     if np.any(arr < 0):
@@ -228,10 +240,7 @@ def verify_hypotheses(model: PhiModel, q: float, p: float) -> HypothesisReport:
     """
     q = float(q)
     p = float(p)
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    if p <= 1.0:
-        raise DomainError(f"p must exceed 1, got {p}")
+    _check_exponents(q, p)
 
     s = _samples()
     phi = np.asarray(model.phi(s), dtype=float)
@@ -321,10 +330,7 @@ def stuart_min_offset(q: float, p: float) -> float:
     """
     q = float(q)
     p = float(p)
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    if p <= 1.0:
-        raise DomainError(f"p must exceed 1, got {p}")
+    _check_exponents(q, p)
     terms = (
         (q + 1.0) / (1.0 - q),
         2.0 / (p + 1.0),

@@ -29,7 +29,7 @@ import numpy as np
 from .energy import ProblemConfig, dual_norm, energy_gradient
 from .errors import NehariError, ProjectionError, SeedingError
 from .fibering import NehariPoint, project_scale, sample_ray
-from .grid import Field, inner, random_smooth_field
+from .grid import Field, _gaussian, inner, random_smooth_field
 from .thresholds import ThresholdReport
 
 logger = logging.getLogger(__name__)
@@ -57,6 +57,7 @@ class SolveReport:
     iterations: int
     restarts: int
     converged: bool
+    stop_reason: str  # "converged", "max_iter" or "no_decrease"
     energy_history: tuple[float, ...]
     residual_history: tuple[float, ...]
     invariants: dict
@@ -68,6 +69,7 @@ class SolveReport:
             "iterations": self.iterations,
             "restarts": self.restarts,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "energy_history": list(self.energy_history),
             "residual_history": list(self.residual_history),
             "invariants": dict(self.invariants),
@@ -108,16 +110,6 @@ class MultistartReport:
         }
 
 
-def _gaussian_bump(cfg: ProblemConfig, center_index: tuple[int, ...], sigma: float) -> Field:
-    grid = cfg.grid
-    coords = grid.coords()
-    center = [grid.axis_coords(k)[center_index[k]] for k in range(grid.dim)]
-    r2 = np.zeros(grid.shape)
-    for c, x in zip(center, coords):
-        r2 = r2 + (x - c) ** 2
-    return Field(grid, np.exp(-r2 / sigma**2))
-
-
 def seed_field(cfg: ProblemConfig, branch: str, sigma: float | None = None) -> Field:
     """Smooth bump concentrated where the branch-relevant weight peaks.
 
@@ -140,12 +132,14 @@ def _projected_seed(
         raise SeedingError(
             f"branch {branch!r} unreachable: its weight field has no positive values"
         )
+    grid = cfg.grid
     flat_index = int(np.argmax(weight.values))  # first max in C order
-    center = np.unravel_index(flat_index, cfg.grid.shape)
+    node = np.unravel_index(flat_index, grid.shape)
+    center = [grid.axis_coords(k)[i] for k, i in enumerate(node)]
     if sigma is None:
-        sigma = min(cfg.grid.lengths) / 4.0
+        sigma = min(grid.lengths) / 4.0
     for _ in range(7):
-        candidate = _gaussian_bump(cfg, center, sigma)
+        candidate = Field(grid, _gaussian(grid, center, sigma))
         try:
             return candidate, project_scale(candidate, cfg, branch)
         except ProjectionError as err:
@@ -187,8 +181,10 @@ def minimize_branch(
     :func:`seed_field` at half the default width, and ``restarts`` is then
     1.  No other restart exists: :func:`seed_field` returns only seeds that
     project, and the line search shrinks the step past every trial that
-    does not.  Stops when both the tangential and the full gradient dual
-    norms fall below the configured residual tolerance.  It runs at any λ:
+    does not.  ``stop_reason`` says why it stopped: ``converged`` once both
+    the tangential and the full gradient dual norms fall below the residual
+    tolerance, ``max_iter``, or ``no_decrease`` when the line search finds
+    no decrease along the tangential direction.  It runs at any λ:
     ``thresholds`` only adds the δ_λ floor invariant on the minus branch,
     and judging λ against the thresholds is left to the caller.
     """
@@ -221,7 +217,7 @@ def _run_descent(
     energy_history = [start_energy]
     residual_history: list[float] = []
     max_constraint = 0.0
-    converged = False
+    stop_reason = "max_iter"
     prev_u: np.ndarray | None = None
     prev_g: np.ndarray | None = None
     state = _descent_state(u, cfg)
@@ -231,7 +227,7 @@ def _run_descent(
         residual_history.append(tan_res)
         max_constraint = max(max_constraint, abs(gu))
         if tan_res <= cfg.residual_tol and full_res <= cfg.residual_tol:
-            converged = True
+            stop_reason = "converged"
             break
         current = energy_history[-1]
         slack = ENERGY_SLACK * (1.0 + abs(current))
@@ -271,7 +267,8 @@ def _run_descent(
                 break
             alpha *= SHRINK
         if accepted is None:
-            break  # no decrease available along the tangential direction
+            stop_reason = "no_decrease"  # along the tangential direction
+            break
         u, new_energy, t_star = accepted
         energy_history.append(new_energy)
         state = _descent_state(u, cfg)  # read by the report if max_iter stops here
@@ -302,12 +299,14 @@ def _run_descent(
     }
     if thresholds is not None and branch == "minus":
         floor = thresholds.delta_lambda(cfg.lam)
-        invariants["delta_lambda_floor"] = floor
-        invariants["delta_lambda_bound_ok"] = point.energy >= floor - 1e-9
-    if not converged:
+        invariants["delta_lambda_floor"] = floor  # None where the thresholds give no floor
+        if floor is not None:
+            invariants["delta_lambda_bound_ok"] = point.energy >= floor - 1e-9
+    if stop_reason != "converged":
         logger.warning(
-            "branch %s stopped after %d iterations with residual %.3e (tol %.1e)",
+            "branch %s stopped (%s) after %d iterations with residual %.3e (tol %.1e)",
             branch,
+            stop_reason,
             iterations,
             residual_history[-1],
             cfg.residual_tol,
@@ -326,7 +325,8 @@ def _run_descent(
         point=point,
         iterations=iterations,
         restarts=restarts,
-        converged=converged,
+        converged=stop_reason == "converged",
+        stop_reason=stop_reason,
         energy_history=tuple(energy_history),
         residual_history=tuple(residual_history),
         invariants=invariants,

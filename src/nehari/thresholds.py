@@ -12,6 +12,7 @@ discretization error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .energy import ProblemConfig
 from .errors import ConfigError, DomainError
@@ -36,11 +37,16 @@ class ThresholdReport:
     p: float
     provenance: dict
 
-    def delta_lambda(self, lam: float) -> float:
-        """Energy floor on the falling branch for 0 < lam < lambda2."""
+    def delta_lambda(self, lam: float) -> Optional[float]:
+        """Energy floor on the falling branch for 0 < lam <= lambda2, None above.
+
+        The formula falls to 0 at lambda2 and is no floor beyond it.
+        """
         lam = float(lam)
         if lam <= 0:
             raise DomainError(f"lambda must be positive, got {lam}")
+        if lam > self.lambda2:
+            return None
         half = (self.q + 1.0) / 2.0
         return self.delta**half * (self.delta ** (1.0 - half) - lam * self.c1)
 

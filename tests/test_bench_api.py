@@ -90,3 +90,16 @@ def test_traced_phi_patch_points_resolve():
     assert callables and set(callables) <= fields
     model = phi.constant_model(1.0)
     assert all(callable(getattr(model, name)) for name in callables)
+
+
+def test_workload_checks_pass(monkeypatch):
+    # the benchmark's own output checks, on one solve and the whole rays panel
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads").WORKLOADS
+    solve = workloads["solve-stuart-9"]
+    assert solve.check(0.5, solve.run(0.5, None)) == []
+    rays = workloads["rays-stuart-9"]
+    cfg, _ = rays.start()
+    assert len(rays.fields) == 47
+    problems = {i: rays.check(u, rays.run(u, cfg)) for i, u in enumerate(rays.fields)}
+    assert {i: p for i, p in problems.items() if p} == {}

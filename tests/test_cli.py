@@ -45,18 +45,18 @@ def test_parse_defaults():
     assert run.phi_spec == {"kind": "constant", "value": 1.0}
     assert run.lam_mode == "auto" and run.lam_value == 0.5
     assert run.q == 0.5 and run.p == 3.0
-    assert run.root_tol == 1e-12 and run.residual_tol == 1e-6
+    assert run.residual_tol == 1e-6
     assert run.max_iter == 5000 and run.seed == 0
 
 
 def test_parse_rejects_bad_exponents():
-    with pytest.raises(ConfigError) as err:
-        parse_config("[problem]\nq = 1.2\n")
-    assert "[problem] q" in str(err.value)
-    with pytest.raises(ConfigError) as err:
-        parse_config("[problem]\np = 5.0\n")  # p+1 = 6 = 2* for dim 3
-    assert "[problem] p" in str(err.value)
-    assert "2*" in str(err.value)
+    # p = 5 gives p+1 = 6 = 2* in 3-D
+    for key, value in (("q", "1.2"), ("q", "0"), ("q", "1"), ("p", "1"), ("p", "5")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[problem]\n{key} = {value}\n")
+        assert str(err.value).startswith(f"[problem] {key}: "), value
+        if key == "p":
+            assert "2* = 6" in str(err.value)
 
 
 def test_parse_rejects_unknown_keys():
@@ -225,7 +225,7 @@ def test_tabulated_phi_via_config(tmp_path):
         assert report["passes"][name], name
 
 
-def test_solve_refuses_inadmissible_without_force(tmp_path):
+def test_solve_refuses_inadmissible_without_force(tmp_path, caplog):
     cfgp = tmp_path / "hot.ini"
     cfgp.write_text(QUICK.replace("lambda = auto:0.5", "lambda = 1e6"))
     out = tmp_path / "out_hot"
@@ -242,6 +242,14 @@ def test_solve_refuses_inadmissible_without_force(tmp_path):
     report = json.loads((out / "solve.json").read_text())
     assert {"minus", "plus", "failures"} <= set(report) and "error" not in report
     assert report["verdict"] == "inadmissible"
+    # its minus branch stops where the line search finds no decrease
+    minus = report["minus"]
+    assert (minus["stop_reason"], minus["iterations"], minus["converged"]) == (
+        "no_decrease",
+        25,
+        False,
+    )
+    assert "branch minus stopped (no_decrease) after 25 iterations" in caplog.text
 
 
 PHI_ROWS = "0.0,1.0\n1.0,1.0\n2.0,1.0\n"
@@ -312,6 +320,16 @@ BAD_PHI_TABLES = {
             "[weights.a] phase",
             id="weights-a-phase",
         ),
+        pytest.param(
+            "[grid]\nnodes = 5\n[solver]\nroot_tol = 1e-12\n",
+            "[solver] root_tol: unknown key",
+            id="root_tol-unknown",
+        ),
+        pytest.param(
+            "[grid]\nnodes = 5\n[output]\nt_samples = true\n",
+            "[output] t_samples: unknown key",
+            id="t_samples-unknown",
+        ),
     ],
 )
 def test_bad_config_values_are_config_errors(tmp_path, capsys, text, address):
@@ -352,6 +370,23 @@ def test_solve_exits_2_below_the_delta_lambda_floor(tmp_path, monkeypatch):
     assert main(["solve", "--config", write_quick(tmp_path), "--out", str(out)]) == 2
     payload = json.loads((out / "solve.json").read_text())
     assert payload["minus"]["invariants"]["delta_lambda_bound_ok"] is False
+
+
+def test_delta_lambda_is_null_above_lambda2(tmp_path):
+    # λ0 = λ2 = 153.8 on this grid: auto:1.2 lies above λ2, auto:0.5 below
+    for lam, above in (("auto:1.2", True), ("auto:0.5", False)):
+        cfgp = tmp_path / "run.ini"
+        cfgp.write_text(QUICK.replace("lambda = auto:0.5", f"lambda = {lam}"))
+        out = tmp_path / lam
+        for command in ("thresholds", "solve"):
+            assert main([command, "--config", str(cfgp), "--out", str(out)]) == 0, lam
+        floor = json.loads((out / "thresholds.json").read_text())["delta_lambda_at_resolved"]
+        invariants = json.loads((out / "solve.json").read_text())["minus"]["invariants"]
+        assert invariants["delta_lambda_floor"] == floor
+        if above:
+            assert floor is None and "delta_lambda_bound_ok" not in invariants
+        else:
+            assert floor > 0.0 and invariants["delta_lambda_bound_ok"] is True
 
 
 def test_default_config_commands_exit_0(tmp_path):

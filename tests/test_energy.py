@@ -14,7 +14,7 @@ from nehari.energy import (
     second_derivative_forms,
 )
 from nehari.errors import DomainError
-from nehari.fibering import project, ray_energy, ray_energy_dt
+from nehari.fibering import ROOT_RTOL, project, ray_energy, ray_energy_dt
 from nehari.grid import Field, Grid, dirichlet_energy, integrate, laplacian, pointwise_energy
 from nehari.phi import constant_model, stuart_model
 
@@ -32,16 +32,15 @@ def test_config_validation():
     a, b = two_lobe_weights(grid)
     with pytest.raises(DomainError):
         ProblemConfig(grid=grid, phi=constant_model(), a=a, b=b, lam=0.0, q=0.5, p=3.0)
-    with pytest.raises(DomainError):
-        ProblemConfig(grid=grid, phi=constant_model(), a=a, b=b, lam=1.0, q=1.2, p=3.0)
-    with pytest.raises(DomainError):
-        # p + 1 must stay below 2* = 6 in three dimensions
-        ProblemConfig(grid=grid, phi=constant_model(), a=a, b=b, lam=1.0, q=0.5, p=5.0)
     base = dict(grid=grid, phi=constant_model(), a=a, b=b, lam=1.0, q=0.5, p=3.0)
     for key, value in (
         ("lam", math.nan),
         ("lam", math.inf),
-        ("root_tol", math.nan),
+        ("q", 1.2),
+        ("q", 0.0),
+        ("q", 1.0),
+        ("p", 1.0),
+        ("p", 5.0),  # p + 1 must stay below 2* = 6 in three dimensions
         ("residual_tol", math.nan),
     ):
         with pytest.raises(DomainError):
@@ -147,7 +146,7 @@ def test_projected_residual_small(cfg_small):
             point = project(u, cfg_small, "minus")
         except Exception:
             continue
-        assert point.constraint <= cfg_small.root_tol * max(1.0, abs(point.gamma2))
+        assert point.constraint <= ROOT_RTOL * max(1.0, abs(point.gamma2))
 
 
 def test_second_derivative_forms_identity(cfg_small):

@@ -142,10 +142,9 @@ def test_stuart_min_offset_values():
 
 
 def test_stuart_min_offset_domain():
-    with pytest.raises(DomainError):
-        stuart_min_offset(1.0, 3.0)
-    with pytest.raises(DomainError):
-        stuart_min_offset(0.5, 1.0)
+    for q, p in ((1.0, 3.0), (0.0, 3.0), (0.5, 1.0)):
+        with pytest.raises(DomainError):
+            stuart_min_offset(q, p)
 
 
 def test_tabulated_matches_closed_form():
@@ -170,7 +169,6 @@ def test_tabulated_validation():
 
 
 def test_verify_hypotheses_domain():
-    with pytest.raises(DomainError):
-        verify_hypotheses(constant_model(1.0), 1.2, 3.0)
-    with pytest.raises(DomainError):
-        verify_hypotheses(constant_model(1.0), 0.5, 0.9)
+    for q, p in ((1.2, 3.0), (0.0, 3.0), (1.0, 3.0), (0.5, 0.9), (0.5, 1.0)):
+        with pytest.raises(DomainError):
+            verify_hypotheses(constant_model(1.0), q, p)

@@ -15,12 +15,19 @@ from nehari.errors import (
     SeedingError,
 )
 from nehari.fibering import CASE_BOTH_NO_ROOT, classify
-from nehari.grid import Field, Grid, estimate_sobolev, make_weight
+from nehari.grid import Field, Grid, _gaussian, estimate_sobolev, make_weight
 from nehari.phi import constant_model, stuart_model, verify_hypotheses
 from nehari.solver import minimize_branch, multistart, seed_field, solve_both
 from nehari.thresholds import compute_thresholds
 
 from conftest import CONFIG_DIR, make_problem, two_lobe_weights
+
+
+def node_bump(cfg, node, sigma):
+    """The seed's Gaussian, centred on a grid node."""
+    grid = cfg.grid
+    center = [grid.axis_coords(k)[i] for k, i in enumerate(node)]
+    return Field(grid, _gaussian(grid, center, sigma))
 
 
 def with_thresholds(cfg0, fraction=0.5):
@@ -66,7 +73,7 @@ def test_seed_error_carries_the_last_diagnosis():
         seed_field(cfg, "plus")
     diag = err.value.diagnosis
     assert diag.case == CASE_BOTH_NO_ROOT
-    narrowest = solver._gaussian_bump(cfg, (0, 0, 0), 0.25 / 2.0**6)
+    narrowest = node_bump(cfg, (0, 0, 0), 0.25 / 2.0**6)
     assert diag == classify(narrowest, cfg)
 
 
@@ -191,7 +198,7 @@ def test_seed_narrowing_reaches_positive_lobe():
     cfg = ProblemConfig(
         grid=grid, phi=constant_model(1.0), a=a, b=b, lam=1.0, q=0.5, p=3.0
     )
-    wide = seed_field.__globals__["_gaussian_bump"](
+    wide = node_bump(
         cfg, np.unravel_index(int(np.argmax(a_vals)), grid.shape), min(grid.lengths) / 4.0
     )
     assert concave_integral(wide, cfg) < 0.0  # the default width would fail
@@ -295,7 +302,7 @@ def test_seed_that_does_not_project_reseeds_once():
     # a bump centred where a is most negative has A < 0: no rising crossing
     cfg, th = with_thresholds(make_problem(phi=constant_model(1.0)))
     sink = np.unravel_index(int(np.argmin(cfg.a.values)), cfg.grid.shape)
-    bad = solver._gaussian_bump(cfg, sink, min(cfg.grid.lengths) / 4.0)
+    bad = node_bump(cfg, sink, min(cfg.grid.lengths) / 4.0)
     with pytest.raises(ProjectionError):
         solver.project_scale(bad, cfg, "plus")
     report = minimize_branch(cfg, "plus", seed=bad, thresholds=th)
@@ -373,9 +380,10 @@ def test_default_seed_is_projected_once(monkeypatch, cfg_const):
         assert calls["at_descent"] == 1, branch
 
 
-def test_descent_builds_one_gradient_per_iteration(monkeypatch):
+def test_descent_builds_one_gradient_per_iteration(monkeypatch, caplog):
     # the start's |G|, the reported |G| and the final full residual are read
-    # from the descent states; only a run stopped by max_iter builds one more
+    # from the descent states; only a run stopped by max_iter builds one more,
+    # and each run's stop_reason says which way it stopped
     energy_module = importlib.import_module("nehari.energy")
     prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
     energy_gradient = energy_module.energy_gradient
@@ -390,12 +398,14 @@ def test_descent_builds_one_gradient_per_iteration(monkeypatch):
     for branch in ("minus", "plus"):
         calls["n"] = 0
         report = minimize_branch(prep.problem, branch, thresholds=prep.thresholds)
-        assert report.converged
+        assert report.converged and report.as_dict()["stop_reason"] == "converged"
         assert calls["n"] == report.iterations, branch
     calls["n"] = 0
     capped = dataclasses.replace(prep.problem, max_iter=5)
     report = minimize_branch(capped, "minus", thresholds=prep.thresholds)
     assert not report.converged and report.iterations == 5
+    assert report.stop_reason == "max_iter"
+    assert "branch minus stopped (max_iter) after 5 iterations" in caplog.text
     assert calls["n"] == 6
 
 
