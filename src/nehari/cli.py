@@ -42,12 +42,25 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_history_csv(path: Path, report) -> None:
+    """One row per iterate; row 0 is the seed, which has no step."""
+
+    def cell(values, i: int) -> str:
+        return repr(values[i]) if 0 <= i < len(values) else ""
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "energy", "residual"])
-        res = report.residual_history
+        writer.writerow(["iteration", "energy", "residual", "alpha", "backtracks", "t_star"])
         for i, e in enumerate(report.energy_history):
-            writer.writerow([i, repr(e), repr(res[i]) if i < len(res) else ""])
+            writer.writerow(
+                [
+                    i,
+                    repr(e),
+                    cell(report.residual_history, i),
+                    cell(report.alpha_history, i - 1),
+                    cell(report.backtrack_history, i - 1),
+                    repr(report.scale_history[i]),
+                ]
+            )
 
 
 def _sobolev_dict(prep: PreparedRun) -> dict:

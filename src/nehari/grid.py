@@ -220,14 +220,20 @@ SOBOLEV_RTOL = 1e-12  # stop once the ratio gains no more than this, relative
 SOBOLEV_MAX_ITER = 5000
 
 
-def _dirichlet_solver(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact (−Δ_h)⁻¹ of the compact stencil, by per-axis sine transforms."""
+def _dirichlet_solver(
+    grid: Grid, shift: float = 0.0
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact (σ − Δ_h)⁻¹ of the compact stencil, σ = ``shift``, by sine transforms.
+
+    σ = 0 is the Sobolev iteration's (−Δ_h)⁻¹; σ = 1 is the solver's H¹
+    preconditioner (I − Δ_h)⁻¹.  The shift adds to the symbol.
+    """
     sines, eigenvalues = [], []
     for n, h in zip(grid.nodes, grid.spacing):
         j = np.arange(1, n + 1)
         sines.append(np.sin(np.pi * np.outer(j, j) / (n + 1)))
         eigenvalues.append(4.0 / h**2 * np.sin(0.5 * np.pi * j / (n + 1)) ** 2)
-    symbol = sum(np.meshgrid(*eigenvalues, indexing="ij"))
+    symbol = sum(np.meshgrid(*eigenvalues, indexing="ij")) + shift
     scale = math.prod(2.0 / (n + 1) for n in grid.nodes)
 
     def transform(values: np.ndarray) -> np.ndarray:

@@ -1,19 +1,31 @@
-"""Projected-descent minimization of the energy on the two Nehari branches.
+"""Minimization of the energy on the two Nehari branches.
 
 Each iterate is kept exactly on the manifold by the fibering projection
-(the one-dimensional scaling root), so the method is plain descent in the
-tangential direction with a backtracking line search that re-projects every
-trial point.  On the manifold the gradient is automatically orthogonal to
-the ray direction; a vanishing tangential residual makes the Lagrange
-multiplier vanish as well (the second ray derivative is nonzero on both
-branches), and the stopping test asserts the full, unprojected gradient
-norm.
+(the one-dimensional scaling root), and the backtracking line search
+re-projects every trial point.  On the manifold the gradient is
+automatically orthogonal to the ray direction; a vanishing tangential
+residual makes the Lagrange multiplier vanish as well (the second ray
+derivative is nonzero on both branches), and the stopping test asserts the
+full, unprojected gradient norm.
 
-A trial point's energy is the J that its projection returns: the exact
-quadrature of Φ at the t*-scaled density of the projection's own ray,
-equal to ``energy`` of the projected field to round-off, not bitwise.  The
-Armijo test uses the step slope −‖d‖², which is ⟨g,d⟩ because d is minus
-the tangential part of the gradient g.
+The search direction is H¹-preconditioned L-BFGS.  The two-loop recursion
+(Nocedal, Math. Comp. 1980) runs on the L² gradient g with the last
+``MEMORY`` pairs (s, y) of iterate and gradient differences, and starts
+from H₀ = γ·P, where P = (I − Δ_h)⁻¹ is the Sobolev-gradient
+preconditioner (Neuberger, LNM 1670) and γ = ⟨s,y⟩/⟨y,Py⟩ comes from the
+newest pair.  The result d is made tangent to the ray in the H¹ metric,
+d ← d − (⟨d,u⟩_{H¹}/⟨u,u⟩_{H¹})·u with ⟨x,u⟩_{H¹} = ⟨x, u − Δ_h u⟩.  A
+pair with ⟨s,y⟩ ≤ ``CURVATURE_RTOL``·|s||y| is skipped.  A direction with
+⟨g,d⟩ ≥ 0 clears the memory, and the empty memory gives the Sobolev
+gradient −(Pg − (⟨g,u⟩/⟨u,u⟩_{H¹})·u).  The preconditioner makes the
+iteration count nearly independent of the grid.  The direction's inner
+products are plain numpy sums, not BLAS dots, so a run is bit-reproducible
+whatever the BLAS threading; exact sums are kept for reported values.
+
+The line search starts at the step 1 and accepts by Armijo with the slope
+⟨g,d⟩.  A trial point's energy is the J that its projection returns: the
+exact quadrature of Φ at the t*-scaled density of the projection's own
+ray, equal to ``energy`` of the projected field to round-off, not bitwise.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,7 +42,14 @@ import numpy as np
 from .energy import ProblemConfig, dual_norm, energy_gradient
 from .errors import NehariError, ProjectionError, SeedingError
 from .fibering import NehariPoint, project_scale, sample_ray
-from .grid import Field, _gaussian, inner, random_smooth_field
+from .grid import (
+    Field,
+    _dirichlet_solver,
+    _gaussian,
+    inner,
+    laplacian,
+    random_smooth_field,
+)
 from .thresholds import ThresholdReport
 
 logger = logging.getLogger(__name__)
@@ -48,10 +68,22 @@ ARMIJO = 1e-4
 SHRINK = 0.5
 ALPHA_MIN = 1e-20
 ENERGY_SLACK = 1e-14
+MEMORY = 8  # L-BFGS pairs kept
+CURVATURE_RTOL = 1e-14  # a pair needs ⟨s,y⟩ above this times |s||y|
 
 
 @dataclass(frozen=True)
 class SolveReport:
+    """One branch's result.
+
+    The histories are per iterate: ``energy_history`` and ``scale_history``
+    (the projection scale t*) start at the seed, ``residual_history`` has
+    one entry per iteration, and ``alpha_history`` and
+    ``backtrack_history`` one per accepted step.  ``counters`` totals the
+    line search's projections, the failed ones, its step halvings, and the
+    L-BFGS memory resets.
+    """
+
     branch: str
     point: NehariPoint
     iterations: int
@@ -60,6 +92,10 @@ class SolveReport:
     stop_reason: str  # "converged", "max_iter" or "no_decrease"
     energy_history: tuple[float, ...]
     residual_history: tuple[float, ...]
+    alpha_history: tuple[float, ...]
+    backtrack_history: tuple[int, ...]
+    scale_history: tuple[float, ...]
+    counters: dict
     invariants: dict
 
     def as_dict(self) -> dict:
@@ -72,6 +108,7 @@ class SolveReport:
             "stop_reason": self.stop_reason,
             "energy_history": list(self.energy_history),
             "residual_history": list(self.residual_history),
+            "counters": dict(self.counters),
             "invariants": dict(self.invariants),
         }
 
@@ -154,18 +191,59 @@ def _projected_seed(
 def _descent_state(u: Field, cfg: ProblemConfig):
     """Gradient data at an on-manifold iterate, each quadrature summed once.
 
-    Returns (g, d, slope, tan_res, full_res, gu): the slope along d is
-    −‖d‖² (see the module docstring) and gu = ⟨g,u⟩ is the Nehari residual.
+    Returns (g, tan_res, full_res, gu): the pointwise (L²-representative)
+    gradient g, the L² norm of its part orthogonal to u and the dual norm
+    of the whole gradient (the two stopping residuals), and the Nehari
+    residual gu = ⟨g,u⟩.
     """
     grid = cfg.grid
     grad_arr = energy_gradient(u, cfg)
-    g = grad_arr / grid.cell_volume  # pointwise (L²-representative) gradient
+    g = grad_arr / grid.cell_volume
     full_res = dual_norm(grad_arr, grid)
     gu = inner(grid, g, u.values)
     uu = inner(grid, u.values, u.values)
-    d = -(g - (gu / uu) * u.values)
-    dd = max(inner(grid, d, d), 0.0)
-    return g, d, -dd, math.sqrt(dd), full_res, gu
+    tangential = g - (gu / uu) * u.values
+    tan_res = math.sqrt(max(inner(grid, tangential, tangential), 0.0))
+    return g, tan_res, full_res, gu
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Plain sum of products, for search directions only (see the module docstring)."""
+    return float(np.sum(x * y))
+
+
+class _LBFGS:
+    """The two-loop recursion with H₀ = γ·(I − Δ_h)⁻¹, tangent to the ray in H¹."""
+
+    def __init__(self, grid) -> None:
+        self.precondition = _dirichlet_solver(grid, shift=1.0)
+        self.pairs: deque = deque(maxlen=MEMORY)  # (s, y, 1/⟨s,y⟩), newest last
+        self.gamma = 1.0
+
+    def clear(self) -> None:
+        self.pairs.clear()
+        self.gamma = 1.0
+
+    def push(self, s: np.ndarray, y: np.ndarray) -> float | None:
+        """Store the pair; return its curvature ⟨s,y⟩ instead if that is too small."""
+        sy = _dot(s, y)
+        if sy <= CURVATURE_RTOL * math.sqrt(_dot(s, s) * _dot(y, y)):
+            return sy
+        self.pairs.append((s, y, 1.0 / sy))
+        self.gamma = sy / _dot(y, self.precondition(y))
+        return None
+
+    def direction(self, g: np.ndarray, u: Field) -> np.ndarray:
+        q = g
+        coeffs = []
+        for s, y, rho in reversed(self.pairs):
+            coeffs.append(rho * _dot(s, q))
+            q = q - coeffs[-1] * y
+        r = self.gamma * self.precondition(q)
+        for (s, y, rho), c in zip(self.pairs, reversed(coeffs)):
+            r = r + (c - rho * _dot(y, r)) * s
+        hu = u.values - laplacian(u)  # the H¹ Riesz map of u
+        return -(r - (_dot(r, hu) / _dot(u.values, hu)) * u.values)
 
 
 def minimize_branch(
@@ -174,7 +252,7 @@ def minimize_branch(
     seed: Field | None = None,
     thresholds: ThresholdReport | None = None,
 ) -> SolveReport:
-    """Minimize the energy over one Nehari branch by projected descent.
+    """Minimize the energy over one Nehari branch by projected L-BFGS descent.
 
     Starts from ``seed``, or from :func:`seed_field` when none is given.  A
     given seed that does not project onto the branch is replaced once by
@@ -184,7 +262,7 @@ def minimize_branch(
     does not.  ``stop_reason`` says why it stopped: ``converged`` once both
     the tangential and the full gradient dual norms fall below the residual
     tolerance, ``max_iter``, or ``no_decrease`` when the line search finds
-    no decrease along the tangential direction.  It runs at any λ:
+    no decrease along the search direction.  It runs at any λ:
     ``thresholds`` only adds the δ_λ floor invariant on the minus branch,
     and judging λ against the thresholds is left to the caller.
     """
@@ -212,66 +290,92 @@ def _run_descent(
     restarts: int,
     t_start: float,
 ) -> SolveReport:
-    """Projected descent from ``start``, a ``project_scale`` result."""
+    """L-BFGS descent from ``start``, a ``project_scale`` result."""
     u, t_star, start_energy = start
+    grid = cfg.grid
     energy_history = [start_energy]
     residual_history: list[float] = []
+    alpha_history: list[float] = []
+    backtrack_history: list[int] = []
+    scale_history = [t_star]
+    counters = dict.fromkeys(
+        ("projections", "failed_projections", "backtracks", "memory_resets"), 0
+    )
     max_constraint = 0.0
     stop_reason = "max_iter"
-    prev_u: np.ndarray | None = None
-    prev_g: np.ndarray | None = None
+    memory = _LBFGS(grid)
     state = _descent_state(u, cfg)
 
     for iterations in range(1, cfg.max_iter + 1):
-        g, d, slope, tan_res, full_res, gu = state
+        g, tan_res, full_res, gu = state
         residual_history.append(tan_res)
         max_constraint = max(max_constraint, abs(gu))
         if tan_res <= cfg.residual_tol and full_res <= cfg.residual_tol:
             stop_reason = "converged"
+            break
+        d = memory.direction(g, u)
+        slope = grid.cell_volume * _dot(g, d)
+        if slope >= 0.0 and memory.pairs:
+            logger.info(
+                "branch %s, iteration %d: <g,d> = %.3e >= 0; L-BFGS memory cleared, "
+                "Sobolev gradient used",
+                branch,
+                iterations,
+                slope,
+            )
+            memory.clear()
+            counters["memory_resets"] += 1
+            d = memory.direction(g, u)
+            slope = grid.cell_volume * _dot(g, d)
+        if not slope < 0.0:
+            stop_reason = "no_decrease"  # not even the Sobolev gradient descends
             break
         current = energy_history[-1]
         slack = ENERGY_SLACK * (1.0 + abs(current))
         # decreases smaller than this drown in evaluation rounding of J
         vis_floor = 0.5 * np.finfo(float).eps * (1.0 + abs(current))
 
-        # Barzilai-Borwein warm start for the backtracking search, capped at
-        # the nominal unit step; Armijo acceptance below keeps monotonicity.
-        alpha = 1.0
-        if prev_u is not None:
-            du = u.values - prev_u
-            dg = g - prev_g
-            denom = inner(cfg.grid, du, dg)
-            if denom > 0.0:
-                alpha = min(1.0, inner(cfg.grid, du, du) / denom)
-                alpha = max(alpha, ALPHA_MIN)
-        prev_u, prev_g = u.values, g
-
+        alpha, backtracks = 1.0, 0
         accepted = None
         while alpha >= ALPHA_MIN:
-            trial_values = u.values + alpha * d
+            counters["projections"] += 1
             try:
-                trial_u, trial_scale, trial_energy = project_scale(
-                    Field(cfg.grid, trial_values), cfg, branch
-                )
+                trial = project_scale(Field(grid, u.values + alpha * d), cfg, branch)
             except ProjectionError:
-                alpha *= SHRINK
-                continue
-            decrease_needed = -ARMIJO * alpha * slope
-            if trial_energy <= current - decrease_needed:
-                accepted = (trial_u, trial_energy, trial_scale)
-                break
-            if decrease_needed < vis_floor and trial_energy <= current + slack:
-                # rounding plateau: the certified decrease is unmeasurable,
-                # but the step is non-increasing within evaluation noise
-                accepted = (trial_u, trial_energy, trial_scale)
-                break
+                counters["failed_projections"] += 1
+            else:
+                trial_energy = trial[2]
+                decrease_needed = -ARMIJO * alpha * slope
+                if trial_energy <= current - decrease_needed:
+                    accepted = trial
+                    break
+                if decrease_needed < vis_floor and trial_energy <= current + slack:
+                    # rounding plateau: the certified decrease is unmeasurable,
+                    # but the step is non-increasing within evaluation noise
+                    accepted = trial
+                    break
             alpha *= SHRINK
+            backtracks += 1
+        counters["backtracks"] += backtracks
         if accepted is None:
-            stop_reason = "no_decrease"  # along the tangential direction
+            stop_reason = "no_decrease"  # along the search direction
             break
-        u, new_energy, t_star = accepted
+        new_u, t_star, new_energy = accepted
+        # the new state is read by the report if max_iter stops here
+        new_state = _descent_state(new_u, cfg)
+        curvature = memory.push(new_u.values - u.values, new_state[0] - g)
+        if curvature is not None:
+            logger.info(
+                "branch %s, iteration %d: <s,y> = %.3e too small; L-BFGS pair skipped",
+                branch,
+                iterations,
+                curvature,
+            )
+        u, state = new_u, new_state
         energy_history.append(new_energy)
-        state = _descent_state(u, cfg)  # read by the report if max_iter stops here
+        alpha_history.append(alpha)
+        backtrack_history.append(backtracks)
+        scale_history.append(t_star)
 
     *_, full_res, gu = state  # the final field's own gradient data
     # γ'' and J of the final field from one fresh ray of that field, not from
@@ -329,6 +433,10 @@ def _run_descent(
         stop_reason=stop_reason,
         energy_history=tuple(energy_history),
         residual_history=tuple(residual_history),
+        alpha_history=tuple(alpha_history),
+        backtrack_history=tuple(backtrack_history),
+        scale_history=tuple(scale_history),
+        counters=counters,
         invariants=invariants,
     )
 

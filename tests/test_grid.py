@@ -10,6 +10,7 @@ from nehari.errors import ConfigError, DomainError
 from nehari.grid import (
     Field,
     Grid,
+    _dirichlet_solver,
     dirichlet_energy,
     estimate_sobolev,
     gradient,
@@ -290,6 +291,29 @@ def test_sobolev_reference_values():
         est = estimate_sobolev(Grid(nodes=(n, n, n), lengths=(1.0, 1.0, 1.0)), order)
         assert est.method == "inverse-power"
         assert abs(est.value - value) <= 1e-8 * value, (n, order)
+
+
+def test_sobolev_values_are_bitwise_stable():
+    # the shift argument of the sine-transform solver leaves shift 0 untouched
+    expected = {
+        (9, 1.5): "0x1.4d7dea36689c1p-3",
+        (9, 4.0): "0x1.2104c2374b23cp-2",
+        (17, 1.5): "0x1.4d793fb71150fp-3",
+        (17, 4.0): "0x1.196ec3a209a8ep-2",
+    }
+    for (n, order), value in expected.items():
+        est = estimate_sobolev(Grid(nodes=(n, n, n), lengths=(1.0, 1.0, 1.0)), order)
+        assert est.value.hex() == value, (n, order)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0])
+def test_shifted_dirichlet_solver_inverts_the_stencil(shift):
+    grid = Grid(nodes=(5, 7, 6), lengths=(1.0, 1.7, 0.6))
+    u = random_smooth_field(grid, np.random.default_rng(4)).values
+    u = u + 0.1 * np.random.default_rng(5).standard_normal(grid.shape)
+    rhs = shift * u - laplacian(Field(grid, u))
+    back = _dirichlet_solver(grid, shift)(rhs)
+    assert np.max(np.abs(back - u)) <= 1e-12 * np.max(np.abs(u))
 
 
 def _sign_warnings(caplog) -> list[str]:

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import logging
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from nehari.solver import minimize_branch, multistart, seed_field, solve_both
 from nehari.thresholds import compute_thresholds
 
 from conftest import CONFIG_DIR, make_problem, two_lobe_weights
+
+PANEL_FRACTIONS = (0.41, 0.47, 0.5, 0.53, 0.59)  # the solve benchmark's λ/λ₀
 
 
 def node_bump(cfg, node, sigma):
@@ -207,8 +210,8 @@ def test_seed_narrowing_reaches_positive_lobe():
 
 
 def test_projection_reads_few_phi_values():
-    # mean raw_phi calls per projection over whole stuart 9^3 solves at two
-    # of the benchmark panel's lambda fractions, together over 1000 projections
+    # mean raw_phi calls per projection over whole stuart 9^3 solves at the
+    # benchmark panel's five lambda fractions, together over 200 projections
     prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
     counts = {"phi": 0, "projections": 0, "inside": False}
     raw_phi = prep.problem.phi.raw_phi
@@ -230,18 +233,19 @@ def test_projection_reads_few_phi_values():
     phi = dataclasses.replace(prep.problem.phi, raw_phi=counted_phi)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "project_scale", counted_projection)
-        for fraction in (0.47, 0.5):
+        for fraction in PANEL_FRACTIONS:
             lam = fraction * prep.thresholds.lambda0
             cfg = dataclasses.replace(prep.problem, phi=phi, lam=lam)
             pair = solve_both(cfg, thresholds=prep.thresholds)
             assert not pair.failures and pair.ordering_ok
-    assert counts["projections"] > 1000
+    assert counts["projections"] > 200
     assert counts["phi"] / counts["projections"] <= 15.0
 
 
 def test_descent_sums_each_quadrature_once():
-    # exact sums per descent iteration over a whole stuart 9^3 solve: a trial
-    # takes its energy from its projection, so energy() is never called
+    # exact sums per descent iteration over whole stuart 9^3 solves at the
+    # benchmark panel's five lambda fractions: a trial takes its energy from
+    # its projection, so energy() is never called
     import nehari.fibering as fibering
     import nehari.grid as grid_module
 
@@ -265,10 +269,13 @@ def test_descent_sums_each_quadrature_once():
                 mp.setattr(mod, "_fsum", counted_fsum)
             if getattr(mod, "energy", None) is energy:
                 mp.setattr(mod, "energy", counted_energy)
-        pair = solve_both(prep.problem, thresholds=prep.thresholds)
-    assert not pair.failures and pair.ordering_ok
-    iterations = pair.minus.iterations + pair.plus.iterations
-    assert iterations > 500
+        iterations = 0
+        for fraction in PANEL_FRACTIONS:
+            cfg = dataclasses.replace(prep.problem, lam=fraction * prep.thresholds.lambda0)
+            pair = solve_both(cfg, thresholds=prep.thresholds)
+            assert not pair.failures and pair.ordering_ok
+            iterations += pair.minus.iterations + pair.plus.iterations
+    assert iterations > 200
     assert counts["energy"] == 0
     assert counts["fsum"] / iterations <= 14.0
 
@@ -444,3 +451,62 @@ def test_one_dimensional_refinement_converges_at_second_order():
     for branch, (coarse, mid, fine) in energies.items():
         order = math.log2((mid - coarse) / (fine - mid))
         assert order >= 1.8, (branch, order)
+
+
+@pytest.mark.parametrize("name, growth", [("constant", 2.0), ("stuart", 3.0)])
+def test_iteration_counts_do_not_grow_with_the_grid(name, growth):
+    # lambda = auto:0.5 on 9^3 and 17^3: both branches converge on both
+    # grids, and a count that grows like h⁻² (3.2× here) fails.  Measured
+    # minus/plus: constant 13/31 -> 24/44, stuart 13/31 -> 31/71, where the
+    # 17^3 N⁻ bump sharpens to a grid-scale spike and the N⁺ residual creeps
+    # near the tolerance.
+    text = (CONFIG_DIR / f"reference_{name}.ini").read_text()
+    counts = {}
+    for n in (9, 17):
+        prep = prepare_run(parse_config(text.replace("nodes = 9", f"nodes = {n}")))
+        assert prep.problem.grid.nodes == (n, n, n)
+        pair = solve_both(prep.problem, thresholds=prep.thresholds)
+        assert not pair.failures
+        for report in (pair.minus, pair.plus):
+            assert report.stop_reason == "converged", (n, report.branch)
+        counts[n] = {"minus": pair.minus.iterations, "plus": pair.plus.iterations}
+    for branch in ("minus", "plus"):
+        coarse, fine = counts[9][branch], counts[17][branch]
+        assert max(coarse, fine) <= growth * min(coarse, fine), (branch, counts)
+
+
+def test_counters_add_up_over_the_line_searches():
+    # every trial is one projection: the accepted one of each step, and one
+    # per halving; a failed projection is always followed by a halving
+    prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
+    report = minimize_branch(prep.problem, "plus", thresholds=prep.thresholds)
+    assert report.converged
+    counters = report.counters
+    steps = len(report.alpha_history)
+    assert steps == len(report.backtrack_history) == report.iterations - 1
+    assert len(report.scale_history) == len(report.energy_history) == steps + 1
+    assert counters["backtracks"] == sum(report.backtrack_history) > 0
+    assert counters["projections"] == steps + counters["backtracks"]
+    assert 0 < counters["failed_projections"] <= counters["backtracks"]
+    assert report.alpha_history == tuple(
+        solver.SHRINK**k for k in report.backtrack_history
+    )
+    assert report.scale_history[-1] == report.point.scale
+
+
+def test_ascent_direction_clears_the_memory(monkeypatch, caplog, cfg_const):
+    # an L-BFGS direction that does not descend is replaced by the Sobolev
+    # gradient of an emptied memory, and the log says why
+    direction = solver._LBFGS.direction
+
+    def ascending(self, g, u):
+        d = direction(self, g, u)
+        return -d if self.pairs else d
+
+    monkeypatch.setattr(solver._LBFGS, "direction", ascending)
+    caplog.set_level(logging.INFO, logger="nehari.solver")
+    report = minimize_branch(cfg_const, "minus")
+    assert report.converged
+    resets = report.counters["memory_resets"]
+    assert resets == report.iterations - 2  # every step after the first
+    assert caplog.text.count("L-BFGS memory cleared") == resets
