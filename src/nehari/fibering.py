@@ -30,12 +30,14 @@ points place a bracket that holds that crossing and no other.  The balance
 peak is solved only when they cannot, when the tangency rule needs it, or
 when a diagnosis reports it.  Brackets are capped at [smallest normal
 double, 1e9]; every downward search meets a guaranteed sign change before
-0⁺.  Reported values use the exact compensated quadrature; root loops use
+0⁺.  Reported values use the correctly rounded quadrature; root loops use
 plain deterministic vector sums on the unit-energy copy of the ray (the
 stopping tolerance, not summation error, limits root accuracy).  A
 projection reports J(t*·u) as γ(t*) of the ray it has already built: one
 exact Φ sum at the t*-scaled density, with A and B scaled by powers of t*.
 That equals ``energy`` of the projected field to round-off, not bitwise.
+A table of the ray over many t evaluates φ on (t, node) blocks and sums
+each row correctly rounded, so it is bitwise the per-t public functions.
 """
 
 from __future__ import annotations
@@ -45,13 +47,13 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .energy import ProblemConfig, _check_field, concave_integral, convex_integral
 from .errors import BracketError, DomainError, ProjectionError
-from .grid import Field, integrate, pointwise_energy
+from .grid import Field, _exact_sums, integrate, pointwise_energy
 
 __all__ = [
     "FiberingDiagnosis",
@@ -84,6 +86,9 @@ BRACKET_GROW = 2.0
 TANGENT_RTOL = 1e-10
 ROOT_RTOL = 1e-12  # a root search stops at a step of at most ROOT_RTOL·t
 MAX_REFINE = 200
+# (t, node) entries per block of sample_ray: 16 values of t on a 9³ grid, under
+# 100 kB per array; it, not the number of t, bounds the table's working memory
+SAMPLE_BLOCK_ELEMENTS = 12_000
 
 CASE_NEITHER = "neither_positive"
 CASE_CONCAVE_ONLY = "concave_only"
@@ -147,6 +152,25 @@ class _Ray:
         if order >= 2:
             out.append(self._sum(self.phi.raw_d2phi(arg) * self.density2 * self.density))
         return out
+
+    def block_sums(self, t: np.ndarray) -> Iterator[tuple[float, float, float]]:
+        """(bulk, m_0, m_1) at each t of a block, from (t, node) arrays.
+
+        The arrays hold the products :meth:`bulk` and :meth:`moments` form,
+        and every row sum is correctly rounded, so on an exact ray each value
+        is bitwise theirs.
+        """
+        density = self.density.ravel()
+        arg = density * (t * t / 2.0)[:, None]
+
+        def sums(rows: np.ndarray) -> list[float]:
+            return (self.grid.cell_volume * _exact_sums(rows)).tolist()
+
+        # one (t, node) integrand alive at a time
+        bulk = sums(self.phi.raw_Phi(arg))
+        m0 = sums(self.phi.raw_phi(arg) * density)
+        m1 = sums(self.phi.raw_dphi(arg) * self.density2.ravel())
+        return zip(bulk, m0, m1)
 
     def gamma(self, t: float, bulk: float) -> float:
         q, p = self.q, self.p
@@ -601,19 +625,28 @@ def project(u: Field, cfg: ProblemConfig, branch: str) -> NehariPoint:
 def sample_ray(u: Field, cfg: ProblemConfig, t_values) -> dict[str, list[float]]:
     """Tabulate γ, γ', γ'', m, η along the ray (for diagnosis CSV output).
 
-    The field is read once; each t costs one Φ bulk and one (m_0, m_1).
+    Every t is checked before any φ evaluation.  The field is read once; Φ's
+    bulk and (m_0, m_1) are evaluated on (t, node) blocks of at most
+    ``SAMPLE_BLOCK_ELEMENTS`` entries and summed row by row, correctly
+    rounded, so each value is bitwise that of the public ray functions.
     """
+    ts = np.array([_check_t(t) for t in t_values])
     ray = _Ray(u, cfg)
-    out: dict[str, list[float]] = {
-        key: [] for key in ("t", "gamma", "gamma_dt", "gamma_dt2", "balance", "peak_eq")
-    }
-    for t in t_values:
-        t = _check_t(t)
-        bulk, (m0, m1) = ray.bulk(t), ray.moments(t)
-        out["t"].append(t)
-        out["gamma"].append(ray.gamma(t, bulk))
-        out["gamma_dt"].append(ray.gamma_dt(t, m0))
-        out["gamma_dt2"].append(ray.gamma_dt2(t, m0, m1))
-        out["balance"].append(ray.balance(t, m0))
-        out["peak_eq"].append(ray.peak_eq(t, m0, m1))
-    return out
+    # the columns become Python floats only at the end: lists grown per t
+    # would add ~170 bytes per t to the working memory
+    table = np.empty((6, ts.size))
+    table[0] = ts
+    rows = max(1, SAMPLE_BLOCK_ELEMENTS // ray.density.size)
+    for start in range(0, ts.size, rows):
+        block = ts[start : start + rows]
+        sums = ray.block_sums(block)
+        for j, (t, (bulk, m0, m1)) in enumerate(zip(block.tolist(), sums), start):
+            table[1:, j] = (
+                ray.gamma(t, bulk),
+                ray.gamma_dt(t, m0),
+                ray.gamma_dt2(t, m0, m1),
+                ray.balance(t, m0),
+                ray.peak_eq(t, m0, m1),
+            )
+    keys = ("t", "gamma", "gamma_dt", "gamma_dt2", "balance", "peak_eq")
+    return dict(zip(keys, table.tolist()))

@@ -8,8 +8,10 @@ node-valued fields over this grid.  The conventions are:
 * every difference is a compact edge difference Δu/h, so the energy, its
   gradient and the Sobolev constants share one quadratic form,
 * quadrature is the node rule (cell volume times node sum), which under
-  the zero boundary is the trapezoid rule, and is reduced with exact
-  compensated summation in lexicographic order for bit-reproducibility.
+  the zero boundary is the trapezoid rule.  The node sum is correctly
+  rounded, so it does not depend on the order of the terms: one array goes
+  to ``math.fsum``, the rows of a batch to :func:`_exact_sums`, and both
+  give the same bits.
 """
 
 from __future__ import annotations
@@ -46,8 +48,57 @@ __all__ = [
 
 
 def _fsum(values: np.ndarray) -> float:
-    """Exactly rounded sum over the C-order (lexicographic) ravel."""
+    """Correctly rounded sum of all entries, so their order does not matter."""
     return math.fsum(values.ravel(order="C").tolist())
+
+
+# a row sum is vectorised only when the largest magnitude lies strictly in
+# (2**-_EXTRACT_EXP, 2**_EXTRACT_EXP): no overflow, and the error bounds never
+# meet underflow
+_EXTRACT_EXP = 900
+
+
+def _exact_sums(rows: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum of each row of a 2-D array, bitwise ``math.fsum``'s.
+
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
+    2008): with μ = max|x| < 2^e and σ = 2^{e+M}, 2^M ≥ n + 2, the high
+    parts q = (σ + x) − σ are multiples of ulp(σ)/2 whose sum τ is exact in
+    any order, and x = q + r exactly.  R = fl(τ + Σr) then differs from the
+    exact sum by at most |δ| + β, where δ is the TwoSum error of the last
+    addition and β = 2n·2⁻⁵³·Σ|r| bounds the error of the float Σr.  R is
+    the correctly rounded sum when that is below half the smaller gap next
+    to R.  A row that fails this test, sums to 0, or has μ outside
+    (2⁻⁹⁰⁰, 2⁹⁰⁰) (ties, signed zeros, non-finite entries) goes to
+    ``math.fsum``, so it gives the same value or raises the same error.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if len(rows) == 1:  # one row: fsum alone is faster than the passes below
+        return np.array([math.fsum(rows[0].tolist())])
+    n = rows.shape[1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        mu = np.max(np.abs(rows), axis=1)
+        sigma = np.ldexp(1.0, np.frexp(mu)[1] + (n + 1).bit_length())[:, None]
+        q = sigma + rows
+        q -= sigma
+        r = rows - q
+        tau = np.add.reduce(q, axis=1)
+        err = np.add.reduce(r, axis=1)
+        beta = (2.0 * n * 2.0**-53) * np.add.reduce(np.abs(r, out=r), axis=1)
+        R = tau + err
+        z = R - tau
+        delta = (tau - (R - z)) + (err - z)
+        # the gap below |R| is the smaller one; it is 0 at R = 0
+        size = np.abs(R)
+        half_gap = 0.5 * (size - np.nextafter(size, 0.0))
+        ok = (
+            (np.abs(delta) + beta < half_gap)
+            & (mu > 2.0**-_EXTRACT_EXP)
+            & (mu < 2.0**_EXTRACT_EXP)
+        )
+    for i in np.flatnonzero(~ok):
+        R[i] = math.fsum(rows[i].tolist())
+    return R
 
 
 @dataclass(frozen=True)

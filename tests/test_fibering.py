@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nehari import fibering
 from nehari.energy import concave_integral, convex_integral, energy, second_derivative_forms
 from nehari.config import parse_config, prepare_run
 from nehari.errors import BracketError, DomainError, ProjectionError
@@ -445,10 +447,7 @@ def test_sample_ray_table(cfg_small):
     )
 
 
-def test_sample_ray_matches_public_functions_bitwise(cfg_small):
-    u = smooth_fields(cfg_small.grid, 1, seed=46)[0]
-    t_values = [0.01, 0.7, 1.0, 3.3, 50.0]
-    table = sample_ray(u, cfg_small, t_values)
+def test_sample_ray_matches_public_functions_bitwise(cfg_small, cfg_const, cfg_stuart9):
     public = {
         "gamma": ray_energy,
         "gamma_dt": ray_energy_dt,
@@ -456,9 +455,59 @@ def test_sample_ray_matches_public_functions_bitwise(cfg_small):
         "balance": ray_balance,
         "peak_eq": peak_equation,
     }
-    for i, t in enumerate(t_values):
-        for key, fn in public.items():
-            assert table[key][i] == fn(u, t, cfg_small), (key, t)
+    for cfg in (cfg_small, cfg_const, cfg_stuart9):
+        u = smooth_fields(cfg.grid, 1, seed=46)[0]
+        # more than two blocks of t, the last one partial
+        rows = fibering.SAMPLE_BLOCK_ELEMENTS // cfg.grid.size
+        t_values = [0.01, 0.7, 1.0, 3.3, 50.0] + np.logspace(-2.5, 2.5, 2 * rows).tolist()
+        table = sample_ray(u, cfg, t_values)
+        assert table["t"] == t_values
+        for i, t in enumerate(t_values):
+            for key, fn in public.items():
+                assert table[key][i] == fn(u, t, cfg), (cfg.phi.kind, key, t)
+
+
+def counting_phi(cfg):
+    """cfg with a φ whose raw evaluators count their calls in ``calls``."""
+    calls = []
+
+    def count(fn):
+        return lambda s: calls.append(1) or fn(s)
+
+    names = ("raw_Phi", "raw_phi", "raw_dphi", "raw_d2phi")
+    phi = dataclasses.replace(cfg.phi, **{k: count(getattr(cfg.phi, k)) for k in names})
+    return dataclasses.replace(cfg, phi=phi), calls
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_sample_ray_checks_every_t_before_any_phi_work(cfg_small, bad):
+    cfg, calls = counting_phi(cfg_small)
+    u = smooth_fields(cfg.grid, 1, seed=46)[0]
+    with pytest.raises(DomainError) as expected:
+        ray_energy_dt(u, bad, cfg)
+    calls.clear()
+    with pytest.raises(DomainError) as err:
+        sample_ray(u, cfg, [0.5, 1.0, bad, 2.0])
+    assert str(err.value) == str(expected.value)
+    assert str(err.value) == f"ray derivative functions need t > 0, got {bad}"
+    assert calls == []
+
+
+def test_sample_ray_memory_does_not_grow_with_the_t_list(cfg_stuart9):
+    u = smooth_fields(cfg_stuart9.grid, 1, seed=48)[0]
+    sample_ray(u, cfg_stuart9, [1.0, 2.0])  # warm up lazy set-up
+
+    def peak(count: int) -> int:
+        t_values = np.logspace(-2, 2, count)
+        tracemalloc.start()
+        try:
+            sample_ray(u, cfg_stuart9, t_values)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(201), peak(2001)
+    assert large <= 1.5 * small, (small, large)
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,21 @@ import copy
 import logging
 import math
 import pickle
+import types
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nehari import grid as grid_module
 from nehari.errors import ConfigError, DomainError
 from nehari.grid import (
     Field,
     Grid,
     _dirichlet_solver,
+    _exact_sums,
     dirichlet_energy,
     estimate_sobolev,
     gradient,
@@ -120,7 +126,7 @@ def test_integrate_sin_squared():
 
 def test_integrate_antisymmetric_cancellation():
     # h = 1/8 keeps the node coordinates exact in binary, so mirror nodes
-    # carry exactly opposite values and the compensated sum cancels to zero
+    # carry exactly opposite values and the correctly rounded sum is zero
     g = Grid(nodes=(7, 7), lengths=(1.0, 1.0))
     x, y = g.coords()
     w = (x - 0.5) * np.exp(-((y - 0.5) ** 2))
@@ -434,3 +440,87 @@ def test_grid_geometry_cache_keeps_equality_and_hash():
     for twin in (pickle.loads(pickle.dumps(grid)), copy.copy(grid)):
         assert twin == grid and hash(twin) == hash(grid)
         assert twin.spacing == spacing and twin.cell_volume == volume
+
+
+# -- the vectorised exact row sums --------------------------------------------
+
+
+@st.composite
+def hard_row(draw, n: int) -> np.ndarray:
+    """One row of n floats built to hit a hard case of correct rounding."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["spread", "cancel", "tie", "zeros", "subnormal", "special"]))
+    # with the ±2**40 spread below, magnitudes reach 2**±997, about 1e±300
+    base = draw(st.integers(-957, 957))
+    spread = rng.standard_normal(n) * np.ldexp(1.0, rng.integers(-40, 41, n) + base)
+    row = np.zeros(n)
+    if kind == "spread":
+        row = spread
+    elif kind == "cancel":
+        # pairs x, −x and a remainder of nothing, a few ulps, or a subnormal
+        m = (n - 1) // 2
+        row[:m], row[m : 2 * m] = spread[:m], -spread[:m]
+        row[-1] = draw(st.sampled_from([0.0, 2.0**-60 * abs(spread[0]), 5e-324]))
+    elif kind == "tie":
+        # 1 ± 2⁻ʲ, j ∈ {52, 53, 54}, is a tie or next to one, and next to a
+        # power of two; ±2⁻¹¹⁰ breaks the tie or not; c, −c cancel exactly
+        c = float(rng.standard_normal())
+        terms = [
+            1.0,
+            draw(st.sampled_from([1.0, -1.0])) * 2.0 ** -draw(st.sampled_from([52, 53, 54])),
+            draw(st.sampled_from([0.0, 2.0**-110, -(2.0**-110)])),
+            c,
+            -c,
+        ]
+        row[:5] = np.ldexp(terms, base)
+    elif kind == "zeros":
+        row = np.where(rng.random(n) < draw(st.floats(0.0, 1.0)), -0.0, 0.0)
+    elif kind == "subnormal":
+        row = rng.integers(-(2**20), 2**20, n) * 5e-324
+        row[0] = draw(st.sampled_from([0.0, 2.0**-1000, -(2.0**-1022)]))
+    else:
+        row = spread.copy()
+        special = [math.inf, -math.inf, math.nan, 1.7e308]
+        row[0] = draw(st.sampled_from(special))
+        row[-1] = draw(st.sampled_from(special + [1.0]))
+    return rng.permutation(row)
+
+
+@st.composite
+def hard_rows(draw) -> np.ndarray:
+    n = draw(st.integers(5, 1000))
+    return np.stack([draw(hard_row(n)) for _ in range(draw(st.integers(2, 5)))])
+
+
+def test_exact_sums_are_fsum_bitwise():
+    paths: Counter = Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(rows=hard_rows())
+    def check(rows):
+        expected = []
+        for row in rows:
+            try:
+                expected.append(math.fsum(row.tolist()))
+            except (OverflowError, ValueError) as exc:
+                # the kernel sums rows in order: it raises the first row's error
+                with pytest.raises(type(exc)):
+                    _exact_sums(rows)
+                return
+        fallbacks = []
+        proxy = types.SimpleNamespace(**vars(math))
+        proxy.fsum = lambda values: fallbacks.append(1) or math.fsum(values)
+        with mock.patch.object(grid_module, "math", proxy):
+            got = _exact_sums(rows)
+        paths["fallback"] += len(fallbacks)
+        paths["vectorised"] += len(rows) - len(fallbacks)
+        assert got.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+
+    check()
+    # both paths ran: ties, zeros, subnormals and specials fall back
+    assert paths["vectorised"] > 0 and paths["fallback"] > 0, paths
+
+
+def test_exact_sums_of_one_row_is_fsum():
+    row = np.array([[1.0, 2.0**-53, 2.0**-110]])
+    assert _exact_sums(row).tolist() == [math.fsum(row[0].tolist())] == [1.0 + 2.0**-52]
