@@ -73,16 +73,26 @@ def _check_field(u: Field, cfg: ProblemConfig) -> None:
         raise DomainError("field lives on a different grid than the problem")
 
 
+def _concave_density(u: Field, cfg: ProblemConfig) -> np.ndarray:
+    """Node values of a |u|^{q+1}."""
+    return cfg.a.values * np.abs(u.values) ** (cfg.q + 1.0)
+
+
+def _convex_density(u: Field, cfg: ProblemConfig) -> np.ndarray:
+    """Node values of b |u|^{p+1}."""
+    return cfg.b.values * np.abs(u.values) ** (cfg.p + 1.0)
+
+
 def concave_integral(u: Field, cfg: ProblemConfig) -> float:
     """∫ a |u|^{q+1}."""
     _check_field(u, cfg)
-    return integrate(cfg.grid, cfg.a.values * np.abs(u.values) ** (cfg.q + 1.0))
+    return integrate(cfg.grid, _concave_density(u, cfg))
 
 
 def convex_integral(u: Field, cfg: ProblemConfig) -> float:
     """∫ b |u|^{p+1}."""
     _check_field(u, cfg)
-    return integrate(cfg.grid, cfg.b.values * np.abs(u.values) ** (cfg.p + 1.0))
+    return integrate(cfg.grid, _convex_density(u, cfg))
 
 
 def energy(u: Field, cfg: ProblemConfig) -> float:

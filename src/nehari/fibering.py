@@ -26,9 +26,13 @@ bracket, replaced by bisection whenever a step would leave the bracket
 peaks are roots of decreasing functions, so the sign at the start says
 which way to walk.  Trial points of a descent lie next to a branch
 crossing: since m is unimodal, the signs of m − λA and of m' at the walk's
-points place a bracket that holds that crossing and no other.  The balance
-peak is solved only when they cannot, when the tangency rule needs it, or
-when a diagnosis reports it.  Brackets are capped at [smallest normal
+points place a bracket that holds that crossing and no other.  A first
+point with m − λA inside the tangency band may lie on a tangent ray; the
+peak is the maximum of m, so one probe a factor 2 toward the peak with
+m − λA above the band rules that out, and settles a descent's trial points,
+which sit at their own crossing.  The balance peak is solved only when the
+signs cannot place the bracket, when no probe settles the band, or when a
+diagnosis reports it.  Brackets are capped at [smallest normal
 double, 1e9]; every downward search meets a guaranteed sign change before
 0⁺.  Reported values use the correctly rounded quadrature; root loops use
 plain deterministic vector sums on the unit-energy copy of the ray (the
@@ -51,7 +55,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .energy import ProblemConfig, _check_field, concave_integral, convex_integral
+from .energy import ProblemConfig, _check_field, _concave_density, _convex_density
 from .errors import BracketError, DomainError, ProjectionError
 from .grid import Field, _exact_sums, integrate, pointwise_energy
 
@@ -114,9 +118,10 @@ class _Ray:
         self.phi, self.q, self.p, self.lam = cfg.phi, cfg.q, cfg.p, cfg.lam
         self.density = pointwise_energy(u)
         self.density2 = self.density**2
-        self.energy_int = integrate(cfg.grid, self.density)
-        self.concave = concave_integral(u, cfg)
-        self.convex = convex_integral(u, cfg)
+        # ∫ρ, A and B in one pass of correctly rounded row sums
+        rows = np.stack([self.density, _concave_density(u, cfg), _convex_density(u, cfg)])
+        sums = cfg.grid.cell_volume * _exact_sums(rows.reshape(3, -1))
+        self.energy_int, self.concave, self.convex = sums.tolist()
         self.exact = True
         self.scale = 1.0  # the scaling of this ray that gives the input field
 
@@ -138,7 +143,7 @@ class _Ray:
     def _sum(self, values: np.ndarray) -> float:
         if self.exact:
             return integrate(self.grid, values)
-        return self.grid.cell_volume * float(np.sum(values))
+        return self.grid.cell_volume * float(values.sum())
 
     def bulk(self, t: float) -> float:
         return self._sum(self.phi.raw_Phi(self.density * (t * t / 2.0)))
@@ -257,16 +262,16 @@ class _Ray:
 
 def _check_t(t: float) -> float:
     t = float(t)
-    if t <= 0.0:
-        raise DomainError(f"ray derivative functions need t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"ray derivative functions need a finite t > 0, got {t}")
     return t
 
 
 def ray_energy(u: Field, t: float, cfg: ProblemConfig) -> float:
     """γ(t) = J(t·u); defined for t >= 0 with γ(0) = 0."""
     t = float(t)
-    if t < 0.0:
-        raise DomainError(f"ray energy needs t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"ray energy needs a finite t >= 0, got {t}")
     ray = _Ray(u, cfg)
     return ray.gamma(t, ray.bulk(t))
 
@@ -316,8 +321,8 @@ def peak_equation_dt(u: Field, t: float, cfg: ProblemConfig) -> float:
 def bare_ray_energy(u: Field, t: float, cfg: ProblemConfig) -> float:
     """Ray energy with the concave term dropped."""
     t = float(t)
-    if t < 0.0:
-        raise DomainError(f"bare ray energy needs t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"bare ray energy needs a finite t >= 0, got {t}")
     ray = _Ray(u, cfg)
     return ray.bare(t, ray.bulk(t))
 
@@ -397,8 +402,13 @@ def _branch_root(ray: _Ray, branch: str) -> float:
     ``plus`` is the rising crossing, ``minus`` the falling one.  From the
     warm start ``ray.scale`` the search walks toward the peak until
     f = m − λA ≥ 0, then away from it on the branch's side until f < 0.
-    The peak is solved only when the walk passes it with f < 0 throughout,
-    or when the first f ≥ 0 is too small to rule out a tangent ray.
+    A first f ≥ 0 within the tangency band may sit on a tangent ray.  On
+    the branch's side of the peak, one probe a factor 2 toward it with f
+    above the band rules that out (m(peak) ≥ m(probe)), and the search goes
+    on from that first point.  The peak is solved only when the walk passes
+    it with f < 0 throughout, or when a first f in the band lies at m' = 0
+    or past the peak, or its probe does not clear the band or falls beyond
+    the bracket caps.
     """
     lamA, B = ray.lam * ray.concave, ray.convex
     rising = branch == "plus"
@@ -412,6 +422,13 @@ def _branch_root(ray: _Ray, branch: str) -> float:
         m0, m1 = ray.moments(t)
         return _Point(t, ray.balance(t, m0) - lamA, ray.balance_dt(t, m0, m1))
 
+    def probe_clears_band(pt: _Point) -> bool:
+        """Whether a probe toward the peak from ``pt`` lies above the band."""
+        if pt.df == 0.0 or (pt.df > 0.0) != rising:
+            return False
+        t = pt.t * BRACKET_GROW if rising else pt.t / BRACKET_GROW
+        return BRACKET_LO_CAP <= t <= BRACKET_HI_CAP and fdf(t).f > tangent_tol
+
     neg: Optional[_Point] = None
     pos = fdf(ray.scale)
     if pos.f < 0.0:
@@ -421,7 +438,9 @@ def _branch_root(ray: _Ray, branch: str) -> float:
         )
         if up == rising:  # the walk came from the branch's side
             neg = prev
-    if pos.f < 0.0 or (B > 0.0 and lamA > 0.0 and pos.f <= tangent_tol):
+    if pos.f < 0.0 or (
+        B > 0.0 and lamA > 0.0 and pos.f <= tangent_tol and not probe_clears_band(pos)
+    ):
         pos = fdf(ray.peak)
         if abs(pos.f) <= tangent_tol:
             raise _BranchUnavailable("ray is tangent to the manifold")

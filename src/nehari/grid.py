@@ -68,9 +68,11 @@ def _exact_sums(rows: np.ndarray) -> np.ndarray:
     exact sum by at most |δ| + β, where δ is the TwoSum error of the last
     addition and β = 2n·2⁻⁵³·Σ|r| bounds the error of the float Σr.  R is
     the correctly rounded sum when that is below half the smaller gap next
-    to R.  A row that fails this test, sums to 0, or has μ outside
-    (2⁻⁹⁰⁰, 2⁹⁰⁰) (ties, signed zeros, non-finite entries) goes to
-    ``math.fsum``, so it gives the same value or raises the same error.
+    to R.  A row of ±0.0 (μ = 0) sums to +0.0 here, as in ``math.fsum``.
+    Any other row that fails this test, sums to 0, or has μ outside
+    (2⁻⁹⁰⁰, 2⁹⁰⁰) (ties, cancellation to a signed zero, non-finite entries)
+    goes to ``math.fsum``, so it gives the same value or raises the same
+    error.
     """
     rows = np.asarray(rows, dtype=float)
     if len(rows) == 1:  # one row: fsum alone is faster than the passes below
@@ -95,7 +97,7 @@ def _exact_sums(rows: np.ndarray) -> np.ndarray:
             (np.abs(delta) + beta < half_gap)
             & (mu > 2.0**-_EXTRACT_EXP)
             & (mu < 2.0**_EXTRACT_EXP)
-        )
+        ) | (mu == 0.0)  # a row of ±0.0 gives R = +0.0, as fsum does
     for i in np.flatnonzero(~ok):
         R[i] = math.fsum(rows[i].tolist())
     return R
@@ -265,7 +267,8 @@ def inner(grid: Grid, x: np.ndarray, y: np.ndarray) -> float:
 # axis with n nodes the symmetric matrix S[i, j] = sin(π(i+1)(j+1)/(n+1)) holds
 # the eigenvectors, S² = ((n+1)/2)·I, and mode (j_k) has the eigenvalue
 # Σ_k (4/h_k²) sin²((j_k+1)π/(2(n_k+1))).  Dense per-axis matrices keep the
-# transform in numpy: importing scipy.fft doubles the peak memory of a run.
+# transform in numpy, one matrix product per axis: importing scipy.fft
+# doubles the peak memory of a run.
 
 SOBOLEV_RTOL = 1e-12  # stop once the ratio gains no more than this, relative
 SOBOLEV_MAX_ITER = 5000
@@ -289,9 +292,11 @@ def _dirichlet_solver(
 
     def transform(values: np.ndarray) -> np.ndarray:
         # contracting axis 0 and appending the result cycles the axes, so
-        # after one pass per axis they are back in their order
+        # after one pass per axis they are back in their order; the product
+        # reads a transposed view, so no pass copies its input
         for s in sines:
-            values = np.tensordot(values, s, axes=(0, 0))
+            n = len(s)
+            values = (values.reshape(n, -1).T @ s).reshape(values.shape[1:] + (n,))
         return values
 
     return lambda f: scale * transform(transform(f) / symbol)

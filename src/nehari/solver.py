@@ -39,12 +39,13 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import ProblemConfig, dual_norm, energy_gradient
+from .energy import ProblemConfig, energy_gradient
 from .errors import NehariError, ProjectionError, SeedingError
 from .fibering import NehariPoint, project_scale, sample_ray
 from .grid import (
     Field,
     _dirichlet_solver,
+    _exact_sums,
     _gaussian,
     inner,
     laplacian,
@@ -199,9 +200,12 @@ def _descent_state(u: Field, cfg: ProblemConfig):
     grid = cfg.grid
     grad_arr = energy_gradient(u, cfg)
     g = grad_arr / grid.cell_volume
-    full_res = dual_norm(grad_arr, grid)
-    gu = inner(grid, g, u.values)
-    uu = inner(grid, u.values, u.values)
+    # the sums of dual_norm, ⟨g,u⟩ and ⟨u,u⟩ in one pass, each correctly rounded
+    rows = np.stack([grad_arr**2, g * u.values, u.values**2]).reshape(3, -1)
+    squares, gu, uu = _exact_sums(rows).tolist()
+    full_res = math.sqrt(squares / grid.cell_volume)
+    gu *= grid.cell_volume
+    uu *= grid.cell_volume
     tangential = g - (gu / uu) * u.values
     tan_res = math.sqrt(max(inner(grid, tangential, tangential), 0.0))
     return g, tan_res, full_res, gu
@@ -209,7 +213,7 @@ def _descent_state(u: Field, cfg: ProblemConfig):
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
     """Plain sum of products, for search directions only (see the module docstring)."""
-    return float(np.sum(x * y))
+    return float((x * y).sum())
 
 
 class _LBFGS:

@@ -1,12 +1,15 @@
 import dataclasses
 import math
 import tracemalloc
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nehari import fibering
+from nehari import grid as grid_module
 from nehari.energy import concave_integral, convex_integral, energy, second_derivative_forms
 from nehari.config import parse_config, prepare_run
 from nehari.errors import BracketError, DomainError, ProjectionError
@@ -34,6 +37,7 @@ from nehari.fibering import (
 )
 from nehari.grid import Field, Grid, integrate, pointwise_energy, random_smooth_field
 from nehari.phi import constant_model, stuart_model
+from nehari.solver import solve_both
 
 from conftest import CONFIG_DIR, make_problem, smooth_fields
 
@@ -342,6 +346,14 @@ def test_case_both_tangent_band():
     for branch in ("plus", "minus"):
         with pytest.raises(ProjectionError, match="tangent"):
             project(u, cfg.with_lambda(lam), branch)
+    # scaled so that the peak sits at t = 1, the projection's first point is
+    # the tangency itself: a probe a factor 2 away lies below the band and
+    # certifies nothing, so the peak is still solved
+    at_peak = u.scaled(balance_peak(u, cfg))
+    lam_at_peak = ray_balance(at_peak, 1.0, cfg) / concave_integral(at_peak, cfg)
+    for branch in ("plus", "minus"):
+        with pytest.raises(ProjectionError, match="tangent"):
+            project(at_peak, cfg.with_lambda(lam_at_peak), branch)
     below = classify(u, cfg.with_lambda(lam * (1.0 - 1e-6)))
     assert below.case == CASE_BOTH_TWO_ROOTS
     assert [sign for _, sign in below.roots] == [1, -1]
@@ -471,15 +483,16 @@ def counting_phi(cfg):
     """cfg with a φ whose raw evaluators count their calls in ``calls``."""
     calls = []
 
-    def count(fn):
-        return lambda s: calls.append(1) or fn(s)
+    def count(name):
+        fn = getattr(cfg.phi, name)
+        return lambda s: calls.append(name) or fn(s)
 
     names = ("raw_Phi", "raw_phi", "raw_dphi", "raw_d2phi")
-    phi = dataclasses.replace(cfg.phi, **{k: count(getattr(cfg.phi, k)) for k in names})
+    phi = dataclasses.replace(cfg.phi, **{k: count(k) for k in names})
     return dataclasses.replace(cfg, phi=phi), calls
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_sample_ray_checks_every_t_before_any_phi_work(cfg_small, bad):
     cfg, calls = counting_phi(cfg_small)
     u = smooth_fields(cfg.grid, 1, seed=46)[0]
@@ -489,8 +502,26 @@ def test_sample_ray_checks_every_t_before_any_phi_work(cfg_small, bad):
     with pytest.raises(DomainError) as err:
         sample_ray(u, cfg, [0.5, 1.0, bad, 2.0])
     assert str(err.value) == str(expected.value)
-    assert str(err.value) == f"ray derivative functions need t > 0, got {bad}"
+    assert str(err.value) == f"ray derivative functions need a finite t > 0, got {bad}"
     assert calls == []
+    for energy_fn in (ray_energy, bare_ray_energy):
+        if bad != 0.0:  # both are defined at t = 0
+            with pytest.raises(DomainError, match="needs a finite t >= 0"):
+                energy_fn(u, bad, cfg)
+
+
+def test_sample_ray_sums_zero_rows_without_fsum(cfg_const):
+    # constant φ has φ' ≡ 0, so every m_1 row of the table is ±0.0; those
+    # rows, and every other row here, are summed by the vectorised kernel
+    u = smooth_fields(cfg_const.grid, 1, seed=46)[0]
+    t_values = np.logspace(-2, 2, 201)
+    fsum_calls = []
+    proxy = types.SimpleNamespace(**vars(math))
+    proxy.fsum = lambda values: fsum_calls.append(1) or math.fsum(values)
+    with mock.patch.object(grid_module, "math", proxy):
+        table = sample_ray(u, cfg_const, t_values)
+    assert fsum_calls == []
+    assert table["gamma_dt2"][100] == ray_energy_dt2(u, t_values[100], cfg_const)
 
 
 def test_sample_ray_memory_does_not_grow_with_the_t_list(cfg_stuart9):
@@ -688,6 +719,22 @@ def test_classify_reads_few_phi_values():
         per_field.append(len(calls))
     assert len(per_field) >= 20
     assert sum(per_field) / len(per_field) <= 150.0
+
+
+def test_reprojecting_a_solution_reads_few_phi_values():
+    # a converged solution lies on its branch at t = 1 within the tangency
+    # band; one probe toward the balance peak rules out a tangent ray, so
+    # the peak (order-2 moments) is never solved
+    prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
+    pair = solve_both(prep.problem, thresholds=prep.thresholds)
+    assert not pair.failures
+    cfg, calls = counting_phi(prep.problem)
+    for report in (pair.plus, pair.minus):
+        calls.clear()
+        point = project(report.point.field, cfg, report.branch)
+        assert "raw_d2phi" not in calls, report.branch
+        assert calls.count("raw_phi") <= 5, (report.branch, calls.count("raw_phi"))
+        assert abs(point.scale - 1.0) <= 1e-12
 
 
 def test_project_reads_its_own_ray(cfg_small, monkeypatch):

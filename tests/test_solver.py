@@ -239,13 +239,14 @@ def test_projection_reads_few_phi_values():
             pair = solve_both(cfg, thresholds=prep.thresholds)
             assert not pair.failures and pair.ordering_ok
     assert counts["projections"] > 200
-    assert counts["phi"] / counts["projections"] <= 15.0
+    assert counts["phi"] / counts["projections"] <= 9.0
 
 
 def test_descent_sums_each_quadrature_once():
     # exact sums per descent iteration over whole stuart 9^3 solves at the
     # benchmark panel's five lambda fractions: a trial takes its energy from
-    # its projection, so energy() is never called
+    # its projection, so energy() is never called; each row of a batch of
+    # exact sums counts as one sum
     import nehari.fibering as fibering
     import nehari.grid as grid_module
 
@@ -253,11 +254,16 @@ def test_descent_sums_each_quadrature_once():
     energy_module = importlib.import_module("nehari.energy")
     prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
     counts = {"fsum": 0, "energy": 0}
-    fsum, energy = grid_module._fsum, energy_module.energy
+    fsum, exact_sums = grid_module._fsum, grid_module._exact_sums
+    energy = energy_module.energy
 
     def counted_fsum(values):
         counts["fsum"] += 1
         return fsum(values)
+
+    def counted_exact_sums(rows):
+        counts["fsum"] += len(rows)
+        return exact_sums(rows)
 
     def counted_energy(*args):
         counts["energy"] += 1
@@ -267,6 +273,8 @@ def test_descent_sums_each_quadrature_once():
         for mod in (grid_module, energy_module, fibering, solver):
             if getattr(mod, "_fsum", None) is fsum:
                 mp.setattr(mod, "_fsum", counted_fsum)
+            if getattr(mod, "_exact_sums", None) is exact_sums:
+                mp.setattr(mod, "_exact_sums", counted_exact_sums)
             if getattr(mod, "energy", None) is energy:
                 mp.setattr(mod, "energy", counted_energy)
         iterations = 0
