@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .grid import Field, Grid, _edge_diff, _fsum, integrate, pointwise_energy
+from .grid import Field, Grid, _edge_diff, _exact_sums, integrate, pointwise_energy
 from .phi import PhiModel, _check_exponents
 
 __all__ = [
@@ -140,7 +140,7 @@ def dual_norm(grad_arr: np.ndarray, grid: Grid) -> float:
     Equals the L² norm of the pointwise gradient field, so its magnitude is
     grid-resolution independent.
     """
-    return math.sqrt(_fsum(grad_arr**2) / grid.cell_volume)
+    return math.sqrt(_exact_sums(grad_arr.ravel() ** 2) / grid.cell_volume)
 
 
 def nehari_residual(u: Field, cfg: ProblemConfig) -> float:
@@ -150,7 +150,7 @@ def nehari_residual(u: Field, cfg: ProblemConfig) -> float:
     """
     _check_field(u, cfg)
     g = energy_gradient(u, cfg)
-    return _fsum(g * u.values)
+    return _exact_sums((g * u.values).ravel())
 
 
 class SecondDerivativeForms(NamedTuple):

@@ -34,14 +34,14 @@ which sit at their own crossing.  The balance peak is solved only when the
 signs cannot place the bracket, when no probe settles the band, or when a
 diagnosis reports it.  Brackets are capped at [smallest normal
 double, 1e9]; every downward search meets a guaranteed sign change before
-0⁺.  Reported values use the correctly rounded quadrature; root loops use
-plain deterministic vector sums on the unit-energy copy of the ray (the
-stopping tolerance, not summation error, limits root accuracy).  A
-projection reports J(t*·u) as γ(t*) of the ray it has already built: one
-exact Φ sum at the t*-scaled density, with A and B scaled by powers of t*.
-That equals ``energy`` of the projected field to round-off, not bitwise.
-A table of the ray over many t evaluates φ on (t, node) blocks and sums
-each row correctly rounded, so it is bitwise the per-t public functions.
+0⁺.  Root loops use plain deterministic vector sums on the unit-energy
+copy of the ray (the stopping tolerance, not summation error, limits root
+accuracy).  Reported values come from one exact evaluator, which sums
+(t, node) blocks through ``grid.integrate``, so a value read at one t has
+the bits it has in a table of many.  A projection reports J(t*·u) as
+γ(t*) of the ray it has already built: one exact Φ sum at the t*-scaled
+density, with A and B scaled by powers of t*.  That equals ``energy`` of
+the projected field to round-off, not bitwise.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import numpy as np
 
 from .energy import ProblemConfig, _check_field, _concave_density, _convex_density
 from .errors import BracketError, DomainError, ProjectionError
-from .grid import Field, _exact_sums, integrate, pointwise_energy
+from .grid import Field, integrate, pointwise_energy
 
 __all__ = [
     "FiberingDiagnosis",
@@ -87,11 +87,12 @@ __all__ = [
 BRACKET_LO_CAP = sys.float_info.min
 BRACKET_HI_CAP = 1e9
 BRACKET_GROW = 2.0
-TANGENT_RTOL = 1e-10
+TANGENT_RTOL = 1e-10  # the tangency band is |m − λA| ≤ TANGENT_RTOL·(1 + |λA|)
+SLOPE_RTOL = 1e-9  # a balance slope within this share of its terms' size reads as 0
 ROOT_RTOL = 1e-12  # a root search stops at a step of at most ROOT_RTOL·t
 MAX_REFINE = 200
-# (t, node) entries per block of sample_ray: 16 values of t on a 9³ grid, under
-# 100 kB per array; it, not the number of t, bounds the table's working memory
+# (t, node) entries per block of the exact evaluator: 16 values of t on a 9³
+# grid, under 100 kB per array; it, not the number of t, bounds working memory
 SAMPLE_BLOCK_ELEMENTS = 12_000
 
 CASE_NEITHER = "neither_positive"
@@ -102,14 +103,22 @@ CASE_BOTH_TANGENT = "both_positive_tangent"
 CASE_BOTH_TWO_ROOTS = "both_positive_two_roots"
 
 
+# Φ's bulk and the moments m_k = ∫ φ^{(k)}(s) ρ^{k+1} at s = ρt²/2, as _Ray.moments
+_INTEGRANDS = {
+    "bulk": lambda ray, s: ray.phi.raw_Phi(s),
+    "m0": lambda ray, s: ray.phi.raw_phi(s) * ray.density,
+    "m1": lambda ray, s: ray.phi.raw_dphi(s) * ray.density2,
+    "m2": lambda ray, s: ray.phi.raw_d2phi(s) * ray.density2 * ray.density,
+}
+
+
 class _Ray:
     """The ray t ↦ t·u of one field: its density and integrals, built once.
 
-    Built from a field, it works in input units and sums exactly, for
-    reported values.  :meth:`unit` gives the unit-energy copy that root
-    searches use, with plain vector sums.  The integrals at a scaling t are
-    Φ's bulk and the moments m_k = ∫ φ^{(k)}(ρt²/2) ρ^{k+1}, ρ = u² + |∇u|²;
-    every ray function is a formula in those.
+    The integrals at a scaling t are Φ's bulk and the moments m_k; every ray
+    function is a formula in those.  :meth:`integrals` gives their exact
+    values in input units, for reported values; :meth:`unit` gives the
+    unit-energy copy that root searches use, with :meth:`moments`' plain sums.
     """
 
     def __init__(self, u: Field, cfg: ProblemConfig):
@@ -118,11 +127,8 @@ class _Ray:
         self.phi, self.q, self.p, self.lam = cfg.phi, cfg.q, cfg.p, cfg.lam
         self.density = pointwise_energy(u)
         self.density2 = self.density**2
-        # ∫ρ, A and B in one pass of correctly rounded row sums
         rows = np.stack([self.density, _concave_density(u, cfg), _convex_density(u, cfg)])
-        sums = cfg.grid.cell_volume * _exact_sums(rows.reshape(3, -1))
-        self.energy_int, self.concave, self.convex = sums.tolist()
-        self.exact = True
+        self.energy_int, self.concave, self.convex = integrate(cfg.grid, rows)
         self.scale = 1.0  # the scaling of this ray that gives the input field
 
     def unit(self) -> "_Ray":
@@ -136,46 +142,32 @@ class _Ray:
         unit.energy_int = 1.0
         unit.concave = self.concave / s ** (self.q + 1.0)
         unit.convex = self.convex / s ** (self.p + 1.0)
-        unit.exact = False
         unit.scale = s
         return unit
 
-    def _sum(self, values: np.ndarray) -> float:
-        if self.exact:
-            return integrate(self.grid, values)
-        return self.grid.cell_volume * float(values.sum())
-
-    def bulk(self, t: float) -> float:
-        return self._sum(self.phi.raw_Phi(self.density * (t * t / 2.0)))
-
     def moments(self, t: float, order: int = 1) -> list[float]:
-        """[m_0, …, m_order] at t."""
+        """[m_0, …, m_order] at t by plain vector sums, for root searches."""
         arg = self.density * (t * t / 2.0)
-        out = [self._sum(self.phi.raw_phi(arg) * self.density)]
+        h = self.grid.cell_volume
+        out = [h * float((self.phi.raw_phi(arg) * self.density).sum())]
         if order >= 1:
-            out.append(self._sum(self.phi.raw_dphi(arg) * self.density2))
+            out.append(h * float((self.phi.raw_dphi(arg) * self.density2).sum()))
         if order >= 2:
-            out.append(self._sum(self.phi.raw_d2phi(arg) * self.density2 * self.density))
+            out.append(h * float((self.phi.raw_d2phi(arg) * self.density2 * self.density).sum()))
         return out
 
-    def block_sums(self, t: np.ndarray) -> Iterator[tuple[float, float, float]]:
-        """(bulk, m_0, m_1) at each t of a block, from (t, node) arrays.
+    def integrals(self, t_values, *names: str) -> Iterator[tuple[float, ...]]:
+        """A tuple of the exact integrals ``names`` ("bulk", "m0", "m1", "m2") per t.
 
-        The arrays hold the products :meth:`bulk` and :meth:`moments` form,
-        and every row sum is correctly rounded, so on an exact ray each value
-        is bitwise theirs.
+        φ is evaluated on (t, node) blocks of ``SAMPLE_BLOCK_ELEMENTS`` entries
+        at most, one integrand at a time, each summed as one ``integrate`` stack.
         """
-        density = self.density.ravel()
-        arg = density * (t * t / 2.0)[:, None]
-
-        def sums(rows: np.ndarray) -> list[float]:
-            return (self.grid.cell_volume * _exact_sums(rows)).tolist()
-
-        # one (t, node) integrand alive at a time
-        bulk = sums(self.phi.raw_Phi(arg))
-        m0 = sums(self.phi.raw_phi(arg) * density)
-        m1 = sums(self.phi.raw_dphi(arg) * self.density2.ravel())
-        return zip(bulk, m0, m1)
+        ts = np.asarray(t_values, dtype=float)
+        per_block = max(1, SAMPLE_BLOCK_ELEMENTS // self.density.size)
+        for start in range(0, ts.size, per_block):
+            block = ts[start : start + per_block]
+            s = np.multiply.outer(block * block / 2.0, self.density)
+            yield from zip(*[integrate(self.grid, _INTEGRANDS[k](self, s)) for k in names])
 
     def gamma(self, t: float, bulk: float) -> float:
         q, p = self.q, self.p
@@ -273,49 +265,49 @@ def ray_energy(u: Field, t: float, cfg: ProblemConfig) -> float:
     if not 0.0 <= t < math.inf:
         raise DomainError(f"ray energy needs a finite t >= 0, got {t}")
     ray = _Ray(u, cfg)
-    return ray.gamma(t, ray.bulk(t))
+    return ray.gamma(t, *next(ray.integrals([t], "bulk")))
 
 
 def ray_energy_dt(u: Field, t: float, cfg: ProblemConfig) -> float:
     """γ'(t) = t∫φ(·t²)(u²+|∇u|²) − λt^q A − t^p B."""
     t = _check_t(t)
     ray = _Ray(u, cfg)
-    return ray.gamma_dt(t, *ray.moments(t, 0))
+    return ray.gamma_dt(t, *next(ray.integrals([t], "m0")))
 
 
 def ray_energy_dt2(u: Field, t: float, cfg: ProblemConfig) -> float:
     """γ''(t), the exact second derivative of the ray energy."""
     t = _check_t(t)
     ray = _Ray(u, cfg)
-    return ray.gamma_dt2(t, *ray.moments(t))
+    return ray.gamma_dt2(t, *next(ray.integrals([t], "m0", "m1")))
 
 
 def ray_balance(u: Field, t: float, cfg: ProblemConfig) -> float:
     """Balance curve m(t); crossings of λ∫a|u|^{q+1} are Nehari scalings."""
     t = _check_t(t)
     ray = _Ray(u, cfg)
-    return ray.balance(t, *ray.moments(t, 0))
+    return ray.balance(t, *next(ray.integrals([t], "m0")))
 
 
 def ray_balance_dt(u: Field, t: float, cfg: ProblemConfig) -> float:
     """m'(t); its sign at a crossing is the sign of the second ray derivative there."""
     t = _check_t(t)
     ray = _Ray(u, cfg)
-    return ray.balance_dt(t, *ray.moments(t))
+    return ray.balance_dt(t, *next(ray.integrals([t], "m0", "m1")))
 
 
 def peak_equation(u: Field, t: float, cfg: ProblemConfig) -> float:
     """Strictly decreasing auxiliary η(t); η(t) = (p−q)B locates the balance peak."""
     t = _check_t(t)
     ray = _Ray(u, cfg)
-    return ray.peak_eq(t, *ray.moments(t))
+    return ray.peak_eq(t, *next(ray.integrals([t], "m0", "m1")))
 
 
 def peak_equation_dt(u: Field, t: float, cfg: ProblemConfig) -> float:
     """η'(t); strictly negative whenever the concavity hypothesis holds."""
     t = _check_t(t)
     ray = _Ray(u, cfg)
-    return ray.peak_eq_dt(t, *ray.moments(t, 2))
+    return ray.peak_eq_dt(t, *next(ray.integrals([t], "m0", "m1", "m2")))
 
 
 def bare_ray_energy(u: Field, t: float, cfg: ProblemConfig) -> float:
@@ -324,7 +316,7 @@ def bare_ray_energy(u: Field, t: float, cfg: ProblemConfig) -> float:
     if not 0.0 <= t < math.inf:
         raise DomainError(f"bare ray energy needs a finite t >= 0, got {t}")
     ray = _Ray(u, cfg)
-    return ray.bare(t, ray.bulk(t))
+    return ray.bare(t, *next(ray.integrals([t], "bulk")))
 
 
 # -- brackets and the root routine -------------------------------------------
@@ -390,6 +382,10 @@ def _refine(fdf, a: _Point, b: _Point) -> float:
     return t
 
 
+def _tangent_tol(lamA: float) -> float:
+    return TANGENT_RTOL * (1.0 + abs(lamA))
+
+
 class _BranchUnavailable(Exception):
     def __init__(self, reason: str):
         self.reason = reason
@@ -416,7 +412,7 @@ def _branch_root(ray: _Ray, branch: str) -> float:
         raise _BranchUnavailable("concave integral is nonpositive")
     if not rising and B <= 0.0:
         raise _BranchUnavailable("convex integral is nonpositive")
-    tangent_tol = TANGENT_RTOL * (1.0 + abs(lamA))
+    tangent_tol = _tangent_tol(lamA)
 
     def fdf(t: float) -> _Point:
         m0, m1 = ray.moments(t)
@@ -462,7 +458,7 @@ def _root_sign(ray: _Ray, t: float) -> int:
         + t ** (2.0 - q) * abs(m1)
         + (p - q) * t ** (p - q - 1.0) * abs(ray.convex)
     )
-    if abs(slope) <= 1e-9 * size:
+    if abs(slope) <= SLOPE_RTOL * size:
         return 0
     return 1 if slope > 0.0 else -1
 
@@ -481,7 +477,7 @@ def bare_ray_peak(u: Field, cfg: ProblemConfig) -> tuple[float, float]:
     ray = _Ray(u, cfg)
     unit = ray.unit()
     t_max = unit.bare_peak / unit.scale
-    return t_max, ray.bare(t_max, ray.bulk(t_max))
+    return t_max, ray.bare(t_max, *next(ray.integrals([t_max], "bulk")))
 
 
 @dataclass(frozen=True)
@@ -557,7 +553,7 @@ def classify(u: Field, cfg: ProblemConfig) -> FiberingDiagnosis:
         gap = unit.balance(t_tilde, *unit.moments(t_tilde, 0)) - lamA
         if lamA <= 0.0:
             case, branches = CASE_CONVEX_ONLY, ("minus",)
-        elif abs(gap) <= TANGENT_RTOL * (1.0 + abs(lamA)):
+        elif abs(gap) <= _tangent_tol(lamA):
             case = CASE_BOTH_TANGENT
             roots.append((t_tilde, 0))
         elif gap < 0.0:
@@ -572,7 +568,7 @@ def classify(u: Field, cfg: ProblemConfig) -> FiberingDiagnosis:
     bare_value: Optional[float] = None
     if unit.convex > 0.0:
         t_max = unit.bare_peak / unit.scale
-        bare_value = ray.bare(t_max, ray.bulk(t_max))
+        bare_value = ray.bare(t_max, *next(ray.integrals([t_max], "bulk")))
 
     return FiberingDiagnosis(
         concave=ray.concave,
@@ -623,7 +619,7 @@ def project_scale(
     J = γ(t*) comes from the ray's exact sums (see the module docstring).
     """
     ray, t_star = _project_ray(u, cfg, branch)
-    return u.scaled(t_star), t_star, ray.gamma(t_star, ray.bulk(t_star))
+    return u.scaled(t_star), t_star, ray.gamma(t_star, *next(ray.integrals([t_star], "bulk")))
 
 
 def project(u: Field, cfg: ProblemConfig, branch: str) -> NehariPoint:
@@ -636,18 +632,17 @@ def project(u: Field, cfg: ProblemConfig, branch: str) -> NehariPoint:
     for the scaled field, G = t*·γ′(t*) and γ″(1) = t*²·γ″(t*).
     """
     ray, t = _project_ray(u, cfg, branch)
-    m0, m1 = ray.moments(t)
-    J, G = ray.gamma(t, ray.bulk(t)), t * ray.gamma_dt(t, m0)
+    bulk, m0, m1 = next(ray.integrals([t], "bulk", "m0", "m1"))
+    J, G = ray.gamma(t, bulk), t * ray.gamma_dt(t, m0)
     return NehariPoint(u.scaled(t), branch, J, abs(G), t * t * ray.gamma_dt2(t, m0, m1), t)
 
 
 def sample_ray(u: Field, cfg: ProblemConfig, t_values) -> dict[str, list[float]]:
     """Tabulate γ, γ', γ'', m, η along the ray (for diagnosis CSV output).
 
-    Every t is checked before any φ evaluation.  The field is read once; Φ's
-    bulk and (m_0, m_1) are evaluated on (t, node) blocks of at most
-    ``SAMPLE_BLOCK_ELEMENTS`` entries and summed row by row, correctly
-    rounded, so each value is bitwise that of the public ray functions.
+    Every t is checked before any φ evaluation.  The field is read once, and
+    Φ's bulk, m_0 and m_1 come from the ray's one exact evaluator, so each
+    value is bitwise that of the public ray functions.
     """
     ts = np.array([_check_t(t) for t in t_values])
     ray = _Ray(u, cfg)
@@ -655,17 +650,14 @@ def sample_ray(u: Field, cfg: ProblemConfig, t_values) -> dict[str, list[float]]
     # would add ~170 bytes per t to the working memory
     table = np.empty((6, ts.size))
     table[0] = ts
-    rows = max(1, SAMPLE_BLOCK_ELEMENTS // ray.density.size)
-    for start in range(0, ts.size, rows):
-        block = ts[start : start + rows]
-        sums = ray.block_sums(block)
-        for j, (t, (bulk, m0, m1)) in enumerate(zip(block.tolist(), sums), start):
-            table[1:, j] = (
-                ray.gamma(t, bulk),
-                ray.gamma_dt(t, m0),
-                ray.gamma_dt2(t, m0, m1),
-                ray.balance(t, m0),
-                ray.peak_eq(t, m0, m1),
-            )
+    for j, (bulk, m0, m1) in enumerate(ray.integrals(ts, "bulk", "m0", "m1")):
+        t = ts.item(j)
+        table[1:, j] = (
+            ray.gamma(t, bulk),
+            ray.gamma_dt(t, m0),
+            ray.gamma_dt2(t, m0, m1),
+            ray.balance(t, m0),
+            ray.peak_eq(t, m0, m1),
+        )
     keys = ("t", "gamma", "gamma_dt", "gamma_dt2", "balance", "peak_eq")
     return dict(zip(keys, table.tolist()))

@@ -8,10 +8,9 @@ node-valued fields over this grid.  The conventions are:
 * every difference is a compact edge difference Δu/h, so the energy, its
   gradient and the Sobolev constants share one quadratic form,
 * quadrature is the node rule (cell volume times node sum), which under
-  the zero boundary is the trapezoid rule.  The node sum is correctly
-  rounded, so it does not depend on the order of the terms: one array goes
-  to ``math.fsum``, the rows of a batch to :func:`_exact_sums`, and both
-  give the same bits.
+  the zero boundary is the trapezoid rule: :func:`integrate`, of one
+  integrand or of a stack.  Every sum is correctly rounded by the one kernel
+  :func:`_exact_sums`, so it does not depend on the order of the terms.
 """
 
 from __future__ import annotations
@@ -47,24 +46,20 @@ __all__ = [
 ]
 
 
-def _fsum(values: np.ndarray) -> float:
-    """Correctly rounded sum of all entries, so their order does not matter."""
-    return math.fsum(values.ravel(order="C").tolist())
-
-
 # a row sum is vectorised only when the largest magnitude lies strictly in
 # (2**-_EXTRACT_EXP, 2**_EXTRACT_EXP): no overflow, and the error bounds never
 # meet underflow
 _EXTRACT_EXP = 900
 
 
-def _exact_sums(rows: np.ndarray) -> np.ndarray:
-    """The correctly rounded sum of each row of a 2-D array, bitwise ``math.fsum``'s.
+def _exact_sums(rows: np.ndarray):
+    """Correctly rounded sum of a 1-D array, or array of a 2-D array's row sums.
 
-    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput.
-    2008): with μ = max|x| < 2^e and σ = 2^{e+M}, 2^M ≥ n + 2, the high
-    parts q = (σ + x) − σ are multiples of ulp(σ)/2 whose sum τ is exact in
-    any order, and x = q + r exactly.  R = fl(τ + Σr) then differs from the
+    Every sum is bitwise ``math.fsum``'s, which sums a lone row itself (it is
+    faster there than the passes below).  Error-free extraction (Rump, Ogita
+    and Oishi, SIAM J. Sci. Comput. 2008): with μ = max|x| < 2^e and
+    σ = 2^{e+M}, 2^M ≥ n + 2, the high parts q = (σ + x) − σ are multiples
+    of ulp(σ)/2 whose sum τ is exact in any order, and x = q + r exactly.  R = fl(τ + Σr) then differs from the
     exact sum by at most |δ| + β, where δ is the TwoSum error of the last
     addition and β = 2n·2⁻⁵³·Σ|r| bounds the error of the float Σr.  R is
     the correctly rounded sum when that is below half the smaller gap next
@@ -75,7 +70,9 @@ def _exact_sums(rows: np.ndarray) -> np.ndarray:
     error.
     """
     rows = np.asarray(rows, dtype=float)
-    if len(rows) == 1:  # one row: fsum alone is faster than the passes below
+    if rows.ndim == 1:
+        return math.fsum(rows.tolist())
+    if len(rows) == 1:
         return np.array([math.fsum(rows[0].tolist())])
     n = rows.shape[1]
     with np.errstate(invalid="ignore", over="ignore"):
@@ -244,14 +241,20 @@ def pointwise_energy(u: Field) -> np.ndarray:
     return u.values**2 + np.sum(g**2, axis=0)
 
 
-def integrate(grid: Grid, values: np.ndarray) -> float:
-    """Node-rule quadrature: (Π h_k) · Σ values, exactly summed."""
+def integrate(grid: Grid, values: np.ndarray) -> float | list[float]:
+    """Node-rule quadrature (Π h_k)·Σ values, each sum correctly rounded.
+
+    One integrand of the grid's shape gives a float; a stack of them along one
+    leading axis gives a list, bitwise the single calls.
+    """
     values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape:
+    if values.shape == grid.shape:
+        return grid.cell_volume * _exact_sums(values.ravel())
+    if values.shape[1:] != grid.shape:
         raise DomainError(
             f"integrand shape {values.shape} does not match grid shape {grid.shape}"
         )
-    return grid.cell_volume * _fsum(values)
+    return (grid.cell_volume * _exact_sums(values.reshape(len(values), grid.size))).tolist()
 
 
 def inner(grid: Grid, x: np.ndarray, y: np.ndarray) -> float:
@@ -307,7 +310,7 @@ def dirichlet_energy(u: Field) -> float:
     grid = u.grid
     total = 0.0
     for k, h in enumerate(grid.spacing):
-        total += grid.cell_volume * _fsum(_edge_diff(u.values, k, h) ** 2)
+        total += grid.cell_volume * _exact_sums(_edge_diff(u.values, k, h).ravel() ** 2)
     return total
 
 
@@ -349,7 +352,7 @@ def estimate_sobolev(grid: Grid, order: float) -> SobolevEstimate:
 
     def normalized(v: np.ndarray) -> tuple[np.ndarray, float]:
         v = v / math.sqrt(dirichlet_energy(Field(grid, v)))
-        return v, (grid.cell_volume * _fsum(np.abs(v) ** order)) ** (1.0 / order)
+        return v, (grid.cell_volume * _exact_sums(np.abs(v).ravel() ** order)) ** (1.0 / order)
 
     u, best = normalized(np.exp(-r2))
     for iterations in range(1, SOBOLEV_MAX_ITER + 1):

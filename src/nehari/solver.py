@@ -89,7 +89,6 @@ class SolveReport:
     point: NehariPoint
     iterations: int
     restarts: int
-    converged: bool
     stop_reason: str  # "converged", "max_iter" or "no_decrease"
     energy_history: tuple[float, ...]
     residual_history: tuple[float, ...]
@@ -98,6 +97,11 @@ class SolveReport:
     scale_history: tuple[float, ...]
     counters: dict
     invariants: dict
+
+    @property
+    def converged(self) -> bool:
+        """Whether the descent stopped at the residual tolerance."""
+        return self.stop_reason == "converged"
 
     def as_dict(self) -> dict:
         return {
@@ -433,7 +437,6 @@ def _run_descent(
         point=point,
         iterations=iterations,
         restarts=restarts,
-        converged=stop_reason == "converged",
         stop_reason=stop_reason,
         energy_history=tuple(energy_history),
         residual_history=tuple(residual_history),

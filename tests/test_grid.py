@@ -2,6 +2,7 @@ import copy
 import logging
 import math
 import pickle
+import re
 import types
 from collections import Counter
 from unittest import mock
@@ -131,6 +132,28 @@ def test_integrate_antisymmetric_cancellation():
     x, y = g.coords()
     w = (x - 0.5) * np.exp(-((y - 0.5) ** 2))
     assert integrate(g, w) == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("nodes", [(11,), (5, 6), (4, 5, 6)])
+def test_integrate_stack_is_the_single_calls_bitwise(nodes, k):
+    g = Grid(nodes=nodes, lengths=(1.0, 2.0, 0.5)[: len(nodes)])
+    rng = np.random.default_rng(len(nodes) * 10 + k)
+    shape = (k,) + g.shape
+    stack = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    got = integrate(g, stack)
+    singles = [integrate(g, values) for values in stack]
+    assert isinstance(got, list) and all(type(v) is float for v in got + singles)
+    assert np.array(got).view(np.int64).tolist() == np.array(singles).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("shape", [(5, 4), (3, 5, 4), (4, 5, 1), (2, 3, 4, 5), (20,), ()])
+def test_integrate_rejects_other_shapes(shape):
+    # a wrong trailing shape, and a stack with two leading axes
+    g = Grid(nodes=(4, 5), lengths=(1.0, 1.0))
+    message = f"integrand shape {shape} does not match grid shape (4, 5)"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        integrate(g, np.ones(shape))
 
 
 def test_norms_zero_and_scaling():

@@ -1,12 +1,15 @@
-"""The stuart run path stays on numpy: importing scipy roughly doubles the
-peak resident memory of a run."""
+"""Import structure.  The stuart run path stays on numpy: importing scipy
+roughly doubles the peak resident memory of a run.  Every correctly rounded
+sum goes through ``grid``'s one summation kernel."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "nehari"
 
 PROGRAM = """
 import sys
@@ -35,3 +38,43 @@ def test_stuart_run_imports_no_scipy():
     )
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip() == ""
+
+
+def test_math_fsum_is_used_only_in_grid():
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "fsum"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "math"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "math"
+                and any(alias.name == "fsum" for alias in node.names)
+            ):
+                uses.append(path.name)
+    assert uses and set(uses) == {"grid.py"}, uses
+
+
+def test_fibering_imports_no_private_summation_helper():
+    # fibering sums through the public ``grid.integrate`` only
+    tree = ast.parse((SRC / "fibering.py").read_text())
+    helpers = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "grid"
+        for alias in node.names
+        if alias.name.startswith("_") and "sum" in alias.name
+    ]
+    helpers += [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "grid"
+        and node.attr.startswith("_")
+        and "sum" in node.attr
+    ]
+    assert helpers == []

@@ -245,24 +245,21 @@ def test_projection_reads_few_phi_values():
 def test_descent_sums_each_quadrature_once():
     # exact sums per descent iteration over whole stuart 9^3 solves at the
     # benchmark panel's five lambda fractions: a trial takes its energy from
-    # its projection, so energy() is never called; each row of a batch of
-    # exact sums counts as one sum
+    # its projection, so energy() is never called; every correctly rounded
+    # sum goes through grid._exact_sums, where each row of a batch counts as
+    # one sum and a 1-D array as one row
     import nehari.fibering as fibering
     import nehari.grid as grid_module
 
     # the package re-exports the function ``energy`` under the module's name
     energy_module = importlib.import_module("nehari.energy")
     prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
-    counts = {"fsum": 0, "energy": 0}
-    fsum, exact_sums = grid_module._fsum, grid_module._exact_sums
+    counts = {"sums": 0, "energy": 0}
+    exact_sums = grid_module._exact_sums
     energy = energy_module.energy
 
-    def counted_fsum(values):
-        counts["fsum"] += 1
-        return fsum(values)
-
     def counted_exact_sums(rows):
-        counts["fsum"] += len(rows)
+        counts["sums"] += 1 if np.ndim(rows) == 1 else len(rows)
         return exact_sums(rows)
 
     def counted_energy(*args):
@@ -271,8 +268,6 @@ def test_descent_sums_each_quadrature_once():
 
     with pytest.MonkeyPatch.context() as mp:
         for mod in (grid_module, energy_module, fibering, solver):
-            if getattr(mod, "_fsum", None) is fsum:
-                mp.setattr(mod, "_fsum", counted_fsum)
             if getattr(mod, "_exact_sums", None) is exact_sums:
                 mp.setattr(mod, "_exact_sums", counted_exact_sums)
             if getattr(mod, "energy", None) is energy:
@@ -285,7 +280,7 @@ def test_descent_sums_each_quadrature_once():
             iterations += pair.minus.iterations + pair.plus.iterations
     assert iterations > 200
     assert counts["energy"] == 0
-    assert counts["fsum"] / iterations <= 14.0
+    assert counts["sums"] / iterations <= 14.0
 
 
 def test_report_reads_one_fresh_ray_per_branch(monkeypatch):
