@@ -239,7 +239,7 @@ def main(argv=None) -> int:
         out = Path(args.out) if args.out else Path(run.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](prep, out, args)
-    except (ConfigError, FileNotFoundError) as err:
+    except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except NehariError as err:

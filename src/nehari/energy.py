@@ -1,4 +1,4 @@
-"""Discrete energy functional, its exact gradient, and manifold identities.
+"""Discrete energy functional, its exact gradient, and its residual norms.
 
 The functional is
 
@@ -15,26 +15,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .grid import Field, Grid, _edge_diff, _exact_sums, integrate, pointwise_energy
+from .grid import Field, Grid, _edge_diff, integrate, pointwise_energy
 from .phi import PhiModel, _check_exponents
 
 __all__ = [
     "ProblemConfig",
-    "SecondDerivativeForms",
-    "ManifoldEnergies",
     "energy",
     "energy_gradient",
     "dual_norm",
     "nehari_residual",
     "concave_integral",
     "convex_integral",
-    "second_derivative_forms",
-    "manifold_energies",
 ]
 
 
@@ -140,7 +135,7 @@ def dual_norm(grad_arr: np.ndarray, grid: Grid) -> float:
     Equals the L² norm of the pointwise gradient field, so its magnitude is
     grid-resolution independent.
     """
-    return math.sqrt(_exact_sums(grad_arr.ravel() ** 2) / grid.cell_volume)
+    return math.sqrt(integrate(grid, (grad_arr / grid.cell_volume) ** 2))
 
 
 def nehari_residual(u: Field, cfg: ProblemConfig) -> float:
@@ -149,51 +144,5 @@ def nehari_residual(u: Field, cfg: ProblemConfig) -> float:
     Zero exactly on the Nehari manifold.
     """
     _check_field(u, cfg)
-    g = energy_gradient(u, cfg)
-    return _exact_sums((g * u.values).ravel())
-
-
-class SecondDerivativeForms(NamedTuple):
-    """The two on-manifold expressions for the second ray derivative at 1.
-
-    ``via_b`` eliminates the concave integral, ``via_a`` the convex one;
-    off the manifold they differ by (p−q)·G(u).
-    """
-
-    via_b: float
-    via_a: float
-
-
-def second_derivative_forms(u: Field, cfg: ProblemConfig) -> SecondDerivativeForms:
-    _check_field(u, cfg)
-    dens = pointwise_energy(u)
-    coeff = np.asarray(cfg.phi.phi(dens / 2.0), dtype=float)
-    dcoeff = np.asarray(cfg.phi.dphi(dens / 2.0), dtype=float)
-    curv = integrate(cfg.grid, dcoeff * dens**2)
-    bulk = integrate(cfg.grid, coeff * dens)
-    A = concave_integral(u, cfg)
-    B = convex_integral(u, cfg)
-    via_b = curv + (1.0 - cfg.q) * bulk - (cfg.p - cfg.q) * B
-    via_a = curv - (cfg.p - 1.0) * bulk + cfg.lam * (cfg.p - cfg.q) * A
-    return SecondDerivativeForms(via_b=via_b, via_a=via_a)
-
-
-class ManifoldEnergies(NamedTuple):
-    """The two reduced energies, equal to J(u) whenever G(u) = 0."""
-
-    via_b: float
-    via_a: float
-
-
-def manifold_energies(u: Field, cfg: ProblemConfig) -> ManifoldEnergies:
-    _check_field(u, cfg)
-    dens = pointwise_energy(u)
-    bulk_Phi = integrate(cfg.grid, cfg.phi.Phi(dens / 2.0))
-    bulk_phi = integrate(cfg.grid, np.asarray(cfg.phi.phi(dens / 2.0)) * dens)
-    A = concave_integral(u, cfg)
-    B = convex_integral(u, cfg)
-    q1 = cfg.q + 1.0
-    p1 = cfg.p + 1.0
-    via_b = bulk_Phi - bulk_phi / q1 + (1.0 / q1 - 1.0 / p1) * B
-    via_a = bulk_Phi - bulk_phi / p1 - cfg.lam * (1.0 / q1 - 1.0 / p1) * A
-    return ManifoldEnergies(via_b=via_b, via_a=via_a)
+    g = energy_gradient(u, cfg) / cfg.grid.cell_volume
+    return integrate(cfg.grid, g * u.values)

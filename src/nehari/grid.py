@@ -9,8 +9,9 @@ node-valued fields over this grid.  The conventions are:
   gradient and the Sobolev constants share one quadratic form,
 * quadrature is the node rule (cell volume times node sum), which under
   the zero boundary is the trapezoid rule: :func:`integrate`, of one
-  integrand or of a stack.  Every sum is correctly rounded by the one kernel
-  :func:`_exact_sums`, so it does not depend on the order of the terms.
+  integrand or of a stack, is the only way other modules take it.  Every
+  sum is correctly rounded by the one kernel :func:`_exact_sums`, so it
+  does not depend on the order of the terms.
 """
 
 from __future__ import annotations

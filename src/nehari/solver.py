@@ -5,8 +5,9 @@ Each iterate is kept exactly on the manifold by the fibering projection
 re-projects every trial point.  On the manifold the gradient is
 automatically orthogonal to the ray direction; a vanishing tangential
 residual makes the Lagrange multiplier vanish as well (the second ray
-derivative is nonzero on both branches), and the stopping test asserts the
-full, unprojected gradient norm.
+derivative is nonzero on both branches).  The stopping test reads one
+residual, the full, unprojected gradient dual norm, which bounds the
+tangential one that the history records.
 
 The search direction is H¹-preconditioned L-BFGS.  The two-loop recursion
 (Nocedal, Math. Comp. 1980) runs on the L² gradient g with the last
@@ -45,9 +46,8 @@ from .fibering import NehariPoint, project_scale, sample_ray
 from .grid import (
     Field,
     _dirichlet_solver,
-    _exact_sums,
     _gaussian,
-    inner,
+    integrate,
     laplacian,
     random_smooth_field,
 )
@@ -143,14 +143,6 @@ class MultistartReport:
     converged: tuple[bool, ...]
     spread: float
 
-    def as_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "energies": list(self.energies),
-            "converged": list(self.converged),
-            "spread": self.spread,
-        }
-
 
 def seed_field(cfg: ProblemConfig, branch: str, sigma: float | None = None) -> Field:
     """Smooth bump concentrated where the branch-relevant weight peaks.
@@ -198,21 +190,15 @@ def _descent_state(u: Field, cfg: ProblemConfig):
 
     Returns (g, tan_res, full_res, gu): the pointwise (L²-representative)
     gradient g, the L² norm of its part orthogonal to u and the dual norm
-    of the whole gradient (the two stopping residuals), and the Nehari
-    residual gu = ⟨g,u⟩.
+    of the whole gradient, and the Nehari residual gu = ⟨g,u⟩.  ∫g², ⟨g,u⟩
+    and ⟨u,u⟩ are one ``integrate`` stack, and the tangential residual is
+    √max(∫g² − ⟨g,u⟩²/⟨u,u⟩, 0): rounding is monotone, so it never exceeds
+    full_res and the stop test reads full_res alone.
     """
-    grid = cfg.grid
-    grad_arr = energy_gradient(u, cfg)
-    g = grad_arr / grid.cell_volume
-    # the sums of dual_norm, ⟨g,u⟩ and ⟨u,u⟩ in one pass, each correctly rounded
-    rows = np.stack([grad_arr**2, g * u.values, u.values**2]).reshape(3, -1)
-    squares, gu, uu = _exact_sums(rows).tolist()
-    full_res = math.sqrt(squares / grid.cell_volume)
-    gu *= grid.cell_volume
-    uu *= grid.cell_volume
-    tangential = g - (gu / uu) * u.values
-    tan_res = math.sqrt(max(inner(grid, tangential, tangential), 0.0))
-    return g, tan_res, full_res, gu
+    g = energy_gradient(u, cfg) / cfg.grid.cell_volume
+    squares, gu, uu = integrate(cfg.grid, np.stack([g * g, g * u.values, u.values**2]))
+    tan_res = math.sqrt(max(squares - gu * gu / uu, 0.0))
+    return g, tan_res, math.sqrt(squares), gu
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -267,9 +253,10 @@ def minimize_branch(
     :func:`seed_field` at half the default width, and ``restarts`` is then
     1.  No other restart exists: :func:`seed_field` returns only seeds that
     project, and the line search shrinks the step past every trial that
-    does not.  ``stop_reason`` says why it stopped: ``converged`` once both
-    the tangential and the full gradient dual norms fall below the residual
-    tolerance, ``max_iter``, or ``no_decrease`` when the line search finds
+    does not.  ``stop_reason`` says why it stopped: ``converged`` once the
+    full gradient dual norm falls below the residual tolerance (the
+    tangential residual in ``residual_history`` never exceeds it),
+    ``max_iter``, or ``no_decrease`` when the line search finds
     no decrease along the search direction.  It runs at any λ:
     ``thresholds`` only adds the δ_λ floor invariant on the minus branch,
     and judging λ against the thresholds is left to the caller.
@@ -318,7 +305,7 @@ def _run_descent(
         g, tan_res, full_res, gu = state
         residual_history.append(tan_res)
         max_constraint = max(max_constraint, abs(gu))
-        if tan_res <= cfg.residual_tol and full_res <= cfg.residual_tol:
+        if full_res <= cfg.residual_tol:
             stop_reason = "converged"
             break
         d = memory.direction(g, u)

@@ -3,8 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nehari.energy import ProblemConfig
-from nehari.grid import Grid, make_weight, random_smooth_field
+from nehari.energy import ProblemConfig, concave_integral, convex_integral
+from nehari.grid import Grid, integrate, make_weight, pointwise_energy, random_smooth_field
 from nehari.phi import constant_model, stuart_model
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -51,6 +51,38 @@ def make_problem(nodes=(5, 5, 5), phi=None, lam=1.0, q=0.5, p=3.0, **kw):
 def smooth_fields(grid, count, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     return [random_smooth_field(grid, rng).scaled(scale) for _ in range(count)]
+
+
+def second_derivative_forms(u, cfg):
+    """The two on-manifold expressions (via_b, via_a) for the second ray derivative at 1.
+
+    ``via_b`` eliminates the concave integral, ``via_a`` the convex one;
+    off the manifold they differ by (p−q)·G(u).
+    """
+    dens = pointwise_energy(u)
+    coeff = np.asarray(cfg.phi.phi(dens / 2.0), dtype=float)
+    dcoeff = np.asarray(cfg.phi.dphi(dens / 2.0), dtype=float)
+    curv = integrate(cfg.grid, dcoeff * dens**2)
+    bulk = integrate(cfg.grid, coeff * dens)
+    A = concave_integral(u, cfg)
+    B = convex_integral(u, cfg)
+    via_b = curv + (1.0 - cfg.q) * bulk - (cfg.p - cfg.q) * B
+    via_a = curv - (cfg.p - 1.0) * bulk + cfg.lam * (cfg.p - cfg.q) * A
+    return via_b, via_a
+
+
+def manifold_energies(u, cfg):
+    """The two reduced energies (via_b, via_a), equal to J(u) whenever G(u) = 0."""
+    dens = pointwise_energy(u)
+    bulk_Phi = integrate(cfg.grid, cfg.phi.Phi(dens / 2.0))
+    bulk_phi = integrate(cfg.grid, np.asarray(cfg.phi.phi(dens / 2.0)) * dens)
+    A = concave_integral(u, cfg)
+    B = convex_integral(u, cfg)
+    q1 = cfg.q + 1.0
+    p1 = cfg.p + 1.0
+    via_b = bulk_Phi - bulk_phi / q1 + (1.0 / q1 - 1.0 / p1) * B
+    via_a = bulk_Phi - bulk_phi / p1 - cfg.lam * (1.0 / q1 - 1.0 / p1) * A
+    return via_b, via_a
 
 
 @pytest.fixture(scope="session")

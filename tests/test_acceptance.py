@@ -19,7 +19,6 @@ from nehari.energy import (
     energy,
     energy_gradient,
     nehari_residual,
-    second_derivative_forms,
 )
 from nehari.errors import ProjectionError
 from nehari.fibering import (
@@ -47,7 +46,7 @@ from nehari.phi import constant_model, stuart_min_offset, stuart_model, verify_h
 from nehari.solver import multistart, solve_both
 from nehari.thresholds import compute_thresholds
 
-from conftest import make_problem, smooth_fields
+from conftest import make_problem, second_derivative_forms, smooth_fields
 from test_fibering import scan_root_count
 from test_grid import oracle_first_eigenvalue
 

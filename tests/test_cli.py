@@ -176,6 +176,23 @@ def test_config_error_exit_code(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "missing.ini")]) == 1
 
 
+@pytest.mark.parametrize("case", ["config-is-dir", "field-is-dir", "out-is-file"])
+def test_path_errors_are_config_errors(tmp_path, capsys, case):
+    # a directory where a file is read, or a file where the output directory
+    # goes: exit 1 with the OS error's text, no traceback
+    cfgp = write_quick(tmp_path)
+    out = str(tmp_path / "o")
+    args = {
+        "config-is-dir": ["solve", "--config", str(tmp_path), "--out", out],
+        "field-is-dir": ["fibering", "--config", cfgp, "--field", str(tmp_path), "--out", out],
+        "out-is-file": ["verify-phi", "--config", cfgp, "--out", cfgp],
+    }[case]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
 def test_reports_are_byte_identical(tmp_path):
     cfgp = write_quick(tmp_path)
     outs = []

@@ -9,16 +9,20 @@ from nehari.energy import (
     dual_norm,
     energy,
     energy_gradient,
-    manifold_energies,
     nehari_residual,
-    second_derivative_forms,
 )
 from nehari.errors import DomainError
 from nehari.fibering import ROOT_RTOL, project, ray_energy, ray_energy_dt
 from nehari.grid import Field, Grid, dirichlet_energy, integrate, laplacian, pointwise_energy
 from nehari.phi import constant_model, stuart_model
 
-from conftest import make_problem, smooth_fields, two_lobe_weights
+from conftest import (
+    make_problem,
+    manifold_energies,
+    second_derivative_forms,
+    smooth_fields,
+    two_lobe_weights,
+)
 
 
 def zero_weight_problem(phi, lam=1.0, nodes=(5, 5, 5)):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from nehari import fibering
 from nehari import grid as grid_module
-from nehari.energy import concave_integral, convex_integral, energy, second_derivative_forms
+from nehari.energy import concave_integral, convex_integral, energy
 from nehari.config import parse_config, prepare_run
 from nehari.errors import BracketError, DomainError, ProjectionError
 from nehari.fibering import (
@@ -39,7 +39,7 @@ from nehari.grid import Field, Grid, integrate, pointwise_energy, random_smooth_
 from nehari.phi import constant_model, stuart_model
 from nehari.solver import solve_both
 
-from conftest import CONFIG_DIR, make_problem, smooth_fields
+from conftest import CONFIG_DIR, make_problem, second_derivative_forms, smooth_fields
 
 
 def fixed_sign_problem(sign_a, sign_b, nodes=(5, 5, 5), phi=None, lam=1.0):

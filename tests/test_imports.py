@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "nehari"
 
@@ -58,9 +60,12 @@ def test_math_fsum_is_used_only_in_grid():
     assert uses and set(uses) == {"grid.py"}, uses
 
 
-def test_fibering_imports_no_private_summation_helper():
-    # fibering sums through the public ``grid.integrate`` only
-    tree = ast.parse((SRC / "fibering.py").read_text())
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "grid.py")
+)
+def test_no_private_summation_helper_outside_grid(module):
+    # every other module sums through the public ``grid.integrate`` only
+    tree = ast.parse((SRC / module).read_text())
     helpers = [
         alias.name
         for node in ast.walk(tree)

@@ -280,7 +280,7 @@ def test_descent_sums_each_quadrature_once():
             iterations += pair.minus.iterations + pair.plus.iterations
     assert iterations > 200
     assert counts["energy"] == 0
-    assert counts["sums"] / iterations <= 14.0
+    assert counts["sums"] / iterations <= 8.0
 
 
 def test_report_reads_one_fresh_ray_per_branch(monkeypatch):
