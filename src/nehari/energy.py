@@ -133,7 +133,8 @@ def dual_norm(grad_arr: np.ndarray, grid: Grid) -> float:
     """Quadrature-weighted dual norm sqrt(Σ g_i²/w_i) of a gradient array.
 
     Equals the L² norm of the pointwise gradient field, so its magnitude is
-    grid-resolution independent.
+    grid-resolution independent.  The package itself never calls it; it stays
+    because ``bench/tracing.py`` names it in ``SPANS``.
     """
     return math.sqrt(integrate(grid, (grad_arr / grid.cell_volume) ** 2))
 

@@ -34,14 +34,18 @@ which sit at their own crossing.  The balance peak is solved only when the
 signs cannot place the bracket, when no probe settles the band, or when a
 diagnosis reports it.  Brackets are capped at [smallest normal
 double, 1e9]; every downward search meets a guaranteed sign change before
-0⁺.  Root loops use plain deterministic vector sums on the unit-energy
-copy of the ray (the stopping tolerance, not summation error, limits root
-accuracy).  Reported values come from one exact evaluator, which sums
-(t, node) blocks through ``grid.integrate``, so a value read at one t has
-the bits it has in a table of many.  A projection reports J(t*·u) as
-γ(t*) of the ray it has already built: one exact Φ sum at the t*-scaled
-density, with A and B scaled by powers of t*.  That equals ``energy`` of
-the projected field to round-off, not bitwise.
+0⁺.  The integrands (Φ's bulk and the moments m_k) are written once, in
+one table, and summed two ways.  Root loops use plain deterministic vector
+sums on the unit-energy copy of the ray (the stopping tolerance, not
+summation error, limits root accuracy).  Reported values come from one
+exact evaluator, which sums (t, node) blocks through ``grid.integrate``,
+so a value read at one t has the bits it has in a table of many; every
+single-t ray function reads it through one reader.  The balance peak t̃
+and the bare peak t_max are reported by :func:`classify` only.  A
+projection reports J(t*·u) as γ(t*) of the ray it has already built: one
+exact Φ sum at the t*-scaled density, with A and B scaled by powers of
+t*.  That equals ``energy`` of the projected field to round-off, not
+bitwise.
 """
 
 from __future__ import annotations
@@ -76,8 +80,6 @@ __all__ = [
     "peak_equation",
     "peak_equation_dt",
     "bare_ray_energy",
-    "bare_ray_peak",
-    "balance_peak",
     "classify",
     "project",
     "project_scale",
@@ -103,7 +105,8 @@ CASE_BOTH_TANGENT = "both_positive_tangent"
 CASE_BOTH_TWO_ROOTS = "both_positive_two_roots"
 
 
-# Φ's bulk and the moments m_k = ∫ φ^{(k)}(s) ρ^{k+1} at s = ρt²/2, as _Ray.moments
+# Φ's bulk and the moments m_k = ∫ φ^{(k)}(s) ρ^{k+1} at s = ρt²/2: the one
+# place φ meets the density, for both the plain and the exact sums
 _INTEGRANDS = {
     "bulk": lambda ray, s: ray.phi.raw_Phi(s),
     "m0": lambda ray, s: ray.phi.raw_phi(s) * ray.density,
@@ -115,10 +118,12 @@ _INTEGRANDS = {
 class _Ray:
     """The ray t ↦ t·u of one field: its density and integrals, built once.
 
-    The integrals at a scaling t are Φ's bulk and the moments m_k; every ray
-    function is a formula in those.  :meth:`integrals` gives their exact
-    values in input units, for reported values; :meth:`unit` gives the
-    unit-energy copy that root searches use, with :meth:`moments`' plain sums.
+    The integrals at a scaling t are Φ's bulk and the moments m_k, from
+    ``_INTEGRANDS``; every ray function is a formula in those.
+    :meth:`integrals` sums them exactly, in input units, and :meth:`at`
+    feeds them to one formula at one t, for reported values; :meth:`unit`
+    gives the unit-energy copy that root searches use, with :meth:`moments`'
+    plain sums of the same integrands.
     """
 
     def __init__(self, u: Field, cfg: ProblemConfig):
@@ -146,15 +151,10 @@ class _Ray:
         return unit
 
     def moments(self, t: float, order: int = 1) -> list[float]:
-        """[m_0, …, m_order] at t by plain vector sums, for root searches."""
-        arg = self.density * (t * t / 2.0)
+        """[m_0, …, m_order] at t: the ``_INTEGRANDS`` by plain sums, for root searches."""
+        s = self.density * (t * t / 2.0)
         h = self.grid.cell_volume
-        out = [h * float((self.phi.raw_phi(arg) * self.density).sum())]
-        if order >= 1:
-            out.append(h * float((self.phi.raw_dphi(arg) * self.density2).sum()))
-        if order >= 2:
-            out.append(h * float((self.phi.raw_d2phi(arg) * self.density2 * self.density).sum()))
-        return out
+        return [h * float(_INTEGRANDS[f"m{k}"](self, s).sum()) for k in range(order + 1)]
 
     def integrals(self, t_values, *names: str) -> Iterator[tuple[float, ...]]:
         """A tuple of the exact integrals ``names`` ("bulk", "m0", "m1", "m2") per t.
@@ -168,6 +168,10 @@ class _Ray:
             block = ts[start : start + per_block]
             s = np.multiply.outer(block * block / 2.0, self.density)
             yield from zip(*[integrate(self.grid, _INTEGRANDS[k](self, s)) for k in names])
+
+    def at(self, t: float, formula, *names: str) -> float:
+        """``formula`` (a ray method below) at t, fed the exact integrals ``names``."""
+        return formula(self, t, *next(self.integrals([t], *names)))
 
     def gamma(self, t: float, bulk: float) -> float:
         q, p = self.q, self.p
@@ -217,8 +221,6 @@ class _Ray:
     @cached_property
     def peak(self) -> float:
         """Maximizer of the balance curve (B > 0): the root of η = (p−q)B."""
-        if self.convex <= 0.0:
-            raise DomainError("balance peak requires ∫b|u|^{p+1} > 0")
         target = (self.p - self.q) * self.convex
 
         def g(t: float) -> _Point:
@@ -230,8 +232,6 @@ class _Ray:
     @cached_property
     def bare_peak(self) -> float:
         """Maximizer of the bare ray energy (B > 0): the root of t^{1−p}m_0 = B."""
-        if self.convex <= 0.0:
-            raise DomainError("bare ray peak requires ∫b|u|^{p+1} > 0")
         p = self.p
 
         def g(t: float) -> _Point:
@@ -252,71 +252,63 @@ class _Ray:
 # -- public ray functions (input units, exact quadrature) --------------------
 
 
-def _check_t(t: float) -> float:
+def _check_t(t: float, energy: str = "") -> float:
+    """t as a float, finite and > 0; an ``energy`` (γ or h, named so) is also defined at 0."""
     t = float(t)
-    if not 0.0 < t < math.inf:
+    if energy:
+        if not 0.0 <= t < math.inf:
+            raise DomainError(f"{energy} needs a finite t >= 0, got {t}")
+    elif not 0.0 < t < math.inf:
         raise DomainError(f"ray derivative functions need a finite t > 0, got {t}")
     return t
 
 
 def ray_energy(u: Field, t: float, cfg: ProblemConfig) -> float:
     """γ(t) = J(t·u); defined for t >= 0 with γ(0) = 0."""
-    t = float(t)
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"ray energy needs a finite t >= 0, got {t}")
-    ray = _Ray(u, cfg)
-    return ray.gamma(t, *next(ray.integrals([t], "bulk")))
+    t = _check_t(t, "ray energy")
+    return _Ray(u, cfg).at(t, _Ray.gamma, "bulk")
 
 
 def ray_energy_dt(u: Field, t: float, cfg: ProblemConfig) -> float:
     """γ'(t) = t∫φ(·t²)(u²+|∇u|²) − λt^q A − t^p B."""
     t = _check_t(t)
-    ray = _Ray(u, cfg)
-    return ray.gamma_dt(t, *next(ray.integrals([t], "m0")))
+    return _Ray(u, cfg).at(t, _Ray.gamma_dt, "m0")
 
 
 def ray_energy_dt2(u: Field, t: float, cfg: ProblemConfig) -> float:
     """γ''(t), the exact second derivative of the ray energy."""
     t = _check_t(t)
-    ray = _Ray(u, cfg)
-    return ray.gamma_dt2(t, *next(ray.integrals([t], "m0", "m1")))
+    return _Ray(u, cfg).at(t, _Ray.gamma_dt2, "m0", "m1")
 
 
 def ray_balance(u: Field, t: float, cfg: ProblemConfig) -> float:
     """Balance curve m(t); crossings of λ∫a|u|^{q+1} are Nehari scalings."""
     t = _check_t(t)
-    ray = _Ray(u, cfg)
-    return ray.balance(t, *next(ray.integrals([t], "m0")))
+    return _Ray(u, cfg).at(t, _Ray.balance, "m0")
 
 
 def ray_balance_dt(u: Field, t: float, cfg: ProblemConfig) -> float:
     """m'(t); its sign at a crossing is the sign of the second ray derivative there."""
     t = _check_t(t)
-    ray = _Ray(u, cfg)
-    return ray.balance_dt(t, *next(ray.integrals([t], "m0", "m1")))
+    return _Ray(u, cfg).at(t, _Ray.balance_dt, "m0", "m1")
 
 
 def peak_equation(u: Field, t: float, cfg: ProblemConfig) -> float:
     """Strictly decreasing auxiliary η(t); η(t) = (p−q)B locates the balance peak."""
     t = _check_t(t)
-    ray = _Ray(u, cfg)
-    return ray.peak_eq(t, *next(ray.integrals([t], "m0", "m1")))
+    return _Ray(u, cfg).at(t, _Ray.peak_eq, "m0", "m1")
 
 
 def peak_equation_dt(u: Field, t: float, cfg: ProblemConfig) -> float:
     """η'(t); strictly negative whenever the concavity hypothesis holds."""
     t = _check_t(t)
-    ray = _Ray(u, cfg)
-    return ray.peak_eq_dt(t, *next(ray.integrals([t], "m0", "m1", "m2")))
+    return _Ray(u, cfg).at(t, _Ray.peak_eq_dt, "m0", "m1", "m2")
 
 
 def bare_ray_energy(u: Field, t: float, cfg: ProblemConfig) -> float:
     """Ray energy with the concave term dropped."""
-    t = float(t)
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"bare ray energy needs a finite t >= 0, got {t}")
-    ray = _Ray(u, cfg)
-    return ray.bare(t, *next(ray.integrals([t], "bulk")))
+    t = _check_t(t, "bare ray energy")
+    return _Ray(u, cfg).at(t, _Ray.bare, "bulk")
 
 
 # -- brackets and the root routine -------------------------------------------
@@ -463,23 +455,6 @@ def _root_sign(ray: _Ray, t: float) -> int:
     return 1 if slope > 0.0 else -1
 
 
-def balance_peak(u: Field, cfg: ProblemConfig) -> float:
-    """Scaling at which the balance curve attains its unique maximum (B > 0)."""
-    unit = _Ray(u, cfg).unit()
-    return unit.peak / unit.scale
-
-
-def bare_ray_peak(u: Field, cfg: ProblemConfig) -> tuple[float, float]:
-    """(t_max, value) of the bare ray energy's unique maximum; requires B > 0.
-
-    The value is the exact-quadrature bare energy at t_max, in input units.
-    """
-    ray = _Ray(u, cfg)
-    unit = ray.unit()
-    t_max = unit.bare_peak / unit.scale
-    return t_max, ray.bare(t_max, *next(ray.integrals([t_max], "bulk")))
-
-
 @dataclass(frozen=True)
 class FiberingDiagnosis:
     """Sign case, balance peak, and all Nehari crossings of one ray."""
@@ -568,7 +543,7 @@ def classify(u: Field, cfg: ProblemConfig) -> FiberingDiagnosis:
     bare_value: Optional[float] = None
     if unit.convex > 0.0:
         t_max = unit.bare_peak / unit.scale
-        bare_value = ray.bare(t_max, *next(ray.integrals([t_max], "bulk")))
+        bare_value = ray.at(t_max, _Ray.bare, "bulk")
 
     return FiberingDiagnosis(
         concave=ray.concave,
@@ -619,7 +594,7 @@ def project_scale(
     J = γ(t*) comes from the ray's exact sums (see the module docstring).
     """
     ray, t_star = _project_ray(u, cfg, branch)
-    return u.scaled(t_star), t_star, ray.gamma(t_star, *next(ray.integrals([t_star], "bulk")))
+    return u.scaled(t_star), t_star, ray.at(t_star, _Ray.gamma, "bulk")
 
 
 def project(u: Field, cfg: ProblemConfig, branch: str) -> NehariPoint:

@@ -259,7 +259,11 @@ def integrate(grid: Grid, values: np.ndarray) -> float | list[float]:
 
 
 def inner(grid: Grid, x: np.ndarray, y: np.ndarray) -> float:
-    """Quadrature-weighted L² inner product of two node arrays."""
+    """Quadrature-weighted L² inner product of two node arrays.
+
+    The package itself never calls it; it stays because ``bench/tracing.py``
+    names it in ``SPANS``.
+    """
     return integrate(grid, np.asarray(x) * np.asarray(y))
 
 
@@ -342,8 +346,8 @@ def estimate_sobolev(grid: Grid, order: float) -> SobolevEstimate:
             raise DomainError(
                 f"Sobolev order must lie in (1, {two_star:g}) for dim {grid.dim}, got {order}"
             )
-    elif order < 1.0:
-        raise DomainError(f"Sobolev order must be >= 1, got {order}")
+    elif not 1.0 <= order < math.inf:
+        raise DomainError(f"Sobolev order must be >= 1 and finite, got {order}")
 
     solve = _dirichlet_solver(grid)
     r2 = sum(

@@ -11,6 +11,7 @@ discretization error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +25,14 @@ __all__ = ["ThresholdReport", "compute_thresholds", "admissibility"]
 ADMISSIBLE = "admissible"
 MARGINAL = "marginal"
 INADMISSIBLE = "inadmissible"
+
+
+def _check_lambda(lam: float) -> float:
+    """λ as a float, under ``ProblemConfig``'s rule 0 < λ < inf."""
+    lam = float(lam)
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"lambda must be positive and finite, got {lam}")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -42,9 +51,7 @@ class ThresholdReport:
 
         The formula falls to 0 at lambda2 and is no floor beyond it.
         """
-        lam = float(lam)
-        if lam <= 0:
-            raise DomainError(f"lambda must be positive, got {lam}")
+        lam = _check_lambda(lam)
         if lam > self.lambda2:
             return None
         half = (self.q + 1.0) / 2.0
@@ -138,9 +145,7 @@ def admissibility(lam: float, report: ThresholdReport) -> str:
     lambda0 but below max(lambda1, lambda2) only one of them might, and the
     verdict is marginal; above both ``nehari solve`` refuses unless forced.
     """
-    lam = float(lam)
-    if lam <= 0:
-        raise DomainError(f"lambda must be positive, got {lam}")
+    lam = _check_lambda(lam)
     if lam < report.lambda0:
         return ADMISSIBLE
     if lam < max(report.lambda1, report.lambda2):

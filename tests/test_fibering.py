@@ -20,9 +20,7 @@ from nehari.fibering import (
     CASE_CONCAVE_ONLY,
     CASE_CONVEX_ONLY,
     CASE_NEITHER,
-    balance_peak,
     bare_ray_energy,
-    bare_ray_peak,
     classify,
     peak_equation,
     peak_equation_dt,
@@ -187,7 +185,7 @@ def test_balance_peak_constant_phi_closed_form(cfg_const):
             continue
         E = integrate(cfg.grid, pointwise_energy(u))
         expect = (((1.0 - cfg.q) * E) / ((cfg.p - cfg.q) * B)) ** (1.0 / (cfg.p - 1.0))
-        got = balance_peak(u, cfg)
+        got = classify(u, cfg).t_tilde
         assert abs(got - expect) <= 1e-10 * expect
 
 
@@ -195,7 +193,7 @@ def test_balance_peak_bracket_signs(cfg_small):
     for u in smooth_fields(cfg_small.grid, 10, seed=29):
         if convex_integral(u, cfg_small) <= 0:
             continue
-        t = balance_peak(u, cfg_small)
+        t = classify(u, cfg_small).t_tilde
         assert ray_balance_dt(u, t * (1.0 - 1e-3), cfg_small) > 0.0
         assert ray_balance_dt(u, t * (1.0 + 1e-3), cfg_small) < 0.0
 
@@ -213,7 +211,7 @@ def test_balance_peak_matches_dense_scan(cfg_small):
         k = int(np.argmax(vals))
         lo = coarse[max(k - 1, 0)]
         hi = coarse[min(k + 1, len(coarse) - 1)]
-        t = balance_peak(u, cfg_small)
+        t = classify(u, cfg_small).t_tilde
         assert lo <= t <= hi
         if found >= 3:
             break
@@ -255,9 +253,10 @@ def test_bare_peak_constant_phi_closed_form(cfg_const):
             continue
         E = integrate(cfg.grid, pointwise_energy(u))
         expect = (E / B) ** (1.0 / (cfg.p - 1.0))
-        t_max, value = bare_ray_peak(u, cfg)
+        diag = classify(u, cfg)
+        t_max, value = diag.t_max, diag.bare_peak_value
         assert abs(t_max - expect) <= 1e-9 * expect
-        t_max2, _ = bare_ray_peak(u.scaled(2.0), cfg)
+        t_max2 = classify(u.scaled(2.0), cfg).t_max
         assert abs(t_max2 - t_max / 2.0) <= 1e-9 * t_max
         assert abs(value - bare_ray_energy(u, t_max, cfg)) == 0.0
         done += 1
@@ -267,12 +266,13 @@ def test_bare_peak_constant_phi_closed_form(cfg_const):
 
 
 def test_bare_peak_requires_positive_convex(cfg_small):
+    # with B <= 0 neither peak exists, and classify reports neither
     cfg = fixed_sign_problem(+1.0, -1.0)
     u = smooth_fields(cfg.grid, 1, seed=33)[0]
-    with pytest.raises(DomainError):
-        bare_ray_peak(u, cfg)
-    with pytest.raises(DomainError):
-        balance_peak(u, cfg)
+    diag = classify(u, cfg)
+    assert diag.convex <= 0.0
+    assert diag.t_tilde is None and diag.t_max is None
+    assert diag.bare_peak_value is None
 
 
 def test_case_neither(cfg_small):
@@ -338,7 +338,8 @@ def test_case_both_tangent_band():
     cfg = fixed_sign_problem(+1.0, +1.0, nodes=(9, 9, 9))
     x, y, z = cfg.grid.coords()
     u = Field(cfg.grid, np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z))
-    lam = ray_balance(u, balance_peak(u, cfg), cfg) / concave_integral(u, cfg)
+    t_tilde = classify(u, cfg).t_tilde
+    lam = ray_balance(u, t_tilde, cfg) / concave_integral(u, cfg)
     for factor in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
         diag = classify(u, cfg.with_lambda(lam * factor))
         assert diag.case == CASE_BOTH_TANGENT
@@ -349,7 +350,7 @@ def test_case_both_tangent_band():
     # scaled so that the peak sits at t = 1, the projection's first point is
     # the tangency itself: a probe a factor 2 away lies below the band and
     # certifies nothing, so the peak is still solved
-    at_peak = u.scaled(balance_peak(u, cfg))
+    at_peak = u.scaled(t_tilde)
     lam_at_peak = ray_balance(at_peak, 1.0, cfg) / concave_integral(at_peak, cfg)
     for branch in ("plus", "minus"):
         with pytest.raises(ProjectionError, match="tangent"):
@@ -441,7 +442,7 @@ def test_bare_peak_clears_threshold_floor():
     for u in smooth_fields(cfg.grid, 100, seed=44):
         if convex_integral(u, cfg) <= 0.0:
             continue
-        _, value = bare_ray_peak(u, cfg)
+        value = classify(u, cfg).bare_peak_value
         assert value >= th.delta - 1e-9
         checked += 1
         if checked >= 50:
@@ -673,12 +674,10 @@ def test_bare_peak_beyond_a_million():
     B = convex_integral(u, cfg)
     expect = (E / B) ** (1.0 / (cfg.p - 1.0))
     assert expect > 1e6
-    t_max, _ = bare_ray_peak(u, cfg)
-    assert abs(t_max - expect) <= 1e-9 * expect
     diag = classify(u, cfg)
+    assert abs(diag.t_max - expect) <= 1e-9 * expect
     assert diag.case == CASE_BOTH_TWO_ROOTS
     assert [sign for _, sign in diag.roots] == [1, -1]
-    assert diag.t_max == t_max
 
 
 def test_bare_peak_is_the_maximum_on_a_dense_grid(cfg_small):
@@ -686,7 +685,7 @@ def test_bare_peak_is_the_maximum_on_a_dense_grid(cfg_small):
     for u in smooth_fields(cfg_small.grid, 10, seed=49):
         if convex_integral(u, cfg_small) <= 0.0:
             continue
-        t_max, value = bare_ray_peak(u, cfg_small)
+        value = classify(u, cfg_small).bare_peak_value
         grid_max = max(bare_ray_energy(u, t, cfg_small) for t in np.logspace(-3, 3, 2001))
         assert value >= grid_max - 1e-14 * abs(value)
         checked += 1
@@ -776,3 +775,34 @@ def test_project_reads_its_own_ray(cfg_small, monkeypatch):
             assert abs(point.constraint - abs(residual)) <= 1e-12 * abs(gamma2)
             checked += 1
     assert checked >= 5
+
+
+@pytest.mark.parametrize(
+    "seed, index, signs",
+    [
+        (0, 24, [1, -1]),  # field 24 of the benchmark's rays panel: A = 2.05e-6
+        (21, 103, [1]),  # A = 4.3e-7 and B < 0
+    ],
+    ids=["rng0-field24", "rng21-field103"],
+)
+def test_tiny_concave_integral_roots_below_the_old_bracket_cap(seed, index, signs):
+    # stuart 9³ fields whose plus root lies below t = 1e-9; classify once
+    # raised BracketError on both.  Each root and its projection meet the
+    # benchmark's own check: |γ'| within 1e-9 of its terms' size, and the
+    # sign of γ'' that the root reports
+    cfg = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text())).problem
+    rng = np.random.default_rng(seed)
+    u = [random_smooth_field(cfg.grid, rng) for _ in range(index + 1)][index]
+    diag = classify(u, cfg)
+    assert [sign for _, sign in diag.roots] == signs
+    assert diag.roots[0][0] < 1e-9
+    dens = pointwise_energy(u)
+    for t, sign in diag.roots:
+        m0 = integrate(cfg.grid, cfg.phi.phi(dens * (t * t / 2.0)) * dens)
+        size = t * abs(m0) + cfg.lam * t**cfg.q * abs(diag.concave) + t**cfg.p * abs(diag.convex)
+        assert abs(ray_energy_dt(u, t, cfg)) <= 1e-9 * size
+        assert ray_energy_dt2(u, t, cfg) * sign > 0.0
+        point = project(u, cfg, "plus" if sign > 0 else "minus")
+        assert math.isclose(point.scale, t, rel_tol=1e-9)
+        assert point.constraint <= 1e-9 * t * size  # G(t·u) = t·γ'(t)
+        assert point.gamma2 * sign > 0.0

@@ -268,6 +268,12 @@ def test_sobolev_order_domain():
         estimate_sobolev(g, 1.0)
     g1 = Grid(nodes=(9,), lengths=(1.0,))
     estimate_sobolev(g1, 7.0)  # any order >= 1 in low dimension
+    # no critical exponent caps the order below dim 3, so a non-finite one is
+    # rejected up front, not met as a non-finite iterate
+    for low in (g1, Grid(nodes=(7, 7), lengths=(1.0, 1.0))):
+        for order in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="Sobolev order must be >= 1"):
+                estimate_sobolev(low, order)
 
 
 def test_sobolev_matches_eigen_oracle_anisotropic_even():

@@ -83,3 +83,25 @@ def test_no_private_summation_helper_outside_grid(module):
         and "sum" in node.attr
     ]
     assert helpers == []
+
+
+def test_ray_integrands_are_written_once():
+    # fibering reads φ only through its one integrand table, so the plain
+    # sums of the root searches and the exact sums of reported values
+    # integrate the same products
+    raw = {"raw_Phi", "raw_phi", "raw_dphi", "raw_d2phi"}
+    tree = ast.parse((SRC / "fibering.py").read_text())
+    (table,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["_INTEGRANDS"]
+    ]
+    inside = {id(node) for node in ast.walk(table)}
+    uses = [
+        (node.attr, node.lineno, id(node) in inside)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in raw
+    ]
+    assert {attr for attr, _, _ in uses} == raw
+    assert [(attr, line) for attr, line, ok in uses if not ok] == []

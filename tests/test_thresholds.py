@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,17 @@ def test_admissibility_verdicts():
         assert admissibility(mid, th) == MARGINAL
     with pytest.raises(DomainError):
         admissibility(0.0, th)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+def test_lambda_outside_the_problem_domain_raises(lam):
+    # one rule with ProblemConfig: 0 < λ < inf; nan fails every comparison
+    q, p = 0.5, 1.5
+    th = compute_thresholds(synthetic_report(q, p), unit_sobolev(q, p), synthetic_problem(q, p))
+    with pytest.raises(DomainError, match="lambda must be positive"):
+        admissibility(lam, th)
+    with pytest.raises(DomainError, match="lambda must be positive"):
+        th.delta_lambda(lam)
 
 
 def test_falling_branch_floor_on_projections():
