@@ -10,8 +10,10 @@ node-valued fields over this grid.  The conventions are:
 * quadrature is the node rule (cell volume times node sum), which under
   the zero boundary is the trapezoid rule: :func:`integrate`, of one
   integrand or of a stack, is the only way other modules take it.  Every
-  sum is correctly rounded by the one kernel :func:`_exact_sums`, so it
-  does not depend on the order of the terms.
+  sum, of one row or of a stack of rows, is correctly rounded by the one
+  kernel :func:`_exact_sums` (an error-free extraction, with ``math.fsum``
+  for the rows it cannot certify), so it does not depend on the order of
+  the terms.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ __all__ = [
 ]
 
 
-# a row sum is vectorised only when the largest magnitude lies strictly in
+# a row sum is extracted only when the largest magnitude lies strictly in
 # (2**-_EXTRACT_EXP, 2**_EXTRACT_EXP): no overflow, and the error bounds never
 # meet underflow
 _EXTRACT_EXP = 900
@@ -56,25 +58,26 @@ _EXTRACT_EXP = 900
 def _exact_sums(rows: np.ndarray):
     """Correctly rounded sum of a 1-D array, or array of a 2-D array's row sums.
 
-    Every sum is bitwise ``math.fsum``'s, which sums a lone row itself (it is
-    faster there than the passes below).  Error-free extraction (Rump, Ogita
+    Every sum is bitwise ``math.fsum``'s.  Error-free extraction (Rump, Ogita
     and Oishi, SIAM J. Sci. Comput. 2008): with μ = max|x| < 2^e and
     σ = 2^{e+M}, 2^M ≥ n + 2, the high parts q = (σ + x) − σ are multiples
-    of ulp(σ)/2 whose sum τ is exact in any order, and x = q + r exactly.  R = fl(τ + Σr) then differs from the
-    exact sum by at most |δ| + β, where δ is the TwoSum error of the last
-    addition and β = 2n·2⁻⁵³·Σ|r| bounds the error of the float Σr.  R is
-    the correctly rounded sum when that is below half the smaller gap next
-    to R.  A row of ±0.0 (μ = 0) sums to +0.0 here, as in ``math.fsum``.
-    Any other row that fails this test, sums to 0, or has μ outside
-    (2⁻⁹⁰⁰, 2⁹⁰⁰) (ties, cancellation to a signed zero, non-finite entries)
-    goes to ``math.fsum``, so it gives the same value or raises the same
-    error.
+    of ulp(σ)/2 whose sum τ is exact in any order, and x = q + r exactly.
+    R = fl(τ + Σr) then differs from the exact sum by at most |δ| + β, where
+    δ is the TwoSum error of the last addition and β = 2n·2⁻⁵³·Σ|r| bounds
+    the error of the float Σr.  R is the correctly rounded sum when that is
+    below half the smaller gap next to R.  A stack runs the passes on all
+    its rows at once, where a row of ±0.0 (μ = 0) sums to +0.0, as in
+    ``math.fsum``; a lone row (a 1-D array or a 1-row stack) runs them with
+    one scalar σ (:func:`_exact_row_sum`).  Any other row that fails the
+    test, sums to 0, or has μ outside (2⁻⁹⁰⁰, 2⁹⁰⁰) (ties, cancellation to a
+    signed zero, non-finite entries) goes to ``math.fsum``, so it gives the
+    same value or raises the same error.
     """
-    rows = np.asarray(rows, dtype=float)
+    rows = np.asarray(rows, dtype=float, order="C")
     if rows.ndim == 1:
-        return math.fsum(rows.tolist())
+        return _exact_row_sum(rows)
     if len(rows) == 1:
-        return np.array([math.fsum(rows[0].tolist())])
+        return np.array([_exact_row_sum(rows[0])])
     n = rows.shape[1]
     with np.errstate(invalid="ignore", over="ignore"):
         mu = np.max(np.abs(rows), axis=1)
@@ -97,8 +100,30 @@ def _exact_sums(rows: np.ndarray):
             & (mu < 2.0**_EXTRACT_EXP)
         ) | (mu == 0.0)  # a row of ±0.0 gives R = +0.0, as fsum does
     for i in np.flatnonzero(~ok):
-        R[i] = math.fsum(rows[i].tolist())
+        R[i] = math.fsum(memoryview(rows[i]))
     return R
+
+
+def _exact_row_sum(row: np.ndarray) -> float:
+    """:func:`_exact_sums` of one C-contiguous row: the same passes and test,
+    with μ, σ and the test in Python floats; a row of ±0.0 goes to fsum."""
+    mu = float(np.max(np.abs(row), initial=0.0))
+    if 2.0**-_EXTRACT_EXP < mu < 2.0**_EXTRACT_EXP:
+        n = len(row)
+        sigma = math.ldexp(1.0, math.frexp(mu)[1] + (n + 1).bit_length())
+        q = row + sigma
+        q -= sigma
+        r = row - q
+        tau = float(np.add.reduce(q))
+        err = float(np.add.reduce(r))
+        beta = (2.0 * n * 2.0**-53) * float(np.add.reduce(np.abs(r, out=r)))
+        R = tau + err
+        z = R - tau
+        delta = (tau - (R - z)) + (err - z)
+        size = abs(R)
+        if abs(delta) + beta < 0.5 * (size - math.nextafter(size, 0.0)):
+            return R
+    return math.fsum(memoryview(row))
 
 
 @dataclass(frozen=True)

@@ -90,8 +90,8 @@ def _check_nonneg(s):
 def constant_model(c: float = 1.0) -> PhiModel:
     """φ ≡ c, so Φ(s) = c·s; the semilinear (Laplace-type) limit."""
     c = float(c)
-    if c <= 0:
-        raise DomainError("constant phi must be positive")
+    if not 0.0 < c < math.inf:
+        raise DomainError("constant phi must be positive and finite")
     return PhiModel(
         kind="constant",
         raw_Phi=lambda s: c * np.asarray(s, dtype=float),
@@ -107,8 +107,8 @@ def stuart_model(offset: float) -> PhiModel:
     Φ(s) = A·s − (1+s)⁻²/2 + 1/2, φ'(s) = −3(1+s)⁻⁴, φ''(s) = 12(1+s)⁻⁵.
     """
     A = float(offset)
-    if A <= 0:
-        raise DomainError("stuart offset must be positive")
+    if not 0.0 < A < math.inf:
+        raise DomainError("stuart offset must be positive and finite")
     return PhiModel(
         kind="stuart_example",
         raw_Phi=lambda s: A * np.asarray(s, dtype=float)

@@ -329,16 +329,22 @@ def test_sobolev_reference_values():
 
 
 def test_sobolev_values_are_bitwise_stable():
-    # the shift argument of the sine-transform solver leaves shift 0 untouched
+    # the shift argument of the sine-transform solver leaves shift 0 untouched;
+    # the boxes off the cube give the lone-row sums other row lengths and
+    # other (n + 1).bit_length()
     expected = {
-        (9, 1.5): "0x1.4d7dea36689c1p-3",
-        (9, 4.0): "0x1.2104c2374b23cp-2",
-        (17, 1.5): "0x1.4d793fb71150fp-3",
-        (17, 4.0): "0x1.196ec3a209a8ep-2",
+        ((9, 9, 9), (1.0, 1.0, 1.0), 1.5): "0x1.4d7dea36689c1p-3",
+        ((9, 9, 9), (1.0, 1.0, 1.0), 4.0): "0x1.2104c2374b23cp-2",
+        ((17, 17, 17), (1.0, 1.0, 1.0), 1.5): "0x1.4d793fb71150fp-3",
+        ((17, 17, 17), (1.0, 1.0, 1.0), 4.0): "0x1.196ec3a209a8ep-2",
+        ((5, 6, 7), (1.0, 2.0, 0.5), 1.5): "0x1.fb28fe1b5b266p-4",
+        ((5, 6, 7), (1.0, 2.0, 0.5), 4.0): "0x1.1aab2bf7eead7p-2",
+        ((13,), (1.0,), 3.0): "0x1.5c19d83730795p-2",
+        ((6, 9), (1.0, 1.5), 5.0): "0x1.5725fe01660e5p-2",
     }
-    for (n, order), value in expected.items():
-        est = estimate_sobolev(Grid(nodes=(n, n, n), lengths=(1.0, 1.0, 1.0)), order)
-        assert est.value.hex() == value, (n, order)
+    for (nodes, lengths, order), value in expected.items():
+        est = estimate_sobolev(Grid(nodes=nodes, lengths=lengths), order)
+        assert est.value.hex() == value, (nodes, order)
 
 
 @pytest.mark.parametrize("shift", [0.0, 1.0])
@@ -518,17 +524,26 @@ def hard_row(draw, n: int) -> np.ndarray:
 @st.composite
 def hard_rows(draw) -> np.ndarray:
     n = draw(st.integers(5, 1000))
-    return np.stack([draw(hard_row(n)) for _ in range(draw(st.integers(2, 5)))])
+    layout = draw(st.sampled_from(["lone", "one-row stack", "stack", "Fortran-ordered stack"]))
+    if layout == "lone":
+        return draw(hard_row(n))
+    if layout == "one-row stack":
+        return draw(hard_row(n))[None, :]
+    rows = np.stack([draw(hard_row(n)) for _ in range(draw(st.integers(2, 5)))])
+    if layout == "Fortran-ordered stack":
+        # the transpose of a C-ordered array: the same values, not C-contiguous
+        return np.asfortranarray(rows)
+    return rows
 
 
 def test_exact_sums_are_fsum_bitwise():
     paths: Counter = Counter()
 
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=800, deadline=None, derandomize=True, database=None)
     @given(rows=hard_rows())
     def check(rows):
         expected = []
-        for row in rows:
+        for row in np.atleast_2d(rows):
             try:
                 expected.append(math.fsum(row.tolist()))
             except (OverflowError, ValueError) as exc:
@@ -541,13 +556,19 @@ def test_exact_sums_are_fsum_bitwise():
         proxy.fsum = lambda values: fallbacks.append(1) or math.fsum(values)
         with mock.patch.object(grid_module, "math", proxy):
             got = _exact_sums(rows)
-        paths["fallback"] += len(fallbacks)
-        paths["vectorised"] += len(rows) - len(fallbacks)
+        kind = "lone" if len(expected) == 1 else "stacked"
+        paths[kind, "fallback"] += len(fallbacks)
+        paths[kind, "extracted"] += len(expected) - len(fallbacks)
+        if rows.ndim == 1:
+            assert type(got) is float
+            got = np.array([got])
         assert got.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
     check()
-    # both paths ran: ties, zeros, subnormals and specials fall back
-    assert paths["vectorised"] > 0 and paths["fallback"] > 0, paths
+    # both paths ran for lone rows and for stacks: ties, zeros, subnormals
+    # and specials fall back
+    ran = [(kind, path) for kind in ("lone", "stacked") for path in ("extracted", "fallback")]
+    assert all(paths[key] > 0 for key in ran), paths
 
 
 def test_exact_sums_of_one_row_is_fsum():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,14 @@ def test_negative_s_rejected():
         model.Phi(-1e-9)
     with pytest.raises(DomainError):
         model.phi(np.array([0.5, -0.5]))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_model_parameters_must_be_positive_and_finite(bad):
+    with pytest.raises(DomainError, match="constant phi must be positive and finite"):
+        constant_model(bad)
+    with pytest.raises(DomainError, match="stuart offset must be positive and finite"):
+        stuart_model(bad)
 
 
 def test_antiderivative_consistency():

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import logging
 import math
+import types
 
 import numpy as np
 import pytest
@@ -254,7 +255,7 @@ def test_descent_sums_each_quadrature_once():
     # the package re-exports the function ``energy`` under the module's name
     energy_module = importlib.import_module("nehari.energy")
     prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
-    counts = {"sums": 0, "energy": 0}
+    counts = {"sums": 0, "energy": 0, "fsum": 0}
     exact_sums = grid_module._exact_sums
     energy = energy_module.energy
 
@@ -266,7 +267,14 @@ def test_descent_sums_each_quadrature_once():
         counts["energy"] += 1
         return energy(*args)
 
+    def counted_fsum(values):
+        counts["fsum"] += 1
+        return math.fsum(values)
+
+    proxy = types.SimpleNamespace(**vars(math))
+    proxy.fsum = counted_fsum
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_module, "math", proxy)
         for mod in (grid_module, energy_module, fibering, solver):
             if getattr(mod, "_exact_sums", None) is exact_sums:
                 mp.setattr(mod, "_exact_sums", counted_exact_sums)
@@ -281,6 +289,22 @@ def test_descent_sums_each_quadrature_once():
     assert iterations > 200
     assert counts["energy"] == 0
     assert counts["sums"] / iterations <= 8.0
+    # what the extraction's certificate rejects: ~1.4 rows per iteration
+    assert counts["fsum"] / iterations <= 1.6
+
+
+@pytest.mark.parametrize("name", ["constant", "stuart"])
+def test_prepare_run_sums_without_fsum(name, monkeypatch):
+    # both Sobolev iterations sum lone rows (three Dirichlet axes and the
+    # L^order norm per iterate), and the extraction certifies every one
+    import nehari.grid as grid_module
+
+    calls = []
+    proxy = types.SimpleNamespace(**vars(math))
+    proxy.fsum = lambda values: calls.append(1) or math.fsum(values)
+    monkeypatch.setattr(grid_module, "math", proxy)
+    prepare_run(parse_config((CONFIG_DIR / f"reference_{name}.ini").read_text()))
+    assert calls == []
 
 
 def test_report_reads_one_fresh_ray_per_branch(monkeypatch):
