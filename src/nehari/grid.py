@@ -11,9 +11,9 @@ node-valued fields over this grid.  The conventions are:
   the zero boundary is the trapezoid rule: :func:`integrate`, of one
   integrand or of a stack, is the only way other modules take it.  Every
   sum, of one row or of a stack of rows, is correctly rounded by the one
-  kernel :func:`_exact_sums` (an error-free extraction, with ``math.fsum``
-  for the rows it cannot certify), so it does not depend on the order of
-  the terms.
+  kernel :func:`_exact_sums` (an error-free extraction with one σ per
+  stack, a retry under a row's own σ, and ``math.fsum`` for the rows it
+  cannot certify), so it does not depend on the order of the terms.
 """
 
 from __future__ import annotations
@@ -65,49 +65,66 @@ def _exact_sums(rows: np.ndarray):
     R = fl(τ + Σr) then differs from the exact sum by at most |δ| + β, where
     δ is the TwoSum error of the last addition and β = 2n·2⁻⁵³·Σ|r| bounds
     the error of the float Σr.  R is the correctly rounded sum when that is
-    below half the smaller gap next to R.  A stack runs the passes on all
-    its rows at once, where a row of ±0.0 (μ = 0) sums to +0.0, as in
-    ``math.fsum``; a lone row (a 1-D array or a 1-row stack) runs them with
-    one scalar σ (:func:`_exact_row_sum`).  Any other row that fails the
-    test, sums to 0, or has μ outside (2⁻⁹⁰⁰, 2⁹⁰⁰) (ties, cancellation to a
-    signed zero, non-finite entries) goes to ``math.fsum``, so it gives the
-    same value or raises the same error.
+    below half the smaller gap next to R.
+
+    A lone row (a 1-D array or a 1-row stack) runs the passes with its own σ
+    (:func:`_exact_row_sum`).  A stack runs them on all its rows at once
+    with one scalar σ from its largest μ, valid for every row since no
+    row's μ is larger.  A stacked row that this σ cannot certify is retried
+    alone under its own σ, or goes straight to ``math.fsum`` when its own σ
+    is the stack's and the test would only repeat.  A stack whose largest μ
+    lies outside (2⁻⁹⁰⁰, 2⁹⁰⁰) (nan, inf, all zeros) sums its rows alone, in
+    order.  A row of ±0.0 (μ = 0) sums to +0.0, as in ``math.fsum``.  Any
+    other row that fails the test, or whose μ lies outside that range (ties,
+    cancellation to a signed zero, non-finite entries), goes to
+    ``math.fsum``, so it gives the same value or raises the same error.
     """
     rows = np.asarray(rows, dtype=float, order="C")
     if rows.ndim == 1:
         return _exact_row_sum(rows)
     if len(rows) == 1:
         return np.array([_exact_row_sum(rows[0])])
+    if rows.size == 0:
+        return np.zeros(len(rows))  # fsum of no terms is +0.0
+    # max|x| per row, without an |x| temporary; nan propagates into μ
+    mus = np.maximum(np.maximum.reduce(rows, axis=1), -np.minimum.reduce(rows, axis=1))
+    mu = float(mus.max())
+    if not 2.0**-_EXTRACT_EXP < mu < 2.0**_EXTRACT_EXP:
+        return np.array([_exact_row_sum(row) for row in rows])
     n = rows.shape[1]
-    with np.errstate(invalid="ignore", over="ignore"):
-        mu = np.max(np.abs(rows), axis=1)
-        sigma = np.ldexp(1.0, np.frexp(mu)[1] + (n + 1).bit_length())[:, None]
-        q = sigma + rows
-        q -= sigma
-        r = rows - q
-        tau = np.add.reduce(q, axis=1)
-        err = np.add.reduce(r, axis=1)
-        beta = (2.0 * n * 2.0**-53) * np.add.reduce(np.abs(r, out=r), axis=1)
-        R = tau + err
-        z = R - tau
-        delta = (tau - (R - z)) + (err - z)
-        # the gap below |R| is the smaller one; it is 0 at R = 0
-        size = np.abs(R)
-        half_gap = 0.5 * (size - np.nextafter(size, 0.0))
-        ok = (
-            (np.abs(delta) + beta < half_gap)
-            & (mu > 2.0**-_EXTRACT_EXP)
-            & (mu < 2.0**_EXTRACT_EXP)
-        ) | (mu == 0.0)  # a row of ±0.0 gives R = +0.0, as fsum does
-    for i in np.flatnonzero(~ok):
-        R[i] = math.fsum(memoryview(rows[i]))
+    exponent = math.frexp(mu)[1]
+    sigma = math.ldexp(1.0, exponent + (n + 1).bit_length())
+    q = rows + sigma
+    q -= sigma
+    r = rows - q
+    tau = np.add.reduce(q, axis=1)
+    err = np.add.reduce(r, axis=1)
+    beta = (2.0 * n * 2.0**-53) * np.add.reduce(np.abs(r, out=r), axis=1)
+    R = tau + err
+    z = R - tau
+    delta = (tau - (R - z)) + (err - z)
+    # the gap below |R| is the smaller one; it is 0 at R = 0
+    size = np.abs(R)
+    half_gap = 0.5 * (size - np.nextafter(size, 0.0))
+    # every row's μ is below the stack's, so below 2**_EXTRACT_EXP
+    ok = (np.abs(delta) + beta < half_gap) & (mus > 2.0**-_EXTRACT_EXP)
+    ok |= mus == 0.0  # a row of ±0.0 gives R = +0.0, as fsum does
+    if not ok.all():
+        for i in np.flatnonzero(~ok):
+            if math.frexp(mus[i])[1] == exponent:  # its own σ is the stack's
+                R[i] = math.fsum(memoryview(rows[i]))
+            else:
+                R[i] = _exact_row_sum(rows[i])
     return R
 
 
 def _exact_row_sum(row: np.ndarray) -> float:
     """:func:`_exact_sums` of one C-contiguous row: the same passes and test,
-    with μ, σ and the test in Python floats; a row of ±0.0 goes to fsum."""
+    with μ, σ and the test in Python floats; a row of ±0.0, or an empty one,
+    gives +0.0."""
     mu = float(np.max(np.abs(row), initial=0.0))
+    if mu == 0.0:
+        return 0.0
     if 2.0**-_EXTRACT_EXP < mu < 2.0**_EXTRACT_EXP:
         n = len(row)
         sigma = math.ldexp(1.0, math.frexp(mu)[1] + (n + 1).bit_length())

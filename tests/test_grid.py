@@ -524,11 +524,27 @@ def hard_row(draw, n: int) -> np.ndarray:
 @st.composite
 def hard_rows(draw) -> np.ndarray:
     n = draw(st.integers(5, 1000))
-    layout = draw(st.sampled_from(["lone", "one-row stack", "stack", "Fortran-ordered stack"]))
+    layout = draw(
+        st.sampled_from(
+            ["lone", "one-row stack", "stack", "Fortran-ordered stack", "mixed-scale stack"]
+        )
+    )
     if layout == "lone":
         return draw(hard_row(n))
     if layout == "one-row stack":
         return draw(hard_row(n))[None, :]
+    if layout == "mixed-scale stack":
+        # the stack's σ comes from its largest row: the rows 2⁻³⁰ and 2⁻⁷⁰
+        # below it mostly fail its test and are retried under their own σ; the
+        # row below 2⁻⁹⁰⁰ goes on to fsum, and the row of zeros gives +0.0
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        shift = draw(st.integers(-40, 40))
+        scales = np.ldexp([1.0, 2.0**-30, 2.0**-70, 2.0**-950], shift)
+        rows = [rng.standard_normal(n) * s for s in scales]
+        rows.append(np.zeros(n))
+        if draw(st.booleans()):
+            rows.append(draw(hard_row(n)))
+        return rng.permutation(np.stack(rows))
     rows = np.stack([draw(hard_row(n)) for _ in range(draw(st.integers(2, 5)))])
     if layout == "Fortran-ordered stack":
         # the transpose of a C-ordered array: the same values, not C-contiguous
@@ -551,14 +567,26 @@ def test_exact_sums_are_fsum_bitwise():
                 with pytest.raises(type(exc)):
                     _exact_sums(rows)
                 return
-        fallbacks = []
+        fallbacks, retries = [], []
         proxy = types.SimpleNamespace(**vars(math))
         proxy.fsum = lambda values: fallbacks.append(1) or math.fsum(values)
-        with mock.patch.object(grid_module, "math", proxy):
+        exact_row_sum = grid_module._exact_row_sum
+
+        def row_sum(row):
+            before = len(fallbacks)
+            value = exact_row_sum(row)
+            retries.append("fsum" if len(fallbacks) > before else "certified")
+            return value
+
+        with mock.patch.object(grid_module, "math", proxy), mock.patch.object(
+            grid_module, "_exact_row_sum", row_sum
+        ):
             got = _exact_sums(rows)
         kind = "lone" if len(expected) == 1 else "stacked"
         paths[kind, "fallback"] += len(fallbacks)
         paths[kind, "extracted"] += len(expected) - len(fallbacks)
+        if kind == "stacked":
+            paths.update(("retried", outcome) for outcome in retries)
         if rows.ndim == 1:
             assert type(got) is float
             got = np.array([got])
@@ -568,7 +596,19 @@ def test_exact_sums_are_fsum_bitwise():
     # both paths ran for lone rows and for stacks: ties, zeros, subnormals
     # and specials fall back
     ran = [(kind, path) for kind in ("lone", "stacked") for path in ("extracted", "fallback")]
+    # stacked rows the shared σ cannot certify were retried alone: some were
+    # certified under their own σ, and some went on to fsum
+    ran += [("retried", "certified"), ("retried", "fsum")]
     assert all(paths[key] > 0 for key in ran), paths
+
+
+def test_exact_sums_of_empty_rows_and_stacks():
+    # fsum of no terms is +0.0; a stack of no rows is an empty array
+    zero_length = _exact_sums(np.empty((2, 0)))
+    assert zero_length.view(np.int64).tolist() == np.zeros(2).view(np.int64).tolist()
+    assert _exact_sums(np.empty((0, 5))).shape == (0,)
+    g = Grid(nodes=(3, 4), lengths=(1.0, 1.0))
+    assert integrate(g, np.empty((0, *g.shape))) == []
 
 
 def test_exact_sums_of_one_row_is_fsum():
