@@ -70,14 +70,20 @@ def _exact_sums(rows: np.ndarray):
     A lone row (a 1-D array or a 1-row stack) runs the passes with its own σ
     (:func:`_exact_row_sum`).  A stack runs them on all its rows at once
     with one scalar σ from its largest μ, valid for every row since no
-    row's μ is larger.  A stacked row that this σ cannot certify is retried
-    alone under its own σ, or goes straight to ``math.fsum`` when its own σ
-    is the stack's and the test would only repeat.  A stack whose largest μ
-    lies outside (2⁻⁹⁰⁰, 2⁹⁰⁰) (nan, inf, all zeros) sums its rows alone, in
-    order.  A row of ±0.0 (μ = 0) sums to +0.0, as in ``math.fsum``.  Any
-    other row that fails the test, or whose μ lies outside that range (ties,
-    cancellation to a signed zero, non-finite entries), goes to
-    ``math.fsum``, so it gives the same value or raises the same error.
+    row's μ is larger.  A row with μ ≤ ulp(σ)/4 = 2^{e+M−54}, about 54 − M
+    binades below the stack's largest (44 for n = 729), is summed alone
+    under its own σ without the stacked passes, a row of ±0.0 included: σ
+    cannot certify it, since every |x| ≤ ulp(σ)/4 rounds to q = 0, so r = x,
+    δ = 0 and β = 2n·2⁻⁵³·Σ|x| exceeds 2⁻⁵³·|R|, at least half the gap next
+    to R (at R = 0 both are 0, and the strict test fails).  A stacked row
+    that σ does not certify is retried alone under its own σ, or goes
+    straight to ``math.fsum`` when its own σ is the stack's and the test
+    would only repeat.  A stack whose largest μ lies outside (2⁻⁹⁰⁰, 2⁹⁰⁰)
+    (nan, inf, all zeros) sums its rows alone, in order.  A row of ±0.0
+    (μ = 0) sums to +0.0, as in ``math.fsum``.  Any other row that fails the
+    test, or whose μ lies outside that range (ties, cancellation to a signed
+    zero, non-finite entries), goes to ``math.fsum``, so it gives the same
+    value or raises the same error.
     """
     rows = np.asarray(rows, dtype=float, order="C")
     if rows.ndim == 1:
@@ -94,6 +100,13 @@ def _exact_sums(rows: np.ndarray):
     n = rows.shape[1]
     exponent = math.frexp(mu)[1]
     sigma = math.ldexp(1.0, exponent + (n + 1).bit_length())
+    floor = 2.0**-54 * sigma  # ulp(σ)/4: see the docstring
+    if mus.min() <= floor:
+        far = mus <= floor
+        R = np.empty(len(rows))
+        R[far] = [_exact_row_sum(row) for row in rows[far]]
+        R[~far] = _exact_sums(rows[~far])
+        return R
     q = rows + sigma
     q -= sigma
     r = rows - q
@@ -108,7 +121,6 @@ def _exact_sums(rows: np.ndarray):
     half_gap = 0.5 * (size - np.nextafter(size, 0.0))
     # every row's μ is below the stack's, so below 2**_EXTRACT_EXP
     ok = (np.abs(delta) + beta < half_gap) & (mus > 2.0**-_EXTRACT_EXP)
-    ok |= mus == 0.0  # a row of ±0.0 gives R = +0.0, as fsum does
     if not ok.all():
         for i in np.flatnonzero(~ok):
             if math.frexp(mus[i])[1] == exponent:  # its own σ is the stack's

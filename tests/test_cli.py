@@ -263,10 +263,10 @@ def test_solve_refuses_inadmissible_without_force(tmp_path, caplog):
     minus = report["minus"]
     assert (minus["stop_reason"], minus["iterations"], minus["converged"]) == (
         "no_decrease",
-        30,
+        28,
         False,
     )
-    assert "branch minus stopped (no_decrease) after 30 iterations" in caplog.text
+    assert "branch minus stopped (no_decrease) after 28 iterations" in caplog.text
 
 
 PHI_ROWS = "0.0,1.0\n1.0,1.0\n2.0,1.0\n"

@@ -1,8 +1,10 @@
 import dataclasses
 import importlib
+import itertools
 import logging
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,15 @@ from nehari.errors import (
     SeedingError,
 )
 from nehari.fibering import CASE_BOTH_NO_ROOT, classify
-from nehari.grid import Field, Grid, _gaussian, estimate_sobolev, make_weight
+from nehari.grid import (
+    Field,
+    Grid,
+    _dirichlet_solver,
+    _gaussian,
+    estimate_sobolev,
+    make_weight,
+    random_smooth_field,
+)
 from nehari.phi import constant_model, stuart_model, verify_hypotheses
 from nehari.solver import minimize_branch, multistart, seed_field, solve_both
 from nehari.thresholds import compute_thresholds
@@ -211,16 +221,10 @@ def test_seed_narrowing_reaches_positive_lobe():
 
 
 def test_projection_reads_few_phi_values():
-    # mean raw_phi calls per projection over whole stuart 9^3 solves at the
-    # benchmark panel's five lambda fractions, together over 200 projections
-    prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
+    # mean raw_phi calls per projection over whole 9^3 solves of both
+    # reference configs at the benchmark panel's five lambda fractions,
+    # together over 200 projections
     counts = {"phi": 0, "projections": 0, "inside": False}
-    raw_phi = prep.problem.phi.raw_phi
-
-    def counted_phi(s):
-        counts["phi"] += counts["inside"]
-        return raw_phi(s)
-
     project_scale = solver.project_scale
 
     def counted_projection(*args):
@@ -231,31 +235,48 @@ def test_projection_reads_few_phi_values():
         finally:
             counts["inside"] = False
 
-    phi = dataclasses.replace(prep.problem.phi, raw_phi=counted_phi)
+    def counted(raw_phi):
+        def counted_phi(s):
+            counts["phi"] += counts["inside"]
+            return raw_phi(s)
+
+        return counted_phi
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "project_scale", counted_projection)
-        for fraction in PANEL_FRACTIONS:
-            lam = fraction * prep.thresholds.lambda0
-            cfg = dataclasses.replace(prep.problem, phi=phi, lam=lam)
-            pair = solve_both(cfg, thresholds=prep.thresholds)
-            assert not pair.failures and pair.ordering_ok
-    assert counts["projections"] > 200
+        for name in ("stuart", "constant"):
+            text = (CONFIG_DIR / f"reference_{name}.ini").read_text()
+            prep = prepare_run(parse_config(text))
+            phi = dataclasses.replace(
+                prep.problem.phi, raw_phi=counted(prep.problem.phi.raw_phi)
+            )
+            for fraction in PANEL_FRACTIONS:
+                lam = fraction * prep.thresholds.lambda0
+                cfg = dataclasses.replace(prep.problem, phi=phi, lam=lam)
+                pair = solve_both(cfg, thresholds=prep.thresholds)
+                assert not pair.failures and pair.ordering_ok
+    assert counts["projections"] > 200  # 342, at 8.08 calls each
     assert counts["phi"] / counts["projections"] <= 9.0
 
 
 def test_descent_sums_each_quadrature_once():
-    # exact sums per descent iteration over whole stuart 9^3 solves at the
-    # benchmark panel's five lambda fractions: a trial takes its energy from
-    # its projection, so energy() is never called; every correctly rounded
-    # sum goes through grid._exact_sums, where each row of a batch counts as
-    # one sum and a 1-D array as one row; a stacked row that the stack's
-    # shared σ cannot certify is retried alone under its own σ
+    # exact sums per descent iteration over whole 9^3 solves of both
+    # reference configs at the benchmark panel's five lambda fractions: a
+    # trial takes its energy from its projection, so energy() is never
+    # called; every correctly rounded sum goes through grid._exact_sums,
+    # where each row of a batch counts as one sum and a 1-D array as one
+    # row; a stacked row that the stack's shared σ cannot certify, or one far
+    # enough below the stack's largest that it cannot, is summed alone under
+    # its own σ
     import nehari.fibering as fibering
     import nehari.grid as grid_module
 
     # the package re-exports the function ``energy`` under the module's name
     energy_module = importlib.import_module("nehari.energy")
-    prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
+    preps = [
+        prepare_run(parse_config((CONFIG_DIR / f"reference_{name}.ini").read_text()))
+        for name in ("stuart", "constant")
+    ]
     counts = {"sums": 0, "energy": 0, "fsum": 0, "retries": 0}
     exact_sums = grid_module._exact_sums
     exact_row_sum = grid_module._exact_row_sum
@@ -291,7 +312,7 @@ def test_descent_sums_each_quadrature_once():
             if getattr(mod, "energy", None) is energy:
                 mp.setattr(mod, "energy", counted_energy)
         iterations = 0
-        for fraction in PANEL_FRACTIONS:
+        for prep, fraction in itertools.product(preps, PANEL_FRACTIONS):
             cfg = dataclasses.replace(prep.problem, lam=fraction * prep.thresholds.lambda0)
             pair = solve_both(cfg, thresholds=prep.thresholds)
             assert not pair.failures and pair.ordering_ok
@@ -299,8 +320,8 @@ def test_descent_sums_each_quadrature_once():
     assert iterations > 200
     assert counts["energy"] == 0
     assert counts["sums"] / iterations <= 8.0
-    # measured over 217 iterations: 7.62 sums, 1.40 fsum calls (what the
-    # extraction's certificate rejects) and 1.92 own-σ retries per iteration
+    # measured over 317 iterations: 7.73 sums, 1.20 fsum calls (what the
+    # extraction's certificate rejects) and 1.83 own-σ retries per iteration
     assert counts["fsum"] / iterations <= 1.6
     assert counts["retries"] / iterations <= 2.2
 
@@ -492,33 +513,35 @@ def test_one_dimensional_refinement_converges_at_second_order():
         assert order >= 1.8, (branch, order)
 
 
-@pytest.mark.parametrize("name, growth", [("constant", 2.0), ("stuart", 3.0)])
-def test_iteration_counts_do_not_grow_with_the_grid(name, growth):
-    # lambda = auto:0.5 on 9^3 and 17^3: both branches converge on both
-    # grids, and a count that grows like h⁻² (3.2× here) fails.  Measured
-    # minus/plus: constant 13/31 -> 24/44, stuart 13/31 -> 31/71, where the
-    # 17^3 N⁻ bump sharpens to a grid-scale spike and the N⁺ residual creeps
-    # near the tolerance.
+@pytest.mark.parametrize("name, minus_growth", [("constant", 2.0), ("stuart", 3.0)])
+def test_iteration_counts_do_not_grow_with_the_grid(name, minus_growth):
+    # lambda = auto:0.5: both branches converge on 9^3 and 17^3, and the plus
+    # branch on 25^3; a count that grows like h⁻² (3.2× from 9³ to 17³)
+    # fails.  Measured minus/plus: constant 13/17 -> 24/26 -> plus 28, stuart
+    # 13/21 -> 33/33 -> plus 39.  Stuart minus may grow 3×, since its 17^3
+    # N⁻ bump sharpens to a grid-scale spike.  The plus branch may grow 2×:
+    # with H₀ = γ·P, without the dead-core scaling W, stuart plus read
+    # 31 -> 71 -> 94.
     text = (CONFIG_DIR / f"reference_{name}.ini").read_text()
-    counts = {}
-    for n in (9, 17):
+    counts = {"minus": [], "plus": []}
+    for n in (9, 17, 25):
         prep = prepare_run(parse_config(text.replace("nodes = 9", f"nodes = {n}")))
         assert prep.problem.grid.nodes == (n, n, n)
-        pair = solve_both(prep.problem, thresholds=prep.thresholds)
-        assert not pair.failures
-        for report in (pair.minus, pair.plus):
-            assert report.stop_reason == "converged", (n, report.branch)
-        counts[n] = {"minus": pair.minus.iterations, "plus": pair.plus.iterations}
-    for branch in ("minus", "plus"):
-        coarse, fine = counts[9][branch], counts[17][branch]
-        assert max(coarse, fine) <= growth * min(coarse, fine), (branch, counts)
+        for branch in ("minus", "plus") if n < 25 else ("plus",):
+            report = minimize_branch(prep.problem, branch, thresholds=prep.thresholds)
+            assert report.stop_reason == "converged", (n, branch)
+            counts[branch].append(report.iterations)
+    for branch, growth in (("minus", minus_growth), ("plus", 2.0)):
+        assert max(counts[branch]) <= growth * min(counts[branch]), (branch, counts)
 
 
 def test_counters_add_up_over_the_line_searches():
     # every trial is one projection: the accepted one of each step, and one
-    # per halving; a failed projection is always followed by a halving
-    prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
-    report = minimize_branch(prep.problem, "plus", thresholds=prep.thresholds)
+    # per halving; a failed projection is always followed by a halving.  The
+    # 1-D stuart minus branch at λ₀/2 fails one projection, where no 9³
+    # reference solve fails any
+    cfg, th = with_thresholds(make_problem(nodes=(15,), phi=stuart_model(6.0)))
+    report = minimize_branch(cfg, "minus", thresholds=th)
     assert report.converged
     counters = report.counters
     steps = len(report.alpha_history)
@@ -549,3 +572,72 @@ def test_ascent_direction_clears_the_memory(monkeypatch, caplog, cfg_const):
     resets = report.counters["memory_resets"]
     assert resets == report.iterations - 2  # every step after the first
     assert caplog.text.count("L-BFGS memory cleared") == resets
+
+
+def test_start_matrix_is_symmetric_and_positive():
+    # H₀/γ = W P W at the solved stuart 9^3 N⁺ field, whose dead core puts W
+    # far below 1: ⟨x, H₀y⟩ = ⟨H₀x, y⟩ to round-off, and ⟨x, H₀x⟩ > 0
+    prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
+    cfg = prep.problem
+    u = minimize_branch(cfg, "plus", thresholds=prep.thresholds).point.field
+    memory = solver._LBFGS(cfg)
+    start = memory.start(u)
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        x, y = (
+            random_smooth_field(cfg.grid, rng).values + rng.standard_normal(cfg.grid.shape)
+            for _ in range(2)
+        )
+        hx, hy = start(x), start(y)
+        norm = np.linalg.norm
+        assert abs(np.vdot(x, hy) - np.vdot(hx, y)) <= 1e-14 * (
+            norm(x) * norm(hy) + norm(hx) * norm(y)
+        )
+        assert np.vdot(x, hx) > 0.0
+    assert not np.allclose(start(x), memory.precondition(x), rtol=1e-3, atol=0.0)
+
+
+def test_start_matrix_is_the_h1_preconditioner_where_the_field_vanishes():
+    # W is 1 where a ≥ 0 and, since |u|^{q−1} has no finite value there, where
+    # u = 0: a field that is 0 exactly where a < 0 gives H₀/γ bitwise
+    # P = (I − Δ_h)⁻¹, and |u|^{1−q} at u = 0 raises no warning
+    cfg, _ = with_thresholds(make_problem(nodes=(7, 7, 7), phi=stuart_model(6.0)))
+    rng = np.random.default_rng(11)
+    keep = cfg.a.values >= 0.0
+    assert 0.0 < keep.mean() < 1.0
+    u = Field(cfg.grid, np.where(keep, random_smooth_field(cfg.grid, rng).values, 0.0))
+    x = rng.standard_normal(cfg.grid.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solver._LBFGS(cfg).start(u)(x)
+    want = _dirichlet_solver(cfg.grid, shift=1.0)(x)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_start_matrix_is_the_h1_preconditioner_without_absorption():
+    # with a ≥ 0 everywhere no node has a dead core: W ≡ 1 and H₀/γ is
+    # bitwise P = (I − Δ_h)⁻¹
+    cfg0, _ = with_thresholds(make_problem(nodes=(7, 7, 7), phi=stuart_model(6.0)))
+    cfg = dataclasses.replace(cfg0, a=Field(cfg0.grid, np.abs(cfg0.a.values)))
+    rng = np.random.default_rng(13)
+    u = random_smooth_field(cfg.grid, rng)
+    x = rng.standard_normal(cfg.grid.shape)
+    got = solver._LBFGS(cfg).start(u)(x)
+    want = _dirichlet_solver(cfg.grid, shift=1.0)(x)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_seed_with_zeros_on_the_absorbing_set_converges():
+    # a given seed that is 0 exactly where a < 0 converges with no nan, inf
+    # or RuntimeWarning; with W = 0 at those nodes, every direction would be
+    # 0 there too, and the descent ran to max_iter at residual 0.28
+    prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
+    cfg = prep.problem
+    keep = cfg.a.values >= 0.0
+    seed = Field(cfg.grid, np.where(keep, seed_field(cfg, "plus").values, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = minimize_branch(cfg, "plus", seed=seed, thresholds=prep.thresholds)
+    assert report.converged and report.restarts == 0
+    assert np.all(np.isfinite(report.energy_history + report.residual_history))
+    assert report.point.energy < 0.0 and report.invariants["monotone_energy"]
