@@ -11,9 +11,10 @@ node-valued fields over this grid.  The conventions are:
   the zero boundary is the trapezoid rule: :func:`integrate`, of one
   integrand or of a stack, is the only way other modules take it.  Every
   sum, of one row or of a stack of rows, is correctly rounded by the one
-  kernel :func:`_exact_sums` (an error-free extraction with one σ per
-  stack, a retry under a row's own σ, and ``math.fsum`` for the rows it
-  cannot certify), so it does not depend on the order of the terms.
+  kernel :func:`_exact_sums`, so it does not depend on the order of the
+  terms: an error-free extraction under one σ per stack, whose one
+  fallback sums each row it cannot certify alone, under its own σ and
+  then by ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -67,85 +68,51 @@ def _exact_sums(rows: np.ndarray):
     the error of the float Σr.  R is the correctly rounded sum when that is
     below half the smaller gap next to R.
 
-    A lone row (a 1-D array or a 1-row stack) runs the passes with its own σ
-    (:func:`_exact_row_sum`).  A stack runs them on all its rows at once
-    with one scalar σ from its largest μ, valid for every row since no
-    row's μ is larger.  A row with μ ≤ ulp(σ)/4 = 2^{e+M−54}, about 54 − M
-    binades below the stack's largest (44 for n = 729), is summed alone
-    under its own σ without the stacked passes, a row of ±0.0 included: σ
-    cannot certify it, since every |x| ≤ ulp(σ)/4 rounds to q = 0, so r = x,
-    δ = 0 and β = 2n·2⁻⁵³·Σ|x| exceeds 2⁻⁵³·|R|, at least half the gap next
-    to R (at R = 0 both are 0, and the strict test fails).  A stacked row
-    that σ does not certify is retried alone under its own σ, or goes
-    straight to ``math.fsum`` when its own σ is the stack's and the test
-    would only repeat.  A stack whose largest μ lies outside (2⁻⁹⁰⁰, 2⁹⁰⁰)
-    (nan, inf, all zeros) sums its rows alone, in order.  A row of ±0.0
-    (μ = 0) sums to +0.0, as in ``math.fsum``.  Any other row that fails the
-    test, or whose μ lies outside that range (ties, cancellation to a signed
-    zero, non-finite entries), goes to ``math.fsum``, so it gives the same
-    value or raises the same error.
+    A stack of two or more nonempty rows whose largest μ lies in
+    (2⁻⁹⁰⁰, 2⁹⁰⁰) runs the passes on all its rows at once, under one scalar σ
+    from that μ, valid for every row since no row's μ is larger.  Every
+    other row is summed alone by :func:`_exact_row_sum`, in order: a 1-D
+    array, the rows of a 1-row, empty or out-of-range stack (nan, inf, all
+    zeros), and every stacked row that σ does not certify, a row of ±0.0
+    or one whose μ is at most 2⁻⁹⁰⁰ included.
     """
     rows = np.asarray(rows, dtype=float, order="C")
     if rows.ndim == 1:
         return _exact_row_sum(rows)
-    if len(rows) == 1:
-        return np.array([_exact_row_sum(rows[0])])
-    if rows.size == 0:
-        return np.zeros(len(rows))  # fsum of no terms is +0.0
-    # max|x| per row, without an |x| temporary; nan propagates into μ
-    mus = np.maximum(np.maximum.reduce(rows, axis=1), -np.minimum.reduce(rows, axis=1))
-    mu = float(mus.max())
-    if not 2.0**-_EXTRACT_EXP < mu < 2.0**_EXTRACT_EXP:
-        return np.array([_exact_row_sum(row) for row in rows])
-    n = rows.shape[1]
-    exponent = math.frexp(mu)[1]
-    sigma = math.ldexp(1.0, exponent + (n + 1).bit_length())
-    floor = 2.0**-54 * sigma  # ulp(σ)/4: see the docstring
-    if mus.min() <= floor:
-        far = mus <= floor
-        R = np.empty(len(rows))
-        R[far] = [_exact_row_sum(row) for row in rows[far]]
-        R[~far] = _exact_sums(rows[~far])
-        return R
-    q = rows + sigma
-    q -= sigma
-    r = rows - q
-    tau = np.add.reduce(q, axis=1)
-    err = np.add.reduce(r, axis=1)
-    beta = (2.0 * n * 2.0**-53) * np.add.reduce(np.abs(r, out=r), axis=1)
-    R = tau + err
-    z = R - tau
-    delta = (tau - (R - z)) + (err - z)
-    # the gap below |R| is the smaller one; it is 0 at R = 0
-    size = np.abs(R)
-    half_gap = 0.5 * (size - np.nextafter(size, 0.0))
-    # every row's μ is below the stack's, so below 2**_EXTRACT_EXP
-    ok = (np.abs(delta) + beta < half_gap) & (mus > 2.0**-_EXTRACT_EXP)
-    if not ok.all():
-        for i in np.flatnonzero(~ok):
-            if math.frexp(mus[i])[1] == exponent:  # its own σ is the stack's
-                R[i] = math.fsum(memoryview(rows[i]))
-            else:
-                R[i] = _exact_row_sum(rows[i])
+    R = np.zeros(len(rows))
+    alone = range(len(rows))
+    if len(rows) > 1 and rows.shape[1]:
+        # max|x| per row, without an |x| temporary; nan propagates into μ
+        mus = np.maximum(np.maximum.reduce(rows, axis=1), -np.minimum.reduce(rows, axis=1))
+        mu = float(mus.max())
+        if 2.0**-_EXTRACT_EXP < mu < 2.0**_EXTRACT_EXP:
+            tau, err, beta = _extract(rows, mu)
+            R = tau + err
+            z = R - tau
+            delta = (tau - (R - z)) + (err - z)
+            # the gap below |R| is the smaller one; it is 0 at R = 0
+            size = np.abs(R)
+            half_gap = 0.5 * (size - np.nextafter(size, 0.0))
+            # every row's μ is below the stack's, so below 2**_EXTRACT_EXP
+            ok = (np.abs(delta) + beta < half_gap) & (mus > 2.0**-_EXTRACT_EXP)
+            alone = () if ok.all() else np.flatnonzero(~ok)
+    for i in alone:
+        R[i] = _exact_row_sum(rows[i])
     return R
 
 
 def _exact_row_sum(row: np.ndarray) -> float:
-    """:func:`_exact_sums` of one C-contiguous row: the same passes and test,
-    with μ, σ and the test in Python floats; a row of ±0.0, or an empty one,
-    gives +0.0."""
+    """:func:`_exact_sums` of one C-contiguous row: the same passes under its
+    own σ, with the test in Python floats.  A row of ±0.0, or an empty one,
+    gives +0.0, as in ``math.fsum``.  A row that fails the test, or whose μ
+    lies outside (2⁻⁹⁰⁰, 2⁹⁰⁰) (ties, cancellation to a signed zero,
+    non-finite entries), goes to ``math.fsum``, so it gives the same value
+    or raises the same error."""
     mu = float(np.max(np.abs(row), initial=0.0))
     if mu == 0.0:
         return 0.0
     if 2.0**-_EXTRACT_EXP < mu < 2.0**_EXTRACT_EXP:
-        n = len(row)
-        sigma = math.ldexp(1.0, math.frexp(mu)[1] + (n + 1).bit_length())
-        q = row + sigma
-        q -= sigma
-        r = row - q
-        tau = float(np.add.reduce(q))
-        err = float(np.add.reduce(r))
-        beta = (2.0 * n * 2.0**-53) * float(np.add.reduce(np.abs(r, out=r)))
+        tau, err, beta = map(float, _extract(row, mu))
         R = tau + err
         z = R - tau
         delta = (tau - (R - z)) + (err - z)
@@ -153,6 +120,18 @@ def _exact_row_sum(row: np.ndarray) -> float:
         if abs(delta) + beta < 0.5 * (size - math.nextafter(size, 0.0)):
             return R
     return math.fsum(memoryview(row))
+
+
+def _extract(rows: np.ndarray, mu: float):
+    """τ, Σr and β of the extraction along the last axis, under the σ that μ
+    and the row length give."""
+    n = rows.shape[-1]
+    sigma = math.ldexp(1.0, math.frexp(mu)[1] + (n + 1).bit_length())
+    q = rows + sigma
+    q -= sigma
+    r = rows - q
+    tau, err = np.add.reduce(q, -1), np.add.reduce(r, -1)
+    return tau, err, (2.0 * n * 2.0**-53) * np.add.reduce(np.abs(r, out=r), -1)
 
 
 @dataclass(frozen=True)

@@ -473,8 +473,9 @@ def solve_both(cfg: ProblemConfig, thresholds: ThresholdReport | None = None) ->
 
     The rising-branch minimizer is the negative-energy ground state; the
     falling-branch minimizer has positive energy.  A failing branch is
-    reported, not raised, so the other branch's result survives; so is a
-    failure diagnosis that cannot itself be computed.
+    reported, not raised, so the other branch's result survives, and logs
+    one warning with its error type and message; a failure diagnosis that
+    cannot itself be computed is reported too.
     """
     reports: dict[str, Optional[SolveReport]] = {"minus": None, "plus": None}
     failures: dict[str, str] = {}
@@ -483,6 +484,7 @@ def solve_both(cfg: ProblemConfig, thresholds: ThresholdReport | None = None) ->
             reports[branch] = minimize_branch(cfg, branch, thresholds=thresholds)
         except NehariError as err:
             failures[branch] = str(err)
+            logger.warning("branch %s failed: %s: %s", branch, type(err).__name__, err)
             try:
                 diag = getattr(err, "diagnosis", None)
             except NehariError as diag_err:

@@ -1,16 +1,21 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nehari.cli import main
+from nehari.cli import GRADCHECK_DIRECTIONS, GRADCHECK_TOLERANCE, main
 from nehari.config import build_phi, parse_config, prepare_run
 from nehari.errors import ConfigError
 from nehari.grid import save_field
 from nehari.solver import seed_field
 
 from conftest import CONFIG_DIR
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 QUICK = """\
 [phi]
@@ -105,10 +110,14 @@ def test_thresholds_subcommand(tmp_path):
 def test_gradcheck_subcommand(tmp_path):
     cfgp = write_quick(tmp_path)
     out = tmp_path / "out4"
-    assert main(["gradcheck", "--config", cfgp, "--out", str(out)]) == 0
+    code = main(["gradcheck", "--config", cfgp, "--out", str(out)])
     report = json.loads((out / "gradcheck.json").read_text())
+    assert report["directions"] == GRADCHECK_DIRECTIONS
+    assert report["tolerance"] == GRADCHECK_TOLERANCE
+    # the exit code is read from the report's verdict
+    assert (code == 0) == report["pass"]
     assert report["pass"] is True
-    assert report["max_relative_error"] <= 1e-6
+    assert report["max_relative_error"] <= GRADCHECK_TOLERANCE
 
 
 def test_fibering_subcommand_with_field(tmp_path):
@@ -267,6 +276,33 @@ def test_solve_refuses_inadmissible_without_force(tmp_path, caplog):
         False,
     )
     assert "branch minus stopped (no_decrease) after 28 iterations" in caplog.text
+
+
+def test_failed_branch_is_named_on_stderr(tmp_path):
+    # a weight a < 0 everywhere leaves the plus branch unreachable: the run
+    # exits 2, and stderr names the branch, the error type and its message
+    cfgp = tmp_path / "no_plus.ini"
+    cfgp.write_text(
+        "[grid]\nnodes = 7\n\n[weights.a]\nkind = affine\nconst = -1.0\n\n"
+        "[problem]\nlambda = 1.0\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    out = str(tmp_path / "o")
+    done = subprocess.run(
+        [sys.executable, "-m", "nehari.cli", "solve", "--config", str(cfgp), "--out", out],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2, done.stderr[-2000:]
+    report = json.loads((Path(out) / "solve.json").read_text())
+    assert list(report["failures"]) == ["plus"]
+    assert (
+        f"WARNING nehari.solver: branch plus failed: SeedingError: {report['failures']['plus']}"
+        in done.stderr.splitlines()
+    )
 
 
 PHI_ROWS = "0.0,1.0\n1.0,1.0\n2.0,1.0\n"

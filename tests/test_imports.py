@@ -43,21 +43,25 @@ def test_stuart_run_imports_no_scipy():
 
 
 def test_math_fsum_is_used_only_in_grid():
+    # the package calls math.fsum once: the last fallback of the lone-row sum
     uses = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (
-                isinstance(node, ast.Attribute)
-                and node.attr == "fsum"
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "math"
-            ) or (
-                isinstance(node, ast.ImportFrom)
-                and node.module == "math"
-                and any(alias.name == "fsum" for alias in node.names)
-            ):
-                uses.append(path.name)
-    assert uses and set(uses) == {"grid.py"}, uses
+        tree = ast.parse(path.read_text())
+        calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "fsum"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "math"
+                ) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module == "math"
+                    and any(alias.name == "fsum" for alias in node.names)
+                ):
+                    uses.append((path.name, getattr(top, "name", None), id(node) in calls))
+    assert uses == [("grid.py", "_exact_row_sum", True)], uses
 
 
 @pytest.mark.parametrize(

@@ -76,6 +76,24 @@ def test_seed_error_when_branch_unreachable():
         seed_field(cfg, "minus")
 
 
+def test_failed_branch_logs_its_error(caplog):
+    # b < 0 everywhere leaves the minus branch unreachable: solve_both reports
+    # it in ``failures`` and logs one warning with its error type and message
+    grid = Grid(nodes=(5, 5, 5), lengths=(1.0, 1.0, 1.0))
+    a, _ = two_lobe_weights(grid)
+    b_neg = Field(grid, -np.ones(grid.shape))
+    cfg = ProblemConfig(
+        grid=grid, phi=constant_model(1.0), a=a, b=b_neg, lam=1.0, q=0.5, p=3.0
+    )
+    with caplog.at_level(logging.WARNING, logger="nehari.solver"):
+        pair = solve_both(cfg)
+    assert pair.minus is None and pair.plus is not None
+    failed = [r for r in caplog.records if "failed" in r.getMessage()]
+    assert [(r.levelno, r.getMessage()) for r in failed] == [
+        (logging.WARNING, f"branch minus failed: SeedingError: {pair.failures['minus']}")
+    ]
+
+
 def test_seed_error_carries_the_last_diagnosis():
     # λ so large that no bump width reaches the rising branch
     grid = Grid(nodes=(5, 5, 5), lengths=(1.0, 1.0, 1.0))
@@ -265,9 +283,8 @@ def test_descent_sums_each_quadrature_once():
     # trial takes its energy from its projection, so energy() is never
     # called; every correctly rounded sum goes through grid._exact_sums,
     # where each row of a batch counts as one sum and a 1-D array as one
-    # row; a stacked row that the stack's shared σ cannot certify, or one far
-    # enough below the stack's largest that it cannot, is summed alone under
-    # its own σ
+    # row; a stacked row that the stack's shared σ cannot certify is summed
+    # alone under its own σ
     import nehari.fibering as fibering
     import nehari.grid as grid_module
 
@@ -320,8 +337,8 @@ def test_descent_sums_each_quadrature_once():
     assert iterations > 200
     assert counts["energy"] == 0
     assert counts["sums"] / iterations <= 8.0
-    # measured over 317 iterations: 7.73 sums, 1.20 fsum calls (what the
-    # extraction's certificate rejects) and 1.83 own-σ retries per iteration
+    # measured over 317 iterations: 7.69 sums, 1.20 fsum calls (what the
+    # extraction's certificate rejects) and 1.85 own-σ retries per iteration
     assert counts["fsum"] / iterations <= 1.6
     assert counts["retries"] / iterations <= 2.2
 
