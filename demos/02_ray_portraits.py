@@ -12,8 +12,8 @@ of the ray energy.
 
 import numpy as np
 
-from nehari.energy import ProblemConfig
-from nehari.fibering import classify, ray_energy, sample_ray
+from nehari.energy import ProblemConfig, energy
+from nehari.fibering import classify, sample_ray
 from nehari.grid import Field, Grid, integrate, pointwise_energy, random_smooth_field
 from nehari.phi import stuart_model
 
@@ -47,14 +47,14 @@ for label, sa, sb, lam in portraits:
         kind = {1: "local minimum", -1: "global maximum", 0: "tangency"}[sign]
         print(
             f"  crossing at t = {t_root:10.5f}: {kind} of the ray energy, "
-            f"J = {ray_energy(u, t_root, cfg):+.5f}"
+            f"J = {energy(u.scaled(t_root), cfg):+.5f}"
         )
     if not diag.roots:
         print("  no crossing: the ray never meets the manifold")
     if diag.t_tilde is not None:
         print(f"  balance peak at t = {diag.t_tilde:.5f}")
     ts = [0.25, 1.0, 4.0, 16.0]
-    vals = ", ".join(f"J({t:g}u) = {ray_energy(u, t, cfg):+.4f}" for t in ts)
+    vals = ", ".join(f"J({t:g}u) = {energy(u.scaled(t), cfg):+.4f}" for t in ts)
     print(f"  ray energy samples: {vals}")
     print()
 

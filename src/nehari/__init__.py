@@ -33,7 +33,7 @@ from .phi import (
     tabulated_model,
     verify_hypotheses,
 )
-from .solver import SolveReport, minimize_branch, multistart, seed_field, solve_both
+from .solver import SolveReport, minimize_branch, seed_field, solve_both
 from .thresholds import ThresholdReport, admissibility, compute_thresholds
 
 __version__ = "0.1.0"
@@ -67,7 +67,6 @@ __all__ = [
     "verify_hypotheses",
     "SolveReport",
     "minimize_branch",
-    "multistart",
     "seed_field",
     "solve_both",
     "ThresholdReport",

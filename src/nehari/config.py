@@ -155,10 +155,7 @@ def parse_config(text: str) -> RunConfig:
     dim = _get_int(parser, "grid", "dim")
     if dim < 1:
         raise ConfigError("grid", "dim", f"dimension must be >= 1, got {dim}")
-    nodes = _get_floats(parser, "grid", "nodes")
-    if not all(v.is_integer() for v in nodes):
-        raise ConfigError("grid", "nodes", "node counts must be whole numbers")
-    nodes = [int(v) for v in nodes]
+    nodes = _get_floats(parser, "grid", "nodes")  # Grid rejects fractional counts
     if len(nodes) == 1:
         nodes = nodes * dim
     if len(nodes) != dim:
@@ -214,6 +211,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("solver", "residual_tol", "tolerance must be positive")
     if max_iter < 1:
         raise ConfigError("solver", "max_iter", "need at least one iteration")
+    if seed < 0:
+        raise ConfigError("solver", "seed", f"seed must be non-negative, got {seed}")
 
     return RunConfig(
         phi_spec=phi_spec,

@@ -39,13 +39,14 @@ one table, and summed two ways.  Root loops use plain deterministic vector
 sums on the unit-energy copy of the ray (the stopping tolerance, not
 summation error, limits root accuracy).  Reported values come from one
 exact evaluator, which sums (t, node) blocks through ``grid.integrate``,
-so a value read at one t has the bits it has in a table of many; every
-single-t ray function reads it through one reader.  The balance peak t̃
-and the bare peak t_max are reported by :func:`classify` only.  A
-projection reports J(t*·u) as γ(t*) of the ray it has already built: one
-exact Φ sum at the t*-scaled density, with A and B scaled by powers of
-t*.  That equals ``energy`` of the projected field to round-off, not
-bitwise.
+so a value read at one t has the bits it has in a table of many; the two
+ray derivatives :func:`ray_energy_dt` and :func:`ray_energy_dt2`, a
+projection's values at t* and the bare peak value read it at one t.  The
+balance peak t̃ and the bare peak t_max are reported by :func:`classify`
+only.  A projection reports J(t*·u) as γ(t*) of the ray it has already
+built: one exact Φ sum at the t*-scaled density, with A and B scaled by
+powers of t*.  That equals ``energy`` of the projected field to
+round-off, not bitwise.
 """
 
 from __future__ import annotations
@@ -72,14 +73,8 @@ __all__ = [
     "CASE_BOTH_NO_ROOT",
     "CASE_BOTH_TANGENT",
     "CASE_BOTH_TWO_ROOTS",
-    "ray_energy",
     "ray_energy_dt",
     "ray_energy_dt2",
-    "ray_balance",
-    "ray_balance_dt",
-    "peak_equation",
-    "peak_equation_dt",
-    "bare_ray_energy",
     "classify",
     "project",
     "project_scale",
@@ -252,21 +247,12 @@ class _Ray:
 # -- public ray functions (input units, exact quadrature) --------------------
 
 
-def _check_t(t: float, energy: str = "") -> float:
-    """t as a float, finite and > 0; an ``energy`` (γ or h, named so) is also defined at 0."""
+def _check_t(t: float) -> float:
+    """t as a float, finite and > 0."""
     t = float(t)
-    if energy:
-        if not 0.0 <= t < math.inf:
-            raise DomainError(f"{energy} needs a finite t >= 0, got {t}")
-    elif not 0.0 < t < math.inf:
+    if not 0.0 < t < math.inf:
         raise DomainError(f"ray derivative functions need a finite t > 0, got {t}")
     return t
-
-
-def ray_energy(u: Field, t: float, cfg: ProblemConfig) -> float:
-    """γ(t) = J(t·u); defined for t >= 0 with γ(0) = 0."""
-    t = _check_t(t, "ray energy")
-    return _Ray(u, cfg).at(t, _Ray.gamma, "bulk")
 
 
 def ray_energy_dt(u: Field, t: float, cfg: ProblemConfig) -> float:
@@ -279,36 +265,6 @@ def ray_energy_dt2(u: Field, t: float, cfg: ProblemConfig) -> float:
     """γ''(t), the exact second derivative of the ray energy."""
     t = _check_t(t)
     return _Ray(u, cfg).at(t, _Ray.gamma_dt2, "m0", "m1")
-
-
-def ray_balance(u: Field, t: float, cfg: ProblemConfig) -> float:
-    """Balance curve m(t); crossings of λ∫a|u|^{q+1} are Nehari scalings."""
-    t = _check_t(t)
-    return _Ray(u, cfg).at(t, _Ray.balance, "m0")
-
-
-def ray_balance_dt(u: Field, t: float, cfg: ProblemConfig) -> float:
-    """m'(t); its sign at a crossing is the sign of the second ray derivative there."""
-    t = _check_t(t)
-    return _Ray(u, cfg).at(t, _Ray.balance_dt, "m0", "m1")
-
-
-def peak_equation(u: Field, t: float, cfg: ProblemConfig) -> float:
-    """Strictly decreasing auxiliary η(t); η(t) = (p−q)B locates the balance peak."""
-    t = _check_t(t)
-    return _Ray(u, cfg).at(t, _Ray.peak_eq, "m0", "m1")
-
-
-def peak_equation_dt(u: Field, t: float, cfg: ProblemConfig) -> float:
-    """η'(t); strictly negative whenever the concavity hypothesis holds."""
-    t = _check_t(t)
-    return _Ray(u, cfg).at(t, _Ray.peak_eq_dt, "m0", "m1", "m2")
-
-
-def bare_ray_energy(u: Field, t: float, cfg: ProblemConfig) -> float:
-    """Ray energy with the concave term dropped."""
-    t = _check_t(t, "bare ray energy")
-    return _Ray(u, cfg).at(t, _Ray.bare, "bulk")
 
 
 # -- brackets and the root routine -------------------------------------------
@@ -617,7 +573,8 @@ def sample_ray(u: Field, cfg: ProblemConfig, t_values) -> dict[str, list[float]]
 
     Every t is checked before any φ evaluation.  The field is read once, and
     Φ's bulk, m_0 and m_1 come from the ray's one exact evaluator, so each
-    value is bitwise that of the public ray functions.
+    value is bitwise that of its formula read at its t alone, as
+    :func:`ray_energy_dt` and :func:`ray_energy_dt2` read γ' and γ''.
     """
     ts = np.array([_check_t(t) for t in t_values])
     ray = _Ray(u, cfg)

@@ -146,6 +146,8 @@ class Grid:
     lengths: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not all(float(n).is_integer() for n in self.nodes):
+            raise ConfigError("grid", "nodes", "node counts must be whole numbers")
         nodes = tuple(int(n) for n in self.nodes)
         lengths = tuple(float(L) for L in self.lengths)
         object.__setattr__(self, "nodes", nodes)

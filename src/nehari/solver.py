@@ -58,7 +58,6 @@ from .grid import (
     _gaussian,
     integrate,
     laplacian,
-    random_smooth_field,
 )
 from .thresholds import ThresholdReport
 
@@ -67,11 +66,9 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "SolveReport",
     "SolvePair",
-    "MultistartReport",
     "seed_field",
     "minimize_branch",
     "solve_both",
-    "multistart",
 ]
 
 ARMIJO = 1e-4
@@ -143,14 +140,6 @@ class SolvePair:
             "failures": dict(self.failures),
             "ordering_ok": self.ordering_ok,
         }
-
-
-@dataclass(frozen=True)
-class MultistartReport:
-    branch: str
-    energies: tuple[float, ...]
-    converged: tuple[bool, ...]
-    spread: float
 
 
 def seed_field(cfg: ProblemConfig, branch: str, sigma: float | None = None) -> Field:
@@ -507,41 +496,3 @@ def solve_both(cfg: ProblemConfig, thresholds: ThresholdReport | None = None) ->
         ordering_ok=ordering,
     )
 
-
-def multistart(
-    cfg: ProblemConfig,
-    branch: str,
-    n_starts: int = 5,
-    seed: int = 0,
-    thresholds: ThresholdReport | None = None,
-) -> MultistartReport:
-    """Consistency check: perturbed seeds should reach the same energy.
-
-    ``spread`` is the relative energy range over the starts; it is reported,
-    not judged, since the theory guarantees existence, not uniqueness.
-    """
-    rng = np.random.default_rng(seed)
-    base, base_start = _projected_seed(cfg, branch)
-    energies = []
-    converged = []
-    for k in range(n_starts):
-        if k == 0:  # descend from the base seed's own projection
-            report = _run_descent(
-                cfg, branch, base_start, thresholds, 0, time.perf_counter()
-            )
-        else:
-            bump = random_smooth_field(cfg.grid, rng, max_mode=2)
-            scale = 0.2 * float(np.max(np.abs(base.values)))
-            scale /= max(float(np.max(np.abs(bump.values))), 1e-30)
-            start = Field(cfg.grid, base.values + scale * bump.values)
-            report = minimize_branch(cfg, branch, seed=start, thresholds=thresholds)
-        energies.append(report.point.energy)
-        converged.append(report.converged)
-    lo, hi = min(energies), max(energies)
-    spread = (hi - lo) / max(abs(lo), abs(hi), 1e-30)
-    return MultistartReport(
-        branch=branch,
-        energies=tuple(energies),
-        converged=tuple(converged),
-        spread=spread,
-    )

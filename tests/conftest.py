@@ -1,11 +1,21 @@
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nehari import fibering
 from nehari.energy import ProblemConfig, concave_integral, convex_integral
-from nehari.grid import Grid, integrate, make_weight, pointwise_energy, random_smooth_field
+from nehari.grid import (
+    Field,
+    Grid,
+    integrate,
+    make_weight,
+    pointwise_energy,
+    random_smooth_field,
+)
 from nehari.phi import constant_model, stuart_model
+from nehari.solver import minimize_branch, seed_field
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -51,6 +61,34 @@ def make_problem(nodes=(5, 5, 5), phi=None, lam=1.0, q=0.5, p=3.0, **kw):
 def smooth_fields(grid, count, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
     return [random_smooth_field(grid, rng).scaled(scale) for _ in range(count)]
+
+
+def perturbed_starts(cfg, branch, n_starts, seed, thresholds=None):
+    """Descents on ``branch`` from its seed field and n_starts − 1 perturbations.
+
+    Each perturbation adds a smooth random bump (modes up to 2), drawn in
+    turn from ``default_rng(seed)`` and scaled to 0.2·max|seed field|.
+    """
+    rng = np.random.default_rng(seed)
+    base = seed_field(cfg, branch)
+    starts = [base]
+    for _ in range(n_starts - 1):
+        bump = random_smooth_field(cfg.grid, rng, max_mode=2)
+        scale = 0.2 * float(np.max(np.abs(base.values)))
+        scale /= max(float(np.max(np.abs(bump.values))), 1e-30)
+        starts.append(Field(cfg.grid, base.values + scale * bump.values))
+    return [minimize_branch(cfg, branch, seed=u, thresholds=thresholds) for u in starts]
+
+
+def ray_value(formula, u, t, cfg):
+    """The ray formula ``formula`` ("gamma", "balance", "peak_eq_dt", …) of u at t.
+
+    ``formula`` names a ``fibering._Ray`` method; it is fed the exact
+    integrals its parameters name, through the one reader of reported values.
+    """
+    fn = getattr(fibering._Ray, formula)
+    names = list(inspect.signature(fn).parameters)[2:]  # after (self, t)
+    return fibering._Ray(u, cfg).at(float(t), fn, *names)
 
 
 def second_derivative_forms(u, cfg):

@@ -25,14 +25,8 @@ from nehari.fibering import (
     CASE_CONCAVE_ONLY,
     CASE_CONVEX_ONLY,
     classify,
-    peak_equation,
-    peak_equation_dt,
     project,
-    ray_balance,
-    ray_balance_dt,
-    ray_energy,
     ray_energy_dt,
-    ray_energy_dt2,
 )
 from nehari.grid import (
     Field,
@@ -43,10 +37,16 @@ from nehari.grid import (
     pointwise_energy,
 )
 from nehari.phi import constant_model, stuart_min_offset, stuart_model, verify_hypotheses
-from nehari.solver import multistart, solve_both
+from nehari.solver import solve_both
 from nehari.thresholds import compute_thresholds
 
-from conftest import make_problem, second_derivative_forms, smooth_fields
+from conftest import (
+    make_problem,
+    perturbed_starts,
+    ray_value,
+    second_derivative_forms,
+    smooth_fields,
+)
 from test_fibering import scan_root_count
 from test_grid import oracle_first_eigenvalue
 
@@ -101,18 +101,18 @@ def test_criterion_2_identity_suite():
         t = float(rng.uniform(0.2, 4.0))
         A = concave_integral(u, cfg)
         lhs = ray_energy_dt(u, t, cfg)
-        rhs = t**cfg.q * (ray_balance(u, t, cfg) - cfg.lam * A)
+        rhs = t**cfg.q * (ray_value("balance", u, t, cfg) - cfg.lam * A)
         worst["factorization"] = max(
             worst["factorization"], abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
         )
         fb, _ = second_derivative_forms(u.scaled(t), cfg)
-        rhs2 = t ** (cfg.q + 2.0) * ray_balance_dt(u, t, cfg)
+        rhs2 = t ** (cfg.q + 2.0) * ray_value("balance_dt", u, t, cfg)
         worst["scaled_d2"] = max(
             worst["scaled_d2"], abs(fb - rhs2) / max(abs(fb), abs(rhs2), 1e-30)
         )
         J = energy(u, cfg)
         worst["ray_at_1"] = max(
-            worst["ray_at_1"], abs(ray_energy(u, 1.0, cfg) - J) / max(abs(J), 1e-30)
+            worst["ray_at_1"], abs(ray_value("gamma", u, 1.0, cfg) - J) / max(abs(J), 1e-30)
         )
     ok = (
         worst["slope_vs_G"] <= 1e-12
@@ -141,13 +141,13 @@ def test_criterion_3_analytic_derivatives():
         t = float(rng.uniform(0.3, 3.0))
         h = 1e-6 * t
         pairs = (
-            (ray_balance, ray_balance_dt),
-            (peak_equation, peak_equation_dt),
-            (ray_energy_dt, ray_energy_dt2),
+            ("balance", "balance_dt"),
+            ("peak_eq", "peak_eq_dt"),
+            ("gamma_dt", "gamma_dt2"),
         )
         for func, deriv in pairs:
-            fd = (func(u, t + h, cfg) - func(u, t - h, cfg)) / (2.0 * h)
-            an = deriv(u, t, cfg)
+            fd = (ray_value(func, u, t + h, cfg) - ray_value(func, u, t - h, cfg)) / (2.0 * h)
+            an = ray_value(deriv, u, t, cfg)
             worst = max(worst, abs(an - fd) / (1.0 + abs(fd)))
     record(3, f"balance/peak/ray derivative checks, max rel err {worst:.2e} <= 1e-7", worst <= 1e-7)
 
@@ -166,7 +166,7 @@ def test_criterion_4_peak_equation_monotone():
                 if t2 - t1 < 1e-6:
                     continue
                 pairs_checked += 1
-                if not peak_equation(u, t2, cfg) < peak_equation(u, t1, cfg):
+                if not ray_value("peak_eq", u, t2, cfg) < ray_value("peak_eq", u, t1, cfg):
                     violations += 1
     record(
         4,
@@ -303,15 +303,19 @@ def test_criterion_8_theorem_end_to_end(config_name):
             ok = ok and rep.invariants["delta_lambda_bound_ok"]
         details.append(f"{branch}: J={rep.point.energy:.4g} res={rep.residual_history[-1]:.1e}")
     details.append(f"delta_lambda floor {pair.minus.invariants['delta_lambda_floor']:.4g}")
-    ms = multistart(cfg, "plus", n_starts=5, seed=run.seed, thresholds=prep.thresholds)
+    starts = perturbed_starts(cfg, "plus", 5, run.seed, thresholds=prep.thresholds)
+    energies = [rep.point.energy for rep in starts]
+    lo, hi = min(energies), max(energies)
+    spread = (hi - lo) / max(abs(lo), abs(hi), 1e-30)
+    converged = all(rep.converged for rep in starts)
     # every start converges, and none ends below the reported ground state
     floor = pair.plus.point.energy
-    ms_ok = all(ms.converged) and min(ms.energies) >= floor - 1e-6 * abs(floor)
+    ms_ok = converged and lo >= floor - 1e-6 * abs(floor)
     record(
         8,
         f"{config_name}: {'; '.join(details)}; ordering {pair.ordering_ok}; "
-        f"multistart spread {ms.spread:.1e}, all converged {all(ms.converged)}, "
-        f"lowest start {min(ms.energies):.10g} vs {floor:.10g}",
+        f"multistart spread {spread:.1e}, all converged {converged}, "
+        f"lowest start {lo:.10g} vs {floor:.10g}",
         ok and ms_ok,
     )
 

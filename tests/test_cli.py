@@ -305,6 +305,26 @@ def test_failed_branch_is_named_on_stderr(tmp_path):
     )
 
 
+def test_negative_seed_is_a_config_error(tmp_path):
+    # numpy's generators reject a negative seed; the config does so first,
+    # so gradcheck exits 1 with the key named and no traceback
+    cfgp = str(tmp_path / "run.ini")
+    Path(cfgp).write_text(QUICK.replace("seed = 3", "seed = -1"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    out = str(tmp_path / "o")
+    done = subprocess.run(
+        [sys.executable, "-m", "nehari.cli", "gradcheck", "--config", cfgp, "--out", out],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 1, done.stderr[-2000:]
+    assert "config error: [solver] seed: " in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 PHI_ROWS = "0.0,1.0\n1.0,1.0\n2.0,1.0\n"
 BAD_PHI_TABLES = {
     "short.csv": PHI_ROWS,  # 3 samples, 4 needed
@@ -372,6 +392,11 @@ BAD_PHI_TABLES = {
             "[grid]\nnodes = 5\n[weights.a]\nkind = sinusoid\nphase = 0 0\n",
             "[weights.a] phase",
             id="weights-a-phase",
+        ),
+        pytest.param(
+            "[grid]\nnodes = 9.5\n",
+            "[grid] nodes: node counts must be whole numbers",
+            id="nodes-fractional",
         ),
         pytest.param(
             "[grid]\nnodes = 5\n[solver]\nroot_tol = 1e-12\n",

@@ -12,13 +12,14 @@ from nehari.energy import (
     nehari_residual,
 )
 from nehari.errors import DomainError
-from nehari.fibering import ROOT_RTOL, project, ray_energy, ray_energy_dt
+from nehari.fibering import ROOT_RTOL, project, ray_energy_dt
 from nehari.grid import Field, Grid, dirichlet_energy, integrate, laplacian, pointwise_energy
 from nehari.phi import constant_model, stuart_model
 
 from conftest import (
     make_problem,
     manifold_energies,
+    ray_value,
     second_derivative_forms,
     smooth_fields,
     two_lobe_weights,
@@ -223,7 +224,7 @@ def test_ray_energy_matches_scaled_energy(cfg_small):
     rng = np.random.default_rng(13)
     for u in smooth_fields(cfg_small.grid, 5, seed=13):
         for t in rng.uniform(0.1, 3.0, size=10):
-            lhs = ray_energy(u, float(t), cfg_small)
+            lhs = ray_value("gamma", u, float(t), cfg_small)
             rhs = energy(u.scaled(float(t)), cfg_small)
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 

@@ -20,15 +20,9 @@ from nehari.fibering import (
     CASE_CONCAVE_ONLY,
     CASE_CONVEX_ONLY,
     CASE_NEITHER,
-    bare_ray_energy,
     classify,
-    peak_equation,
-    peak_equation_dt,
     project,
     project_scale,
-    ray_balance,
-    ray_balance_dt,
-    ray_energy,
     ray_energy_dt,
     ray_energy_dt2,
     sample_ray,
@@ -37,7 +31,13 @@ from nehari.grid import Field, Grid, integrate, pointwise_energy, random_smooth_
 from nehari.phi import constant_model, stuart_model
 from nehari.solver import solve_both
 
-from conftest import CONFIG_DIR, make_problem, second_derivative_forms, smooth_fields
+from conftest import (
+    CONFIG_DIR,
+    make_problem,
+    ray_value,
+    second_derivative_forms,
+    smooth_fields,
+)
 
 
 def fixed_sign_problem(sign_a, sign_b, nodes=(5, 5, 5), phi=None, lam=1.0):
@@ -83,7 +83,7 @@ def scan_root_count(u, cfg, points=100000):
 def test_ray_energy_at_one_is_energy(cfg_small):
     for u in smooth_fields(cfg_small.grid, 10, seed=20):
         assert (
-            abs(ray_energy(u, 1.0, cfg_small) - energy(u, cfg_small))
+            abs(ray_value("gamma", u, 1.0, cfg_small) - energy(u, cfg_small))
             <= 1e-12 * (1.0 + abs(energy(u, cfg_small)))
         )
 
@@ -105,7 +105,9 @@ def test_derivatives_match_finite_differences(cfg_small):
     for u in fields:
         t = float(rng.uniform(0.3, 3.0))
         h = 1e-6 * t
-        fd1 = (ray_energy(u, t + h, cfg_small) - ray_energy(u, t - h, cfg_small)) / (2 * h)
+        fd1 = (
+            ray_value("gamma", u, t + h, cfg_small) - ray_value("gamma", u, t - h, cfg_small)
+        ) / (2 * h)
         d1 = ray_energy_dt(u, t, cfg_small)
         assert abs(d1 - fd1) <= 1e-7 * (1.0 + abs(fd1))
         fd2 = (
@@ -113,11 +115,15 @@ def test_derivatives_match_finite_differences(cfg_small):
         ) / (2 * h)
         d2 = ray_energy_dt2(u, t, cfg_small)
         assert abs(d2 - fd2) <= 1e-7 * (1.0 + abs(fd2))
-        fdm = (ray_balance(u, t + h, cfg_small) - ray_balance(u, t - h, cfg_small)) / (2 * h)
-        dm = ray_balance_dt(u, t, cfg_small)
+        fdm = (
+            ray_value("balance", u, t + h, cfg_small) - ray_value("balance", u, t - h, cfg_small)
+        ) / (2 * h)
+        dm = ray_value("balance_dt", u, t, cfg_small)
         assert abs(dm - fdm) <= 1e-7 * (1.0 + abs(fdm))
-        fde = (peak_equation(u, t + h, cfg_small) - peak_equation(u, t - h, cfg_small)) / (2 * h)
-        de = peak_equation_dt(u, t, cfg_small)
+        fde = (
+            ray_value("peak_eq", u, t + h, cfg_small) - ray_value("peak_eq", u, t - h, cfg_small)
+        ) / (2 * h)
+        de = ray_value("peak_eq_dt", u, t, cfg_small)
         assert abs(de - fde) <= 1e-7 * (1.0 + abs(fde))
 
 
@@ -128,7 +134,7 @@ def test_slope_factorization(cfg_small):
         A = concave_integral(u, cfg_small)
         t = float(rng.uniform(0.1, 5.0))
         lhs = ray_energy_dt(u, t, cfg_small)
-        rhs = t**cfg_small.q * (ray_balance(u, t, cfg_small) - cfg_small.lam * A)
+        rhs = t**cfg_small.q * (ray_value("balance", u, t, cfg_small) - cfg_small.lam * A)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
 
 
@@ -138,7 +144,7 @@ def test_scaled_second_derivative_identity(cfg_small):
     for u in smooth_fields(cfg_small.grid, 20, seed=24):
         t = float(rng.uniform(0.2, 4.0))
         via_b, _ = second_derivative_forms(u.scaled(t), cfg_small)
-        rhs = t ** (cfg_small.q + 2.0) * ray_balance_dt(u, t, cfg_small)
+        rhs = t ** (cfg_small.q + 2.0) * ray_value("balance_dt", u, t, cfg_small)
         assert abs(via_b - rhs) <= 1e-8 * max(abs(via_b), abs(rhs), 1e-30)
 
 
@@ -147,7 +153,7 @@ def test_balance_monotone_when_convex_nonpositive():
     rng = np.random.default_rng(25)
     for u in smooth_fields(cfg.grid, 5, seed=25):
         for t in rng.uniform(0.05, 8.0, size=10):
-            assert ray_balance_dt(u, float(t), cfg) > 0.0
+            assert ray_value("balance_dt", u, float(t), cfg) > 0.0
 
 
 def test_peak_equation_constant_phi_closed_form(cfg_const):
@@ -157,7 +163,7 @@ def test_peak_equation_constant_phi_closed_form(cfg_const):
     E = integrate(cfg.grid, pointwise_energy(u))
     for t in (0.4, 1.0, 3.1):
         expect = (1.0 - cfg.q) * t ** (1.0 - cfg.p) * E
-        assert abs(peak_equation(u, t, cfg) - expect) <= 1e-12 * abs(expect)
+        assert abs(ray_value("peak_eq", u, t, cfg) - expect) <= 1e-12 * abs(expect)
 
 
 def test_peak_equation_strictly_decreasing(cfg_small):
@@ -166,14 +172,15 @@ def test_peak_equation_strictly_decreasing(cfg_small):
     fields = smooth_fields(cfg_small.grid, 5, seed=27)
     for u in fields:
         for t in rng.uniform(0.05, 6.0, size=10):
-            assert peak_equation_dt(u, float(t), cfg_small) < 0.0
+            assert ray_value("peak_eq_dt", u, float(t), cfg_small) < 0.0
     for u in fields:
         pairs = rng.uniform(0.05, 6.0, size=(10, 2))
         for t1, t2 in pairs:
             lo, hi = min(t1, t2), max(t1, t2)
             if hi - lo < 1e-9:
                 continue
-            assert peak_equation(u, hi, cfg_small) < peak_equation(u, lo, cfg_small)
+            at_hi, at_lo = (ray_value("peak_eq", u, t, cfg_small) for t in (hi, lo))
+            assert at_hi < at_lo
 
 
 def test_balance_peak_constant_phi_closed_form(cfg_const):
@@ -194,8 +201,8 @@ def test_balance_peak_bracket_signs(cfg_small):
         if convex_integral(u, cfg_small) <= 0:
             continue
         t = classify(u, cfg_small).t_tilde
-        assert ray_balance_dt(u, t * (1.0 - 1e-3), cfg_small) > 0.0
-        assert ray_balance_dt(u, t * (1.0 + 1e-3), cfg_small) < 0.0
+        assert ray_value("balance_dt", u, t * (1.0 - 1e-3), cfg_small) > 0.0
+        assert ray_value("balance_dt", u, t * (1.0 + 1e-3), cfg_small) < 0.0
 
 
 def test_balance_peak_matches_dense_scan(cfg_small):
@@ -206,7 +213,7 @@ def test_balance_peak_matches_dense_scan(cfg_small):
             continue
         found += 1
         t_grid = np.logspace(-3, 4, 100000)
-        vals = np.array([ray_balance(u, float(t), cfg_small) for t in t_grid[::100]])
+        vals = np.array([ray_value("balance", u, float(t), cfg_small) for t in t_grid[::100]])
         coarse = t_grid[::100]
         k = int(np.argmax(vals))
         lo = coarse[max(k - 1, 0)]
@@ -232,11 +239,11 @@ def test_balance_limits(cfg_small):
         bound = 2.0 * report.rho1 * t0 ** (1.0 - cfg_small.q) * E + 2.0 * abs(B) * t0 ** (
             cfg_small.p - cfg_small.q
         )
-        assert abs(ray_balance(u, t0, cfg_small)) <= bound
+        assert abs(ray_value("balance", u, t0, cfg_small)) <= bound
         # a q-adapted shrink reaches any fixed smallness target
         t1 = min(t0, (1e-7 / (report.rho1 * E)) ** (1.0 / (1.0 - cfg_small.q)))
-        assert abs(ray_balance(u, t1, cfg_small)) <= 1e-6 * E
-        big = ray_balance(u, 1e6, cfg_small)
+        assert abs(ray_value("balance", u, t1, cfg_small)) <= 1e-6 * E
+        big = ray_value("balance", u, 1e6, cfg_small)
         if B > 0:
             assert big < 0.0
         else:
@@ -258,7 +265,7 @@ def test_bare_peak_constant_phi_closed_form(cfg_const):
         assert abs(t_max - expect) <= 1e-9 * expect
         t_max2 = classify(u.scaled(2.0), cfg).t_max
         assert abs(t_max2 - t_max / 2.0) <= 1e-9 * t_max
-        assert abs(value - bare_ray_energy(u, t_max, cfg)) == 0.0
+        assert abs(value - ray_value("bare", u, t_max, cfg)) == 0.0
         done += 1
         if done >= 3:
             break
@@ -295,7 +302,7 @@ def test_case_concave_only(cfg_small):
         t1, sign = diag.roots[0]
         assert sign == 1
         # global minimum with negative value
-        assert ray_energy(u, t1, cfg) < 0.0
+        assert ray_value("gamma", u, t1, cfg) < 0.0
 
 
 def test_case_convex_only(cfg_small):
@@ -308,7 +315,7 @@ def test_case_convex_only(cfg_small):
         assert sign == -1
         assert t2 > diag.t_tilde
         # global maximum with positive value
-        assert ray_energy(u, t2, cfg) > 0.0
+        assert ray_value("gamma", u, t2, cfg) > 0.0
 
 
 def test_case_both_two_roots(cfg_small):
@@ -339,7 +346,7 @@ def test_case_both_tangent_band():
     x, y, z = cfg.grid.coords()
     u = Field(cfg.grid, np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z))
     t_tilde = classify(u, cfg).t_tilde
-    lam = ray_balance(u, t_tilde, cfg) / concave_integral(u, cfg)
+    lam = ray_value("balance", u, t_tilde, cfg) / concave_integral(u, cfg)
     for factor in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
         diag = classify(u, cfg.with_lambda(lam * factor))
         assert diag.case == CASE_BOTH_TANGENT
@@ -351,7 +358,7 @@ def test_case_both_tangent_band():
     # the tangency itself: a probe a factor 2 away lies below the band and
     # certifies nothing, so the peak is still solved
     at_peak = u.scaled(t_tilde)
-    lam_at_peak = ray_balance(at_peak, 1.0, cfg) / concave_integral(at_peak, cfg)
+    lam_at_peak = ray_value("balance", at_peak, 1.0, cfg) / concave_integral(at_peak, cfg)
     for branch in ("plus", "minus"):
         with pytest.raises(ProjectionError, match="tangent"):
             project(at_peak, cfg.with_lambda(lam_at_peak), branch)
@@ -412,7 +419,7 @@ def test_projection_scaled_second_derivative(cfg_small):
             except ProjectionError:
                 continue
             t = point.scale
-            rhs = t ** (cfg_small.q + 2.0) * ray_balance_dt(u, t, cfg_small)
+            rhs = t ** (cfg_small.q + 2.0) * ray_value("balance_dt", u, t, cfg_small)
             assert abs(point.gamma2 - rhs) <= 1e-8 * max(abs(point.gamma2), abs(rhs))
 
 
@@ -461,13 +468,6 @@ def test_sample_ray_table(cfg_small):
 
 
 def test_sample_ray_matches_public_functions_bitwise(cfg_small, cfg_const, cfg_stuart9):
-    public = {
-        "gamma": ray_energy,
-        "gamma_dt": ray_energy_dt,
-        "gamma_dt2": ray_energy_dt2,
-        "balance": ray_balance,
-        "peak_eq": peak_equation,
-    }
     for cfg in (cfg_small, cfg_const, cfg_stuart9):
         u = smooth_fields(cfg.grid, 1, seed=46)[0]
         # more than two blocks of t, the last one partial
@@ -476,8 +476,9 @@ def test_sample_ray_matches_public_functions_bitwise(cfg_small, cfg_const, cfg_s
         table = sample_ray(u, cfg, t_values)
         assert table["t"] == t_values
         for i, t in enumerate(t_values):
-            for key, fn in public.items():
-                assert table[key][i] == fn(u, t, cfg), (cfg.phi.kind, key, t)
+            # each column is named after its ray formula
+            for key in ("gamma", "gamma_dt", "gamma_dt2", "balance", "peak_eq"):
+                assert table[key][i] == ray_value(key, u, t, cfg), (cfg.phi.kind, key, t)
 
 
 def counting_phi(cfg):
@@ -505,10 +506,6 @@ def test_sample_ray_checks_every_t_before_any_phi_work(cfg_small, bad):
     assert str(err.value) == str(expected.value)
     assert str(err.value) == f"ray derivative functions need a finite t > 0, got {bad}"
     assert calls == []
-    for energy_fn in (ray_energy, bare_ray_energy):
-        if bad != 0.0:  # both are defined at t = 0
-            with pytest.raises(DomainError, match="needs a finite t >= 0"):
-                energy_fn(u, bad, cfg)
 
 
 def test_sample_ray_sums_zero_rows_without_fsum(cfg_const):
@@ -686,7 +683,7 @@ def test_bare_peak_is_the_maximum_on_a_dense_grid(cfg_small):
         if convex_integral(u, cfg_small) <= 0.0:
             continue
         value = classify(u, cfg_small).bare_peak_value
-        grid_max = max(bare_ray_energy(u, t, cfg_small) for t in np.logspace(-3, 3, 2001))
+        grid_max = max(ray_value("bare", u, t, cfg_small) for t in np.logspace(-3, 3, 2001))
         assert value >= grid_max - 1e-14 * abs(value)
         checked += 1
         if checked >= 3:

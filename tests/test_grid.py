@@ -61,6 +61,10 @@ def test_grid_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigError):
             Grid(nodes=(5,), lengths=(bad,))
+    # a node count is never truncated; a whole float is taken as its integer
+    with pytest.raises(ConfigError, match=r"^\[grid\] nodes: node counts must be whole"):
+        Grid(nodes=(3.9, 3, 3), lengths=(1.0, 1.0, 1.0))
+    assert Grid(nodes=(3.0, 4, 5), lengths=(1.0, 1.0, 1.0)).nodes == (3, 4, 5)
 
 
 def test_gradient_zero_field():

@@ -1,6 +1,7 @@
 """Import structure.  The stuart run path stays on numpy: importing scipy
 roughly doubles the peak resident memory of a run.  Every correctly rounded
-sum goes through ``grid``'s one summation kernel."""
+sum goes through ``grid``'s one summation kernel, and every exported name
+has a reader outside the tests."""
 
 import ast
 import os
@@ -109,3 +110,46 @@ def test_ray_integrands_are_written_once():
     ]
     assert {attr for attr, _, _ in uses} == raw
     assert [(attr, line) for attr, line, ok in uses if not ok] == []
+
+
+def exported_names(path):
+    """The names in the module's ``__all__``."""
+    for node in ast.parse(path.read_text()).body:
+        targets = [getattr(target, "id", None) for target in getattr(node, "targets", ())]
+        if targets == ["__all__"]:
+            return ast.literal_eval(node.value)
+    return []
+
+
+def read_names(path, layers):
+    """Names the file reads: names, attributes and "layer.function" strings."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            layer, _, name = node.value.partition(".")
+            if layer in layers and name.isidentifier():
+                read.add(name)
+    return read
+
+
+def test_every_exported_name_has_a_reader():
+    # a name in a submodule's __all__ is read in the package, the benchmark
+    # or the demos, e.g. as an entry of bench/tracing.py's SPANS; the
+    # re-exports of __init__.py are not readers, and neither are the tests
+    layers = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    read = set()
+    for folder in (SRC, ROOT / "bench", ROOT / "demos"):
+        for path in folder.glob("*.py"):
+            if path.name != "__init__.py":
+                read |= read_names(path, layers)
+    unread = sorted(
+        name
+        for layer in layers
+        for name in exported_names(SRC / f"{layer}.py")
+        if name not in read
+    )
+    assert unread == [], unread

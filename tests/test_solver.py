@@ -29,10 +29,10 @@ from nehari.grid import (
     random_smooth_field,
 )
 from nehari.phi import constant_model, stuart_model, verify_hypotheses
-from nehari.solver import minimize_branch, multistart, seed_field, solve_both
+from nehari.solver import minimize_branch, seed_field, solve_both
 from nehari.thresholds import compute_thresholds
 
-from conftest import CONFIG_DIR, make_problem, two_lobe_weights
+from conftest import CONFIG_DIR, make_problem, perturbed_starts, two_lobe_weights
 
 PANEL_FRACTIONS = (0.41, 0.47, 0.5, 0.53, 0.59)  # the solve benchmark's λ/λ₀
 
@@ -197,12 +197,13 @@ def test_disjoint_positive_lobes_both_branches():
 
 def test_multistart_consistency(cfg_const):
     cfg, th = with_thresholds(cfg_const)
-    report = multistart(cfg, "plus", n_starts=3, seed=7, thresholds=th)
-    assert len(report.energies) == 3
+    reports = perturbed_starts(cfg, "plus", n_starts=3, seed=7, thresholds=th)
+    energies = [rep.point.energy for rep in reports]
+    assert len(energies) == 3
     # every start converges, and none ends below the first start's minimizer
-    assert all(report.converged)
-    floor = report.energies[0] - 1e-6 * abs(report.energies[0])
-    assert min(report.energies) >= floor
+    assert all(rep.converged for rep in reports)
+    floor = energies[0] - 1e-6 * abs(energies[0])
+    assert min(energies) >= floor
 
 
 def test_stuart_solve_small():
@@ -491,23 +492,6 @@ def test_descent_builds_one_gradient_per_iteration(monkeypatch, caplog):
     assert report.stop_reason == "max_iter"
     assert "branch minus stopped (max_iter) after 5 iterations" in caplog.text
     assert calls["n"] == 6
-
-
-def test_multistart_projects_its_base_seed_once(monkeypatch, cfg_const):
-    cfg, th = with_thresholds(cfg_const)
-    project_scale = solver.project_scale
-    calls = {"n": 0}
-
-    def counted(u, cfg, branch):
-        calls["n"] += 1
-        return project_scale(u, cfg, branch)
-
-    monkeypatch.setattr(solver, "project_scale", counted)
-    single = minimize_branch(cfg, "plus", thresholds=th)
-    one_solve, calls["n"] = calls["n"], 0
-    report = multistart(cfg, "plus", n_starts=1, thresholds=th)
-    assert calls["n"] == one_solve
-    assert report.energies == (single.point.energy,)
 
 
 def test_one_dimensional_refinement_converges_at_second_order():
