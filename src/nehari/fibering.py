@@ -37,16 +37,18 @@ double, 1e9]; every downward search meets a guaranteed sign change before
 0⁺.  The integrands (Φ's bulk and the moments m_k) are written once, in
 one table, and summed two ways.  Root loops use plain deterministic vector
 sums on the unit-energy copy of the ray (the stopping tolerance, not
-summation error, limits root accuracy).  Reported values come from one
-exact evaluator, which sums (t, node) blocks through ``grid.integrate``,
-so a value read at one t has the bits it has in a table of many; the two
-ray derivatives :func:`ray_energy_dt` and :func:`ray_energy_dt2`, a
-projection's values at t* and the bare peak value read it at one t.  The
-balance peak t̃ and the bare peak t_max are reported by :func:`classify`
-only.  A projection reports J(t*·u) as γ(t*) of the ray it has already
-built: one exact Φ sum at the t*-scaled density, with A and B scaled by
-powers of t*.  That equals ``energy`` of the projected field to
-round-off, not bitwise.
+summation error, limits root accuracy).  A ray's A, B and E, which decide
+its case and set the unit ray, are always exact.  Reported values come
+from one exact evaluator, which sums (t, node) blocks through
+``grid.integrate``, so a value read at one t has the bits it has in a
+table of many; the two ray derivatives :func:`ray_energy_dt` and
+:func:`ray_energy_dt2`, :func:`project`'s values at t* and the bare peak
+value read it at one t.  The balance peak t̃ and the bare peak t_max are
+reported by :func:`classify` only.  A projection reports J(t*·u) as γ(t*)
+of the ray it has already built: one Φ sum at the t*-scaled density, with
+A and B scaled by powers of t*.  :func:`project` takes that sum exactly,
+and :func:`project_scale`, the descent's projection, plainly; either J
+equals ``energy`` of the projected field to round-off, not bitwise.
 """
 
 from __future__ import annotations
@@ -116,9 +118,10 @@ class _Ray:
     The integrals at a scaling t are Φ's bulk and the moments m_k, from
     ``_INTEGRANDS``; every ray function is a formula in those.
     :meth:`integrals` sums them exactly, in input units, and :meth:`at`
-    feeds them to one formula at one t, for reported values; :meth:`unit`
-    gives the unit-energy copy that root searches use, with :meth:`moments`'
-    plain sums of the same integrands.
+    feeds them to one formula at one t, for reported values; :meth:`plain`
+    sums the same integrands plainly, for root searches on the unit-energy
+    copy that :meth:`unit` gives (through :meth:`moments`) and for the
+    descent's trial J.
     """
 
     def __init__(self, u: Field, cfg: ProblemConfig):
@@ -145,11 +148,15 @@ class _Ray:
         unit.scale = s
         return unit
 
-    def moments(self, t: float, order: int = 1) -> list[float]:
-        """[m_0, …, m_order] at t: the ``_INTEGRANDS`` by plain sums, for root searches."""
+    def plain(self, t: float, *names: str) -> list[float]:
+        """The ``_INTEGRANDS`` ``names`` at t by plain sums: root searches and the descent."""
         s = self.density * (t * t / 2.0)
         h = self.grid.cell_volume
-        return [h * float(_INTEGRANDS[f"m{k}"](self, s).sum()) for k in range(order + 1)]
+        return [h * float(_INTEGRANDS[k](self, s).sum()) for k in names]
+
+    def moments(self, t: float, order: int = 1) -> list[float]:
+        """[m_0, …, m_order] at t by plain sums."""
+        return self.plain(t, *(f"m{k}" for k in range(order + 1)))
 
     def integrals(self, t_values, *names: str) -> Iterator[tuple[float, ...]]:
         """A tuple of the exact integrals ``names`` ("bulk", "m0", "m1", "m2") per t.
@@ -547,10 +554,12 @@ def project_scale(
 ) -> tuple[Field, float, float]:
     """Projection without the report payload: the scaled field, t* and J.
 
-    J = γ(t*) comes from the ray's exact sums (see the module docstring).
+    Only the descent and its seeding call it.  t* is :func:`project`'s, from
+    the same exact A, B and E; J = γ(t*) takes Φ's bulk at t* by a plain
+    sum, so it equals :func:`project`'s J to round-off, not bitwise.
     """
     ray, t_star = _project_ray(u, cfg, branch)
-    return u.scaled(t_star), t_star, ray.at(t_star, _Ray.gamma, "bulk")
+    return u.scaled(t_star), t_star, ray.gamma(t_star, *ray.plain(t_star, "bulk"))
 
 
 def project(u: Field, cfg: ProblemConfig, branch: str) -> NehariPoint:

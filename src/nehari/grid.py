@@ -9,12 +9,13 @@ node-valued fields over this grid.  The conventions are:
   gradient and the Sobolev constants share one quadratic form,
 * quadrature is the node rule (cell volume times node sum), which under
   the zero boundary is the trapezoid rule: :func:`integrate`, of one
-  integrand or of a stack, is the only way other modules take it.  Every
-  sum, of one row or of a stack of rows, is correctly rounded by the one
-  kernel :func:`_exact_sums`, so it does not depend on the order of the
-  terms: an error-free extraction under one σ per stack, whose one
-  fallback sums each row it cannot certify alone, under its own σ and
-  then by ``math.fsum``.
+  integrand or of a stack, is the only exact way other modules take it;
+  the descent and the ray root searches take plain numpy sums instead.
+  Every sum of :func:`integrate`, of one row or of a stack of rows, is
+  correctly rounded by the one kernel :func:`_exact_sums`, so it does not
+  depend on the order of the terms: an error-free extraction under one σ
+  per stack, whose one fallback sums each row it cannot certify alone,
+  under its own σ and then by ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ __all__ = [
     "load_field",
 ]
 
+
+# the largest side length and Gaussian width: the default weights and the
+# seeds are Gaussians of width ∝ min L, and σ² overflows a float above ~1e154
+MAX_LENGTH = 1e100
 
 # a row sum is extracted only when the largest magnitude lies strictly in
 # (2**-_EXTRACT_EXP, 2**_EXTRACT_EXP): no overflow, and the error bounds never
@@ -160,6 +165,11 @@ class Grid:
             raise ConfigError("grid", "nodes", "need at least 3 interior nodes per axis")
         if not all(0.0 < L < math.inf for L in lengths):
             raise ConfigError("grid", "lengths", "side lengths must be positive and finite")
+        longest = max(lengths)
+        if longest > MAX_LENGTH:
+            raise ConfigError(
+                "grid", "lengths", f"side lengths must be at most {MAX_LENGTH:g}, got {longest:g}"
+            )
 
     @property
     def dim(self) -> int:
@@ -485,8 +495,10 @@ def _gaussian_pair(grid: Grid, spec: dict) -> np.ndarray:
             raise ConfigError(
                 "weights", f"center_{side}", f"center needs {grid.dim} coordinates"
             )
-        if not sigma > 0:
-            raise ConfigError("weights", f"sigma_{side}", "Gaussian width must be positive")
+        if not 0.0 < sigma <= MAX_LENGTH:
+            raise ConfigError(
+                "weights", f"sigma_{side}", f"Gaussian width must lie in (0, {MAX_LENGTH:g}]"
+            )
         return _gaussian(grid, center, sigma)
 
     amp_pos = float(spec.get("amp_pos", 1.0))

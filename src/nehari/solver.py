@@ -29,13 +29,17 @@ pair with ⟨s,y⟩ ≤ ``CURVATURE_RTOL``·|s||y| is skipped.  A direction with
 Sobolev gradient −(W P W g − (⟨W P W g, u⟩_{H¹}/⟨u,u⟩_{H¹})·u).  With
 this H₀ the iteration counts grow slowly with the grid (stuart plus: 21
 at 9³, 46 at 33³).  The direction's inner products are plain numpy sums,
-not BLAS dots, so a run is bit-reproducible whatever the BLAS threading;
-exact sums are kept for reported values.
+not BLAS dots, so a run is bit-reproducible whatever the BLAS threading.
 
 The line search starts at the step 1 and accepts by Armijo with the slope
 ⟨g,d⟩.  A trial point's energy is the J that its projection returns: the
-exact quadrature of Φ at the t*-scaled density of the projection's own
+plain quadrature of Φ at the t*-scaled density of the projection's own
 ray, equal to ``energy`` of the projected field to round-off, not bitwise.
+The descent's quadratures (trial J, residuals, ⟨g,u⟩) are plain sums,
+whose error (~log₂n·ε·Σ|x|) lies far below ``ENERGY_SLACK`` and the
+residual tolerance.  Exact sums are kept for what is reported and what
+decides a case: the reported J and γ'' of a branch come from one exact
+ray of its final field, and every projection's A, B and E are exact.
 """
 
 from __future__ import annotations
@@ -52,13 +56,7 @@ import numpy as np
 from .energy import ProblemConfig, energy_gradient
 from .errors import NehariError, ProjectionError, SeedingError
 from .fibering import NehariPoint, project_scale, sample_ray
-from .grid import (
-    Field,
-    _dirichlet_solver,
-    _gaussian,
-    integrate,
-    laplacian,
-)
+from .grid import Field, _dirichlet_solver, _gaussian, laplacian
 from .thresholds import ThresholdReport
 
 logger = logging.getLogger(__name__)
@@ -189,12 +187,13 @@ def _descent_state(u: Field, cfg: ProblemConfig):
     Returns (g, tan_res, full_res, gu): the pointwise (L²-representative)
     gradient g, the L² norm of its part orthogonal to u and the dual norm
     of the whole gradient, and the Nehari residual gu = ⟨g,u⟩.  ∫g², ⟨g,u⟩
-    and ⟨u,u⟩ are one ``integrate`` stack, and the tangential residual is
-    √max(∫g² − ⟨g,u⟩²/⟨u,u⟩, 0): rounding is monotone, so it never exceeds
-    full_res and the stop test reads full_res alone.
+    and ⟨u,u⟩ are h·:func:`_dot`, the plain sums the direction uses, and the
+    tangential residual is √max(∫g² − ⟨g,u⟩²/⟨u,u⟩, 0): it never exceeds
+    full_res, so the stop test reads full_res alone.
     """
-    g = energy_gradient(u, cfg) / cfg.grid.cell_volume
-    squares, gu, uu = integrate(cfg.grid, np.stack([g * g, g * u.values, u.values**2]))
+    h = cfg.grid.cell_volume
+    g = energy_gradient(u, cfg) / h
+    squares, gu, uu = h * _dot(g, g), h * _dot(g, u.values), h * _dot(u.values, u.values)
     tan_res = math.sqrt(max(squares - gu * gu / uu, 0.0))
     return g, tan_res, math.sqrt(squares), gu
 
@@ -395,19 +394,17 @@ def _run_descent(
         scale_history.append(t_star)
 
     *_, full_res, gu = state  # the final field's own gradient data
-    # γ'' and J of the final field from one fresh ray of that field, not from
-    # the projection that produced the history; the two J agree to round-off
+    # the reported J and γ'' are exact sums over one fresh ray of the final
+    # field; the history's last J, a plain sum of the projection that made
+    # that field, must agree with it to round-off
     fresh = sample_ray(u, cfg, [1.0])
-    recomputed = fresh["gamma"][0]
-    point = NehariPoint(
-        u, branch, energy_history[-1], abs(gu), fresh["gamma_dt2"][0], t_star
-    )
+    point = NehariPoint(u, branch, fresh["gamma"][0], abs(gu), fresh["gamma_dt2"][0], t_star)
     invariants = {
         "monotone_energy": all(
             new <= old + ENERGY_SLACK * (1.0 + abs(old))
             for old, new in zip(energy_history, energy_history[1:])
         )
-        and abs(recomputed - point.energy) <= 1e-12 * max(1.0, abs(point.energy)),
+        and abs(energy_history[-1] - point.energy) <= 1e-12 * max(1.0, abs(point.energy)),
         "max_constraint_residual": max_constraint,
         "final_full_residual": full_res,
         "final_energy": point.energy,

@@ -342,6 +342,13 @@ BAD_PHI_TABLES = {
         pytest.param("[grid]\nnodes = nan\n", "[grid] nodes", id="nodes-nan"),
         pytest.param("[grid]\nnodes = 9.7\n", "[grid] nodes", id="nodes-fraction"),
         pytest.param("[grid]\nnodes = 5\nlengths = nan\n", "[grid] lengths", id="length-nan"),
+        # the weights and the seeds are Gaussians whose σ² must be a float:
+        # the default σ is 0.18·min L
+        pytest.param(
+            "[grid]\nnodes = 5\nlengths = 1e308\n",
+            "[grid] lengths: side lengths must be at most 1e+100",
+            id="length-huge",
+        ),
         pytest.param(
             "[grid]\nnodes = 5\n[solver]\nresidual_tol = nan\n",
             "[solver] residual_tol",
@@ -384,6 +391,11 @@ BAD_PHI_TABLES = {
             id="weights-b-sigma",
         ),
         pytest.param(
+            "[grid]\nnodes = 5\n[weights.b]\nsigma_neg = 1e200\n",
+            "[weights.b] sigma_neg",
+            id="weights-b-sigma-huge",
+        ),
+        pytest.param(
             "[grid]\nnodes = 5\n[weights.b]\nkind = affine\ncoeffs = 1 1 1 1\n",
             "[weights.b] coeffs",
             id="weights-b-coeffs",
@@ -417,7 +429,9 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, text, address):
     path.write_text(text.replace("TMP", str(tmp_path)))
     out = tmp_path / "o"
     assert main(["thresholds", "--config", str(path), "--out", str(out)]) == 1
-    assert f"config error: {address}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: {address}" in err
+    assert "Traceback" not in err
     assert not (out / "thresholds.json").exists()
 
 

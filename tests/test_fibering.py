@@ -29,7 +29,7 @@ from nehari.fibering import (
 )
 from nehari.grid import Field, Grid, integrate, pointwise_energy, random_smooth_field
 from nehari.phi import constant_model, stuart_model
-from nehari.solver import solve_both
+from nehari.solver import seed_field, solve_both
 
 from conftest import (
     CONFIG_DIR,
@@ -731,6 +731,29 @@ def test_reprojecting_a_solution_reads_few_phi_values():
         assert "raw_d2phi" not in calls, report.branch
         assert calls.count("raw_phi") <= 5, (report.branch, calls.count("raw_phi"))
         assert abs(point.scale - 1.0) <= 1e-12
+
+
+def test_projection_scale_does_not_depend_on_the_descent_sums():
+    # project_scale, the descent's projection, sums its J plainly and
+    # project sums it exactly; both take t* from the same exact E, A, B and
+    # the same root search.  Over the timed rays panel (field 24 set aside,
+    # as the benchmark does) and the branch seeds of both reference configs
+    cases = []
+    for name in ("stuart", "constant"):
+        cfg = prepare_run(parse_config((CONFIG_DIR / f"reference_{name}.ini").read_text())).problem
+        cases += [(cfg, seed_field(cfg, branch), branch) for branch in ("plus", "minus")]
+    stuart = cases[0][0]
+    rng = np.random.default_rng(0)
+    for i, u in enumerate([random_smooth_field(stuart.grid, rng) for _ in range(48)]):
+        if i != 24:
+            roots = classify(u, stuart).roots
+            cases += [(stuart, u, "plus" if s > 0 else "minus") for _, s in roots if s != 0]
+    assert len(cases) > 50
+    for cfg, u, branch in cases:
+        point = project(u, cfg, branch)
+        _, t_star, J = project_scale(u, cfg, branch)
+        assert t_star == point.scale
+        assert abs(J - point.energy) <= 1e-13 * max(1.0, abs(point.energy))
 
 
 def test_project_reads_its_own_ray(cfg_small, monkeypatch):

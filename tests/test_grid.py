@@ -16,6 +16,7 @@ from nehari.errors import ConfigError, DomainError
 from nehari.grid import (
     Field,
     Grid,
+    MAX_LENGTH,
     _dirichlet_solver,
     _exact_sums,
     dirichlet_energy,
@@ -61,6 +62,9 @@ def test_grid_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigError):
             Grid(nodes=(5,), lengths=(bad,))
+    with pytest.raises(ConfigError, match=r"^\[grid\] lengths: side lengths must be at most"):
+        Grid(nodes=(5, 5), lengths=(1.0, 1e101))
+    assert Grid(nodes=(5,), lengths=(MAX_LENGTH,)).lengths == (MAX_LENGTH,)
     # a node count is never truncated; a whole float is taken as its integer
     with pytest.raises(ConfigError, match=r"^\[grid\] nodes: node counts must be whole"):
         Grid(nodes=(3.9, 3, 3), lengths=(1.0, 1.0, 1.0))
