@@ -22,7 +22,8 @@ Every ray quantity comes from one engine, built once per field.  Every root
 by factors of 2 from a warm start at the input scale t = 1 to a sign
 change, and refined by one routine: Newton steps inside a sign-changing
 bracket, replaced by bisection whenever a step would leave the bracket
-(rtsafe), and stopped at the relative step ``ROOT_RTOL``.  The two
+(rtsafe), and stopped at the relative step ``ROOT_RTOL``, a converged
+Newton step from the bracket's end included.  The two
 peaks are roots of decreasing functions, so the sign at the start says
 which way to walk.  Trial points of a descent lie next to a branch
 crossing: since m is unimodal, the signs of m − λA and of m' at the walk's
@@ -143,8 +144,8 @@ class _Ray:
         unit.density = self.density / (s * s)
         unit.density2 = unit.density**2
         unit.energy_int = 1.0
-        unit.concave = self.concave / s ** (self.q + 1.0)
-        unit.convex = self.convex / s ** (self.p + 1.0)
+        unit.concave = _over_power(self.concave, s, self.q + 1.0)
+        unit.convex = _over_power(self.convex, s, self.p + 1.0)
         unit.scale = s
         return unit
 
@@ -251,6 +252,20 @@ class _Ray:
         return _refine(g, *_walk(g, start, up, lambda pt: (pt.f >= 0.0) != up))
 
 
+def _over_power(x: float, s: float, a: float) -> float:
+    """x / s**a, also where s**a over- or underflows a float: with s = m·2^k,
+    s**a = m**a·2^φ·2^j, j = ⌊ka⌋ and φ = ka − j, and ldexp divides by 2^j."""
+    try:
+        power = s**a
+    except OverflowError:
+        power = math.inf
+    if sys.float_info.min <= power < math.inf:
+        return x / power
+    m, k = math.frexp(s)
+    j = math.floor(k * a)
+    return math.ldexp(x / (m**a * 2.0 ** (k * a - j)), -j)
+
+
 # -- public ray functions (input units, exact quadrature) --------------------
 
 
@@ -313,7 +328,10 @@ def _refine(fdf, a: _Point, b: _Point) -> float:
     Newton steps start at the end with the smaller |f|.  A step that would
     leave the bracket, or that is not at most half the step before last, is
     replaced by bisection (rtsafe, Numerical Recipes §9.4).  Stops when a
-    step moves t by at most ``ROOT_RTOL``·t.
+    step moves t by at most ``ROOT_RTOL``·t, a rejected Newton step from t
+    included: it returns t then, since Newton converges from one side and
+    its last iterate is an end of the bracket, where a step below half an
+    ulp of t rounds back onto that end.
     """
     neg, pos = (a.t, b.t) if a.f < 0.0 else (b.t, a.t)
     t, f, df = min(a, b, key=lambda pt: abs(pt.f))
@@ -324,6 +342,8 @@ def _refine(fdf, a: _Point, b: _Point) -> float:
         lo, hi = min(neg, pos), max(neg, pos)
         newton = t - f / df if df != 0.0 else math.nan
         if not (lo < newton < hi and abs(2.0 * f) <= abs(step_old * df)):
+            if abs(newton - t) <= ROOT_RTOL * t:
+                return t
             newton = 0.5 * (lo + hi)
         step_old, step = step, abs(newton - t)
         t = newton

@@ -10,7 +10,9 @@ node-valued fields over this grid.  The conventions are:
 * quadrature is the node rule (cell volume times node sum), which under
   the zero boundary is the trapezoid rule: :func:`integrate`, of one
   integrand or of a stack, is the only exact way other modules take it;
-  the descent and the ray root searches take plain numpy sums instead.
+  the descent and the ray root searches take plain numpy sums instead, and
+  so does the Sobolev iteration between its exact start and its exact
+  reported ratio.
   Every sum of :func:`integrate`, of one row or of a stack of rows, is
   correctly rounded by the one kernel :func:`_exact_sums`, so it does not
   depend on the order of the terms: an error-free extraction under one σ
@@ -374,15 +376,22 @@ class SobolevEstimate:
 def estimate_sobolev(grid: Grid, order: float) -> SobolevEstimate:
     """Best discrete constant in ‖u‖_order ≤ S · |u|_{H¹₀}.
 
-    Nonlinear inverse power iteration u ← (−Δ_h)⁻¹(|u|^{order−2}u), each
-    iterate renormalized to unit Dirichlet seminorm (Biezuner, Ercole and
-    Martins, J. Funct. Anal. 2009).  The ratio ‖u‖_order/|u|_{H¹₀} never
+    Nonlinear inverse power iteration v = (−Δ_h)⁻¹f, f = |u|^{order−2}u,
+    each iterate renormalized to unit Dirichlet seminorm (Biezuner, Ercole
+    and Martins, J. Funct. Anal. 2009).  The ratio ‖v‖_order/|v|_{H¹₀} never
     decreases from one iterate to the next, so the iteration stops once it
-    gains at most ``SOBOLEV_RTOL`` relative, and the largest ratio is
-    returned.  The start is a Gaussian centred on node n_k // 2 of each
+    gains at most ``SOBOLEV_RTOL`` relative.  The sine-transform solve is
+    exact, so v's Dirichlet form is the quadrature of v·f, and each iterate
+    costs one solve and two plain sums.  The start ratio is exact, and the
+    returned value is the exact ratio, both sums correctly rounded, of the
+    best iterate.  The start is a Gaussian centred on node n_k // 2 of each
     axis: on an even node count that node is off the box centre, which a
     mirror-symmetric start would keep as a symmetry and so stop at a lower
-    critical point.
+    critical point.  Every iterate is put at unit seminorm before any power
+    of it is taken.  The iteration runs on the box scaled by the power of
+    two c that puts its longest side in [1, 2), so the size of the box does
+    not under- or overflow a sum, and S is scaled back by c^{1+N/order−N/2};
+    an S beyond the float range raises ``DomainError``.
     """
     order = float(order)
     two_star = grid.critical_exponent()
@@ -394,21 +403,34 @@ def estimate_sobolev(grid: Grid, order: float) -> SobolevEstimate:
     elif not 1.0 <= order < math.inf:
         raise DomainError(f"Sobolev order must be >= 1 and finite, got {order}")
 
-    solve = _dirichlet_solver(grid)
+    e = math.frexp(max(grid.lengths))[1] - 1
+    box = Grid(grid.nodes, tuple(math.ldexp(L, -e) for L in grid.lengths))
+    solve = _dirichlet_solver(box)
+    h = box.cell_volume
     r2 = sum(
-        ((x - grid.axis_coords(k)[grid.nodes[k] // 2]) / (0.35 * grid.lengths[k])) ** 2
-        for k, x in enumerate(grid.coords())
+        ((x - box.axis_coords(k)[box.nodes[k] // 2]) / (0.35 * box.lengths[k])) ** 2
+        for k, x in enumerate(box.coords())
     )
 
-    def normalized(v: np.ndarray) -> tuple[np.ndarray, float]:
-        v = v / math.sqrt(dirichlet_energy(Field(grid, v)))
-        return v, (grid.cell_volume * _exact_sums(np.abs(v).ravel() ** order)) ** (1.0 / order)
+    def exact_ratio(v: np.ndarray) -> float:
+        norm = (h * _exact_sums(np.abs(v).ravel() ** order)) ** (1.0 / order)
+        return norm / math.sqrt(dirichlet_energy(Field(box, v)))
 
-    u, best = normalized(np.exp(-r2))
+    u = np.exp(-r2)
+    best_u, best = u, exact_ratio(u)
+    f = u ** (order - 1.0)  # |u|^{order−2}u, as u > 0
     for iterations in range(1, SOBOLEV_MAX_ITER + 1):
-        u, ratio = normalized(solve(np.sign(u) * np.abs(u) ** (order - 1.0)))
+        v = solve(f)
+        # v at unit seminorm, before any power of it is taken; |v|^{order−1}
+        # gives ‖v‖_order, then, signed, the next right-hand side
+        v /= math.sqrt(h * float((v * f).sum()))
+        size = np.abs(v)
+        f = size ** (order - 1.0)
+        ratio = (h * float((f * size).sum())) ** (1.0 / order)
+        f *= np.sign(v)
         gain = ratio - best
-        best = max(best, ratio)
+        if ratio > best:
+            best_u, best = v, ratio
         if gain <= SOBOLEV_RTOL * best:
             break
     else:
@@ -419,7 +441,16 @@ def estimate_sobolev(grid: Grid, order: float) -> SobolevEstimate:
             SOBOLEV_RTOL,
             SOBOLEV_MAX_ITER,
         )
-    return SobolevEstimate(value=best, method="inverse-power", iterations=iterations)
+    # c^{1+N/order−N/2} = 2^x: ldexp applies x's whole part exactly, and
+    # raises where S lies beyond the float range
+    x = e * (1.0 + grid.dim / order - grid.dim / 2.0)
+    try:
+        value = math.ldexp(exact_ratio(best_u) * 2.0 ** (x - math.floor(x)), math.floor(x))
+    except OverflowError:
+        raise DomainError(
+            f"Sobolev constant of order {order:g} overflows a float on this box"
+        ) from None
+    return SobolevEstimate(value=value, method="inverse-power", iterations=iterations)
 
 
 # -- weight fields -----------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from nehari.cli import GRADCHECK_DIRECTIONS, GRADCHECK_TOLERANCE, main
 from nehari.config import build_phi, parse_config, prepare_run
 from nehari.errors import ConfigError
-from nehari.grid import save_field
+from nehari.grid import Field, save_field
 from nehari.solver import seed_field
 
 from conftest import CONFIG_DIR
@@ -268,14 +270,83 @@ def test_solve_refuses_inadmissible_without_force(tmp_path, caplog):
     report = json.loads((out / "solve.json").read_text())
     assert {"minus", "plus", "failures"} <= set(report) and "error" not in report
     assert report["verdict"] == "inadmissible"
-    # its minus branch stops where the line search finds no decrease
+    # its minus branch stops where the line search finds no decrease; after
+    # 1233 failed projections the count follows t* at the 1e-11 level
     minus = report["minus"]
     assert (minus["stop_reason"], minus["iterations"], minus["converged"]) == (
         "no_decrease",
-        28,
+        29,
         False,
     )
-    assert "branch minus stopped (no_decrease) after 28 iterations" in caplog.text
+    assert "branch minus stopped (no_decrease) after 29 iterations" in caplog.text
+
+
+@pytest.mark.parametrize("length", ["1e-100", "1e60"])
+def test_thresholds_on_far_boxes_are_positive_and_finite(tmp_path, length):
+    # the Sobolev iteration runs on the box scaled to order 1, so neither a
+    # tiny nor a huge box gives S = inf (and λ₀ = 0) or an overflow
+    cfgp = tmp_path / "far.ini"
+    cfgp.write_text(QUICK.replace("lengths = 1.0", f"lengths = {length}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["thresholds", "--config", str(cfgp), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "thresholds.json").read_text())
+    assert 0.0 < report["lambda0"] < math.inf
+    for estimate in report["sobolev"].values():
+        assert 0.0 < estimate["value"] < math.inf
+
+
+def test_sobolev_constant_beyond_the_float_range_is_named(tmp_path, capsys):
+    # on a 6-D box of side 1e100, S of order 1.1 scales like 1e100^3.45: the
+    # run stops with that reason, not with an OverflowError
+    cfgp = tmp_path / "six.ini"
+    cfgp.write_text("[grid]\ndim = 6\nnodes = 3\nlengths = 1e100\n[problem]\nq = 0.1\np = 1.5\n")
+    assert main(["thresholds", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: Sobolev constant of order 1.1 overflows a float on this box" in err
+
+
+def test_solve_on_a_huge_box_fails_its_branches_without_a_traceback(tmp_path):
+    # at lengths 1e60 the unit ray's scale is √E ~ 1e90: the ray now builds
+    # without overflow, and both branch searches stop at the bracket cap, so
+    # the run exits 2 (a failed branch) with each failure named on stderr
+    cfgp = tmp_path / "huge.ini"
+    cfgp.write_text(QUICK.replace("lengths = 1.0", "lengths = 1e60"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    out = tmp_path / "o"
+    done = subprocess.run(
+        [sys.executable, "-m", "nehari.cli", "solve", "--force", "--config", str(cfgp)]
+        + ["--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert "Traceback" not in done.stderr
+    report = json.loads((out / "solve.json").read_text())
+    assert sorted(report["failures"]) == ["minus", "plus"]
+    for branch, message in report["failures"].items():
+        assert f"branch {branch} failed: BracketError: {message}" in done.stderr
+
+
+def test_fibering_of_a_faint_field_keeps_its_case(tmp_path):
+    # at amplitude 1e-150 the field's √E is 1e-150 and √E^{p+1} underflows to
+    # 0: the unit ray still builds, and the case is that of the field at
+    # amplitude 1, as the case does not depend on the scale
+    cfgp = write_quick(tmp_path)
+    prep = prepare_run(parse_config(Path(cfgp).read_text()))
+    u = seed_field(prep.problem, "plus")
+    cases = []
+    for amplitude in (1.0, 1e-150):
+        field_path = tmp_path / "field.csv"
+        save_field(str(field_path), Field(u.grid, amplitude * u.values))
+        out = tmp_path / f"out{amplitude:g}"
+        argv = ["fibering", "--config", cfgp, "--out", str(out), "--field", str(field_path)]
+        assert main(argv) == 0
+        cases.append(json.loads((out / "fibering.json").read_text())["case"])
+    assert cases[0] == cases[1]
 
 
 def test_failed_branch_is_named_on_stderr(tmp_path):

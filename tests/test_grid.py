@@ -4,6 +4,7 @@ import math
 import pickle
 import re
 import types
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -339,20 +340,114 @@ def test_sobolev_reference_values():
 def test_sobolev_values_are_bitwise_stable():
     # the shift argument of the sine-transform solver leaves shift 0 untouched;
     # the boxes off the cube give the lone-row sums other row lengths and
-    # other (n + 1).bit_length()
+    # other (n + 1).bit_length().  Each entry is (value, the value before the
+    # iteration summed plainly): the exact ratio of the best iterate stays
+    # within 2 ulp of the exact ratio the all-exact iteration reported.  The
+    # (1, 2, 0.5) box runs halved, and its S of order 1.5 is scaled back by
+    # the rounded factor 2^{1/2}: 3 ulp
     expected = {
-        ((9, 9, 9), (1.0, 1.0, 1.0), 1.5): "0x1.4d7dea36689c1p-3",
-        ((9, 9, 9), (1.0, 1.0, 1.0), 4.0): "0x1.2104c2374b23cp-2",
-        ((17, 17, 17), (1.0, 1.0, 1.0), 1.5): "0x1.4d793fb71150fp-3",
-        ((17, 17, 17), (1.0, 1.0, 1.0), 4.0): "0x1.196ec3a209a8ep-2",
-        ((5, 6, 7), (1.0, 2.0, 0.5), 1.5): "0x1.fb28fe1b5b266p-4",
-        ((5, 6, 7), (1.0, 2.0, 0.5), 4.0): "0x1.1aab2bf7eead7p-2",
-        ((13,), (1.0,), 3.0): "0x1.5c19d83730795p-2",
-        ((6, 9), (1.0, 1.5), 5.0): "0x1.5725fe01660e5p-2",
+        ((9, 9, 9), (1.0, 1.0, 1.0), 1.5): ("0x1.4d7dea36689c1p-3", "0x1.4d7dea36689c1p-3"),
+        ((9, 9, 9), (1.0, 1.0, 1.0), 4.0): ("0x1.2104c2374b23dp-2", "0x1.2104c2374b23cp-2"),
+        ((17, 17, 17), (1.0, 1.0, 1.0), 1.5): ("0x1.4d793fb71150fp-3", "0x1.4d793fb71150fp-3"),
+        ((17, 17, 17), (1.0, 1.0, 1.0), 4.0): ("0x1.196ec3a209a8fp-2", "0x1.196ec3a209a8ep-2"),
+        ((5, 6, 7), (1.0, 2.0, 0.5), 1.5): ("0x1.fb28fe1b5b269p-4", "0x1.fb28fe1b5b266p-4"),
+        ((5, 6, 7), (1.0, 2.0, 0.5), 4.0): ("0x1.1aab2bf7eead7p-2", "0x1.1aab2bf7eead7p-2"),
+        ((13,), (1.0,), 3.0): ("0x1.5c19d83730796p-2", "0x1.5c19d83730795p-2"),
+        ((6, 9), (1.0, 1.5), 5.0): ("0x1.5725fe01660e6p-2", "0x1.5725fe01660e5p-2"),
     }
-    for (nodes, lengths, order), value in expected.items():
+    for (nodes, lengths, order), (value, before) in expected.items():
         est = estimate_sobolev(Grid(nodes=nodes, lengths=lengths), order)
         assert est.value.hex() == value, (nodes, order)
+        before = float.fromhex(before)
+        ulps = 2.0 if max(lengths) < 2.0 else 3.0
+        assert abs(est.value - before) <= ulps * math.ulp(before), (nodes, order)
+
+
+@pytest.mark.parametrize("length", [1.0, 1e-3])
+def test_sobolev_constants_of_high_order_stay_finite(length):
+    # in 1-D every order is admissible; the iterate is put at unit seminorm
+    # before its powers are taken, so |v|^order neither underflows to a
+    # zero norm nor overflows.  The values are the all-exact iteration's
+    expected = {
+        1.0: {
+            15.0: "0x1.b227b362b7b3bp-2",
+            25.0: "0x1.c76800dad6d1bp-2",
+            40.0: "0x1.d776a7a2fc17cp-2",
+        },
+        1e-3: {
+            15.0: "0x1.153377d1017dep-7",
+            25.0: "0x1.5d94f97324759p-7",
+            40.0: "0x1.916b4b2d64640p-7",
+        },
+    }[length]
+    iterations = {15.0: 11, 25.0: 14, 40.0: 18}
+    for order, before in expected.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_sobolev(Grid(nodes=(33,), lengths=(length,)), order)
+        before = float.fromhex(before)
+        assert est.iterations == iterations[order], order
+        assert abs(est.value - before) <= 1e-14 * before, order
+
+
+def test_sobolev_makes_its_exact_sums_outside_the_loop(monkeypatch):
+    # the iteration sums plainly; only the start ratio and the reported one
+    # are exact, each one L^order sum and one Dirichlet sum per axis, so the
+    # count does not grow with the iterations (8 to 82 here)
+    calls = []
+
+    def counted(rows):
+        calls.append(1)
+        return _exact_sums(rows)
+
+    monkeypatch.setattr(grid_module, "_exact_sums", counted)
+    iterations = set()
+    for nodes, lengths, order in [
+        ((9, 9, 9), (1.0, 1.0, 1.0), 1.5),
+        ((9, 9, 9), (1.0, 1.0, 1.0), 4.0),
+        ((4, 7, 6), (1.0, 0.5, 2.0), 2.0),
+        ((6, 9), (1.0, 1.5), 5.0),
+        ((13,), (1.0,), 3.0),
+    ]:
+        calls.clear()
+        est = estimate_sobolev(Grid(nodes=nodes, lengths=lengths), order)
+        iterations.add(est.iterations)
+        assert len(calls) == 2 * (1 + len(nodes)), (nodes, order, est.iterations)
+    assert min(iterations) < 10 and max(iterations) > 70
+
+
+@pytest.mark.parametrize(
+    "nodes, lengths",
+    [((31,), (1.0,)), ((6, 9), (1.0, 1.5)), ((5, 7, 6), (1.0, 1.7, 0.6))],
+)
+def test_dirichlet_form_of_a_solve_is_its_inner_product(nodes, lengths):
+    # v = (−Δ_h)⁻¹f exactly, so v's Dirichlet form is the quadrature of v·f:
+    # the Sobolev iteration reads it from one plain sum
+    grid = Grid(nodes=nodes, lengths=lengths)
+    rng = np.random.default_rng(8)
+    fields = [random_smooth_field(grid, rng).values, rng.standard_normal(grid.shape)]
+    for f in fields + [np.abs(fields[0]) ** 3.0]:
+        v = _dirichlet_solver(grid)(f)
+        form = grid.cell_volume * float((v * f).sum())
+        exact = dirichlet_energy(Field(grid, v))
+        assert abs(form - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("length", [1e-100, 1e60])
+def test_sobolev_constants_follow_the_power_law_on_far_boxes(length):
+    # S of the box scaled by c is c^{1+N/r−N/2} times the unit box's; the
+    # iteration runs on a box of order 1, so nothing under- or overflows
+    nodes = (5, 6, 7)
+    unit = Grid(nodes=nodes, lengths=(1.0, 2.0, 0.5))
+    far = Grid(nodes=nodes, lengths=tuple(length * L for L in unit.lengths))
+    for order in (1.5, 4.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_sobolev(far, order)
+        ref = estimate_sobolev(unit, order)
+        assert est.iterations == ref.iterations
+        law = ref.value * length ** (1.0 + 3.0 / order - 1.5)
+        assert math.isfinite(est.value) and abs(est.value - law) <= 1e-12 * law, order
 
 
 @pytest.mark.parametrize("shift", [0.0, 1.0])

@@ -275,8 +275,10 @@ def test_projection_reads_few_phi_values():
                 cfg = dataclasses.replace(prep.problem, phi=phi, lam=lam)
                 pair = solve_both(cfg, thresholds=prep.thresholds)
                 assert not pair.failures and pair.ordering_ok
-    assert counts["projections"] > 200  # 342, at 8.08 calls each
-    assert counts["phi"] / counts["projections"] <= 9.0
+    # 342 projections at 5.54 calls each; 8.08 when a converged Newton step
+    # from the bracket's end was sent back to bisection
+    assert counts["projections"] > 200
+    assert counts["phi"] / counts["projections"] <= 6.0, counts["phi"] / counts["projections"]
 
 
 def test_descent_sums_each_quadrature_once():
@@ -372,8 +374,9 @@ def test_reported_energy_is_the_exact_energy_of_the_final_field(name):
 
 @pytest.mark.parametrize("name", ["constant", "stuart"])
 def test_prepare_run_sums_without_fsum(name, monkeypatch):
-    # both Sobolev iterations sum lone rows (three Dirichlet axes and the
-    # L^order norm per iterate), and the extraction certifies every one
+    # both Sobolev iterations sum lone rows exactly (three Dirichlet axes and
+    # the L^order norm, for the start and the best iterate), and the
+    # extraction certifies every one
     import nehari.grid as grid_module
 
     calls = []
