@@ -2,11 +2,15 @@
 
 Sections: phi, grid, weights.a, weights.b, problem, solver, output.  Every
 key has a documented default: DEFAULT_CONFIG below, and for the weights two
-Gaussian lobes scaled to the grid (``_default_weight_spec``), which a
-partial weights section fills in from.  Unknown sections or keys are
-rejected with an error addressed by section and key.  The
-place-holder "auto:f" for lambda resolves to f·lambda0 once thresholds are
-computed, so reproduction runs need no hand-computed constants.
+Gaussian lobes scaled to the grid (``_default_weight_spec``).  The keys of
+``[phi]`` and of each weights section depend on the section's kind (the
+file's, or the default ``constant`` and ``gaussians``): ``_PHI_KINDS`` here
+and ``grid.WEIGHT_KINDS`` list the keys each kind reads, with their value
+types, and a key the kind does not read is rejected at parse time.  A
+default fills in only the keys its section's kind reads.  Every error is
+addressed by section and key.  The place-holder "auto:f" for lambda
+resolves to f·lambda0 once thresholds are computed, so reproduction runs
+need no hand-computed constants.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from typing import Optional
 
 from .energy import ProblemConfig
 from .errors import ConfigError, DomainError
-from .grid import Field, Grid, SobolevEstimate, estimate_sobolev, make_weight
+from .grid import WEIGHT_KINDS, Field, Grid, SobolevEstimate, estimate_sobolev, make_weight
+from .grid import reject_unread
 from .phi import (
     PhiModel,
     _check_exponents,
@@ -62,18 +67,6 @@ seed = 0
 [output]
 dir = out
 """
-
-_KNOWN_KEYS = {
-    "phi": {"kind", "value", "offset", "table"},
-    "grid": {"dim", "nodes", "lengths"},
-    "weights.a": {"kind", "const", "coeffs", "freq", "phase", "path"}
-    | {"amp_pos", "center_pos", "sigma_pos", "amp_neg", "center_neg", "sigma_neg"},
-    "problem": {"q", "p", "lambda"},
-    "solver": {"residual_tol", "max_iter", "seed"},
-    "output": {"dir"},
-}
-_KNOWN_KEYS["weights.b"] = _KNOWN_KEYS["weights.a"]
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -123,11 +116,19 @@ def _get_floats(parser, section: str, key: str) -> list[float]:
     return values
 
 
+# the reader of each value type in the kinds' key lists
+_READERS = {
+    float: _get_float,
+    list: _get_floats,
+    str: lambda parser, section, key: parser.get(section, key).strip(),
+}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a run configuration.
 
-    Unknown sections or keys are rejected; all messages carry the section
-    and key they refer to.
+    Unknown sections or keys, and keys the kind of their section does not
+    read, are rejected; all messages carry the section and key they refer to.
     """
     parser = configparser.ConfigParser(
         inline_comment_prefixes=(";", "#"), strict=True
@@ -141,15 +142,19 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError("config", "syntax", str(exc)) from None
 
+    known = {section: set(parser.options(section)) for section in parser.sections()}
+    for section, kinds in _SPEC_KINDS.items():
+        known[section] = {"kind", *_key_types(kinds)}
+    if user.defaults():  # configparser would copy its keys into every section
+        raise ConfigError(user.default_section, "-", "unknown section")
     for section in user.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in known:
             raise ConfigError(section, "-", "unknown section")
-        if not parser.has_section(section):
-            parser.add_section(section)  # a weights section: its defaults scale with the grid
         for key in user.options(section):
-            if key not in _KNOWN_KEYS[section]:
+            if key not in known[section]:
                 raise ConfigError(section, key, "unknown key")
-            parser.set(section, key, user.get(section, key))
+            if section not in _SPEC_KINDS:
+                parser.set(section, key, user.get(section, key))
 
     # grid first: the critical exponent constrains p
     dim = _get_int(parser, "grid", "dim")
@@ -168,7 +173,7 @@ def parse_config(text: str) -> RunConfig:
             "grid", "lengths", f"need 1 or {dim} values, got {len(lengths)}"
         )
     grid = Grid(nodes=tuple(nodes), lengths=tuple(lengths))
-    phi_spec = _read_spec(parser, "phi", {})
+    phi_spec = _read_spec(user, "phi", _read_spec(parser, "phi", {}))
 
     q = _get_float(parser, "problem", "q")
     p = _get_float(parser, "problem", "p")
@@ -201,8 +206,8 @@ def parse_config(text: str) -> RunConfig:
             )
         lam_mode, lam_value = "fixed", lam
 
-    a_spec = _read_spec(parser, "weights.a", _default_weight_spec(grid, axis=0))
-    b_spec = _read_spec(parser, "weights.b", _default_weight_spec(grid, axis=min(1, dim - 1)))
+    a_spec = _read_spec(user, "weights.a", _default_weight_spec(grid, axis=0))
+    b_spec = _read_spec(user, "weights.b", _default_weight_spec(grid, axis=min(1, dim - 1)))
 
     residual_tol = _get_float(parser, "solver", "residual_tol")
     max_iter = _get_int(parser, "solver", "max_iter")
@@ -230,24 +235,30 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-# spec keys read as lists of numbers, and as text; every other key is one number
-_LIST_KEYS = {"coeffs", "freq", "phase", "center_pos", "center_neg"}
-_TEXT_KEYS = {"kind", "table", "path"}
+def _key_types(kinds: dict) -> dict:
+    """The value type of every key that some kind of ``kinds`` reads."""
+    return {key: key_type for reads in kinds.values() for key, key_type in reads.items()}
 
 
-def _read_spec(parser, section: str, base: dict) -> dict:
-    """``base`` overlaid with the section's keys, each read by its type.
+def _read_spec(parser, section: str, defaults: dict) -> dict:
+    """The spec of a φ or weights section: its kind, the ``defaults`` that
+    kind reads, and the section's own keys, each read by its type.
 
-    The keys a kind needs are checked by its builder (``build_phi``, ``make_weight``).
+    The kind is the section's, or else the defaults'.  A key of the section
+    that its kind does not read is a config error; an unknown kind, and the
+    keys a kind needs, are checked by its builder (``build_phi``,
+    ``make_weight``).
     """
-    spec = dict(base)
-    for key in parser.options(section) if parser.has_section(section) else ():
-        if key in _TEXT_KEYS:
-            spec[key] = parser.get(section, key).strip()
-        elif key in _LIST_KEYS:
-            spec[key] = _get_floats(parser, section, key)
-        else:
-            spec[key] = _get_float(parser, section, key)
+    kinds = _SPEC_KINDS[section]
+    types = _key_types(kinds)
+    own = parser.options(section) if parser.has_section(section) else []
+    kind = parser.get(section, "kind").strip() if "kind" in own else defaults["kind"]
+    spec = {"kind": kind}
+    spec.update((key, _READERS[types[key]](parser, section, key)) for key in own if key != "kind")
+    if kind in kinds:
+        reads = kinds[kind]
+        reject_unread(section, spec, reads)
+        spec = {"kind": kind, **{k: v for k, v in defaults.items() if k in reads}, **spec}
     return spec
 
 
@@ -269,11 +280,13 @@ def _default_weight_spec(grid: Grid, axis: int) -> dict:
 
 
 def build_phi(phi_spec: dict) -> PhiModel:
-    """The φ model of a parsed spec; a missing or rejected value is a ``[phi]`` config error."""
+    """The φ model of a spec; a missing, unread or rejected key is a ``[phi]`` config error."""
     kind = phi_spec.get("kind")
     if kind not in _PHI_KINDS:
         raise ConfigError("phi", "kind", f"unknown phi kind {kind!r}")
-    key, build = _PHI_KINDS[kind]
+    reads, build = _PHI_KINDS[kind]
+    reject_unread("phi", phi_spec, reads)
+    [key] = reads  # each φ kind is built from one key
     if key not in phi_spec:
         raise ConfigError("phi", key, f"{kind} phi requires {key}")
     try:
@@ -294,12 +307,15 @@ def _read_phi_table(path: str) -> tuple[list[float], list[float]]:
         raise ConfigError("phi", "table", f"{path}: rows must hold two numbers") from None
 
 
-# each φ kind: the one key it is built from, and its builder
+# each φ kind: the key it reads with its value type, and its builder
 _PHI_KINDS = {
-    "constant": ("value", constant_model),
-    "stuart_example": ("offset", stuart_model),
-    "tabulated": ("table", lambda path: tabulated_model(*_read_phi_table(path))),
+    "constant": ({"value": float}, constant_model),
+    "stuart_example": ({"offset": float}, stuart_model),
+    "tabulated": ({"table": str}, lambda path: tabulated_model(*_read_phi_table(path))),
 }
+# the keys each kind reads, in each section whose keys depend on its kind
+_SPEC_KINDS = {"phi": {kind: reads for kind, (reads, _) in _PHI_KINDS.items()}}
+_SPEC_KINDS["weights.a"] = _SPEC_KINDS["weights.b"] = WEIGHT_KINDS
 
 
 def _build_weight(grid: Grid, spec: dict, section: str) -> Field:

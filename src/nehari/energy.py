@@ -33,6 +33,14 @@ __all__ = [
 ]
 
 
+def _check_lambda(lam: float) -> float:
+    """λ as a float, under the rule 0 < λ < inf."""
+    lam = float(lam)
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"lambda must be positive and finite, got {lam}")
+    return lam
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     """Full problem data: grid, operator family, weights, exponents, tolerances."""
@@ -48,8 +56,7 @@ class ProblemConfig:
     max_iter: int = 5000
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.lam < math.inf):
-            raise DomainError(f"lambda must be positive and finite, got {self.lam}")
+        _check_lambda(self.lam)
         _check_exponents(self.q, self.p, self.grid.critical_exponent())
         for name, w in (("a", self.a), ("b", self.b)):
             if w.grid != self.grid:

@@ -56,6 +56,11 @@ __all__ = [
 # the largest side length and Gaussian width: the default weights and the
 # seeds are Gaussians of width ∝ min L, and σ² overflows a float above ~1e154
 MAX_LENGTH = 1e100
+# the smallest Gaussian width, whose square stays a normal float (σ² underflows
+# below ~1.5e-154), and the smallest side length, at which the default widths
+# 0.18·min L still pass
+MIN_WIDTH = 1e-153
+MIN_LENGTH = 1e-152
 
 # a row sum is extracted only when the largest magnitude lies strictly in
 # (2**-_EXTRACT_EXP, 2**_EXTRACT_EXP): no overflow, and the error bounds never
@@ -167,10 +172,14 @@ class Grid:
             raise ConfigError("grid", "nodes", "need at least 3 interior nodes per axis")
         if not all(0.0 < L < math.inf for L in lengths):
             raise ConfigError("grid", "lengths", "side lengths must be positive and finite")
-        longest = max(lengths)
+        longest, shortest = max(lengths), min(lengths)
         if longest > MAX_LENGTH:
             raise ConfigError(
                 "grid", "lengths", f"side lengths must be at most {MAX_LENGTH:g}, got {longest:g}"
+            )
+        if shortest < MIN_LENGTH:
+            raise ConfigError(
+                "grid", "lengths", f"side lengths must be at least {MIN_LENGTH:g}, got {shortest:g}"
             )
 
     @property
@@ -456,16 +465,31 @@ def estimate_sobolev(grid: Grid, order: float) -> SobolevEstimate:
 # -- weight fields -----------------------------------------------------------
 
 
+# each weight kind: the keys it reads, with their value types (list: of
+# numbers); the config parser reads a weights section by these lists too
+WEIGHT_KINDS = {
+    "affine": {"const": float, "coeffs": list},
+    "sinusoid": {"freq": list, "phase": list},
+    "gaussians": {"amp_pos": float, "center_pos": list, "sigma_pos": float}
+    | {"amp_neg": float, "center_neg": list, "sigma_neg": float},
+    "csv": {"path": str},
+}
+
+
 def make_weight(grid: Grid, spec: dict) -> Field:
     """Sample a weight expression at the interior nodes.
 
     Supported kinds: affine, sinusoid (product of per-axis sinusoids),
     gaussians (signed pair of bumps; centres and widths required), csv
-    (node values; path required).  A missing or rejected key is a
-    ``[weights]`` config error.  A weight that does not change sign violates
-    the standing sign-changing assumption and is logged, not rejected.
+    (node values; path required).  A key the kind does not read (see
+    :data:`WEIGHT_KINDS`), or a missing or rejected one, is a ``[weights]``
+    config error.  A weight that does not change sign violates the standing
+    sign-changing assumption and is logged, not rejected.
     """
     kind = spec.get("kind")
+    if kind not in WEIGHT_KINDS:
+        raise ConfigError("weights", "kind", f"unknown weight kind {kind!r}")
+    reject_unread("weights", spec, WEIGHT_KINDS[kind])
     coords = grid.coords()
     if kind == "affine":
         const = float(spec.get("const", 0.0))
@@ -488,20 +512,25 @@ def make_weight(grid: Grid, spec: dict) -> Field:
             values = values * np.sin(2.0 * math.pi * f * x + t)
     elif kind == "gaussians":
         values = _gaussian_pair(grid, spec)
-    elif kind == "csv":
+    else:
         loaded = load_field(_required(spec, "path"))
         if loaded.grid != grid:
             raise ConfigError(
                 "weights", "path", "node-value CSV grid does not match the run grid"
             )
         values = loaded.values
-    else:
-        raise ConfigError("weights", "kind", f"unknown weight kind {kind!r}")
 
     weight = Field(grid, values)
     if not (np.any(weight.values > 0.0) and np.any(weight.values < 0.0)):
         logger.warning("weight of kind %r is not sign-changing on the grid", kind)
     return weight
+
+
+def reject_unread(section: str, spec: dict, reads) -> None:
+    """A config error at the first key of ``spec`` but ``kind`` that its kind does not read."""
+    for key in spec:
+        if key != "kind" and key not in reads:
+            raise ConfigError(section, key, f"not read by kind {spec['kind']!r}")
 
 
 def _required(spec: dict, key: str):
@@ -526,9 +555,11 @@ def _gaussian_pair(grid: Grid, spec: dict) -> np.ndarray:
             raise ConfigError(
                 "weights", f"center_{side}", f"center needs {grid.dim} coordinates"
             )
-        if not 0.0 < sigma <= MAX_LENGTH:
+        if not MIN_WIDTH <= sigma <= MAX_LENGTH:
             raise ConfigError(
-                "weights", f"sigma_{side}", f"Gaussian width must lie in (0, {MAX_LENGTH:g}]"
+                "weights",
+                f"sigma_{side}",
+                f"Gaussian width must lie in [{MIN_WIDTH:g}, {MAX_LENGTH:g}], got {sigma:g}",
             )
         return _gaussian(grid, center, sigma)
 

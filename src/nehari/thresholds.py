@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .energy import ProblemConfig
+from .energy import ProblemConfig, _check_lambda
 from .errors import ConfigError, DomainError
 from .grid import SobolevEstimate
 from .phi import HypothesisReport
@@ -25,14 +25,6 @@ __all__ = ["ThresholdReport", "compute_thresholds", "admissibility"]
 ADMISSIBLE = "admissible"
 MARGINAL = "marginal"
 INADMISSIBLE = "inadmissible"
-
-
-def _check_lambda(lam: float) -> float:
-    """λ as a float, under ``ProblemConfig``'s rule 0 < λ < inf."""
-    lam = float(lam)
-    if not 0.0 < lam < math.inf:
-        raise DomainError(f"lambda must be positive and finite, got {lam}")
-    return lam
 
 
 @dataclass(frozen=True)
@@ -78,7 +70,9 @@ def compute_thresholds(
     """Evaluate lambda1, lambda2, lambda0, c1, delta from certified inputs.
 
     Requires the bounds hypotheses (phi1, phi3, phi4) to have passed and the
-    embedding estimates at orders q+1 and p+1 to be present.
+    embedding estimates at orders q+1 and p+1 to be present.  Any of lambda1,
+    lambda2, c1 and delta that is not a positive finite float raises
+    ``DomainError`` naming it.
     """
     for name in ("phi1", "phi3", "phi4"):
         if not report.passes.get(name, False):
@@ -104,15 +98,17 @@ def compute_thresholds(
 
     a_embed = sup_a * S_q1 ** (q + 1.0)
     b_embed = sup_b * S_p1 ** (p + 1.0)
-    lambda1 = (report.rho5 / ((p - q) * a_embed)) * (
-        report.rho3 / ((p - q) * b_embed)
-    ) ** ((1.0 - q) / (p - 1.0))
+    lambda1 = _in_range(
+        "lambda1",
+        lambda: (report.rho5 / ((p - q) * a_embed))
+        * (report.rho3 / ((p - q) * b_embed)) ** ((1.0 - q) / (p - 1.0)),
+    )
 
     gap = report.rho0 / 2.0 - report.rho1 / (p + 1.0)
     half = (q + 1.0) / 2.0
-    c1 = a_embed / ((q + 1.0) * gap**half)
-    delta = gap * (report.rho0 / b_embed) ** (2.0 / (p - 1.0))
-    lambda2 = delta ** (1.0 - half) / c1
+    c1 = _in_range("c1", lambda: a_embed / ((q + 1.0) * gap**half))
+    delta = _in_range("delta", lambda: gap * (report.rho0 / b_embed) ** (2.0 / (p - 1.0)))
+    lambda2 = _in_range("lambda2", lambda: delta ** (1.0 - half) / c1)
     lambda0 = min(lambda1, lambda2)
 
     return ThresholdReport(
@@ -136,6 +132,18 @@ def compute_thresholds(
             },
         },
     )
+
+
+def _in_range(name: str, formula) -> float:
+    """``formula()``, named if it leaves the positive floats, as on a box far from unit size."""
+    try:
+        value = formula()
+    except (ZeroDivisionError, OverflowError):  # a divisor underflowed, or a power overflowed
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        how = "underflows" if value == 0.0 else "overflows"
+        raise DomainError(f"{name} {how} a float on this box")
+    return value
 
 
 def admissibility(lam: float, report: ThresholdReport) -> str:

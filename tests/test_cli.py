@@ -12,7 +12,7 @@ import pytest
 from nehari.cli import GRADCHECK_DIRECTIONS, GRADCHECK_TOLERANCE, main
 from nehari.config import build_phi, parse_config, prepare_run
 from nehari.errors import ConfigError
-from nehari.grid import Field, save_field
+from nehari.grid import MIN_LENGTH, MIN_WIDTH, Field, make_weight, save_field
 from nehari.solver import seed_field
 
 from conftest import CONFIG_DIR
@@ -72,6 +72,8 @@ def test_parse_rejects_unknown_keys():
     assert "foo" in str(err.value)
     with pytest.raises(ConfigError):
         parse_config("[nonsense]\nx = 1\n")
+    with pytest.raises(ConfigError, match=r"^\[DEFAULT\] -: unknown section"):
+        parse_config("[DEFAULT]\nvalue = 2.0\n[phi]\nkind = constant\n")
 
 
 def test_parse_rejects_bad_lambda():
@@ -306,6 +308,26 @@ def test_sobolev_constant_beyond_the_float_range_is_named(tmp_path, capsys):
     assert "error: Sobolev constant of order 1.1 overflows a float on this box" in err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        # λ₁ overflows: the parent blamed an unset λ, or wrote "lambda0": Infinity
+        pytest.param("lengths = 1e-130\n", id="1e-130-auto"),
+        pytest.param("lengths = 1e-130\n[problem]\nlambda = 1.0\n", id="1e-130-fixed"),
+        # the embedding term of a underflows to 0: the parent divided by it
+        pytest.param("lengths = 1e-150\n", id="1e-150"),
+    ],
+)
+def test_thresholds_beyond_the_float_range_are_named(tmp_path, capsys, extra):
+    cfgp = tmp_path / "tiny.ini"
+    cfgp.write_text("[grid]\nnodes = 5\n" + extra)
+    assert main(["thresholds", "--config", str(cfgp), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: lambda1 overflows a float on this box" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "thresholds.json").exists()
+
+
 def test_solve_on_a_huge_box_fails_its_branches_without_a_traceback(tmp_path):
     # at lengths 1e60 the unit ray's scale is √E ~ 1e90: the ray now builds
     # without overflow, and both branch searches stop at the bracket cap, so
@@ -413,12 +435,22 @@ BAD_PHI_TABLES = {
         pytest.param("[grid]\nnodes = nan\n", "[grid] nodes", id="nodes-nan"),
         pytest.param("[grid]\nnodes = 9.7\n", "[grid] nodes", id="nodes-fraction"),
         pytest.param("[grid]\nnodes = 5\nlengths = nan\n", "[grid] lengths", id="length-nan"),
-        # the weights and the seeds are Gaussians whose σ² must be a float:
-        # the default σ is 0.18·min L
+        # the weights and the seeds are Gaussians whose σ² must be a normal
+        # float: the default σ is 0.18·min L
         pytest.param(
             "[grid]\nnodes = 5\nlengths = 1e308\n",
             "[grid] lengths: side lengths must be at most 1e+100",
             id="length-huge",
+        ),
+        pytest.param(
+            "[grid]\nnodes = 5\nlengths = 1e-160\n",
+            "[grid] lengths: side lengths must be at least 1e-152, got 1e-160",
+            id="length-tiny",
+        ),
+        pytest.param(
+            "[grid]\nnodes = 5\n[weights.a]\nsigma_pos = 1e-200\n",
+            "[weights.a] sigma_pos: Gaussian width must lie in [1e-153, 1e+100]",
+            id="weights-a-sigma-tiny",
         ),
         pytest.param(
             "[grid]\nnodes = 5\n[solver]\nresidual_tol = nan\n",
@@ -627,6 +659,67 @@ def test_bad_kinds_fail_when_built(tmp_path, capsys):
             assert f"config error: {address}" in capsys.readouterr().err
     path.write_text(weights)
     assert main(["verify-phi", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("command", ["verify-phi", "thresholds"])
+@pytest.mark.parametrize(
+    "text, address",
+    [
+        pytest.param("[phi]\noffset = 6.0\n", "[phi] offset", id="phi-offset-default-kind"),
+        pytest.param(
+            "[phi]\nkind = constant\nvalue = 1.0\noffset = 6.0\n",
+            "[phi] offset",
+            id="phi-offset-constant",
+        ),
+        pytest.param(
+            "[weights.a]\nkind = affine\nconst = -1.0\ncoeffs = 2.0\nsigma_pos = -3\n",
+            "[weights.a] sigma_pos",
+            id="affine-sigma_pos",
+        ),
+        pytest.param(
+            "[weights.a]\nkind = affine\nconst = -1.0\ncoeffs = 2.0\nfreq = 9\n",
+            "[weights.a] freq",
+            id="affine-freq",
+        ),
+        pytest.param(
+            "[weights.b]\nkind = sinusoid\ncenter_neg = 0.5 0.7 0.5\nsigma_neg = 0.18\n",
+            "[weights.b] center_neg",
+            id="sinusoid-center_neg",
+        ),
+    ],
+)
+def test_keys_their_kind_does_not_read_are_config_errors(tmp_path, capsys, command, text, address):
+    # each key here changed nothing under its section's kind, and the run exited 0
+    path = tmp_path / "noop.ini"
+    path.write_text("[grid]\nnodes = 5\n" + text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {address}: not read by kind" in err
+    assert "Traceback" not in err
+
+
+def test_build_phi_rejects_keys_its_kind_does_not_read():
+    with pytest.raises(ConfigError) as err:
+        build_phi({"kind": "constant", "value": 1.0, "offset": 6.0})
+    assert (err.value.section, err.value.key) == ("phi", "offset")
+
+
+def test_a_default_fills_in_only_the_keys_its_kind_reads():
+    run = parse_config(
+        "[phi]\nkind = stuart_example\noffset = 6.0\n"
+        "[weights.a]\nkind = affine\nconst = -0.5\ncoeffs = 1.0\n"
+    )
+    assert run.phi_spec == {"kind": "stuart_example", "offset": 6.0}
+    assert run.weight_a_spec == {"kind": "affine", "const": -0.5, "coeffs": [1.0]}
+    assert run.weight_b_spec["kind"] == "gaussians"
+
+
+def test_default_widths_of_the_smallest_box_pass():
+    run = parse_config(f"[grid]\nnodes = 5\nlengths = {MIN_LENGTH!r}\n")
+    for spec in (run.weight_a_spec, run.weight_b_spec):
+        assert MIN_WIDTH <= spec["sigma_pos"] == spec["sigma_neg"]
+        weight = make_weight(run.grid, spec).values
+        assert weight.min() < 0.0 < weight.max()
 
 
 @pytest.mark.parametrize("bad", ["abc", "nan"])

@@ -1,5 +1,6 @@
 """Every demo script runs to completion against the current package."""
 
+import configparser
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nehari.config import parse_config, prepare_run
+from nehari.config import _SPEC_KINDS, DEFAULT_CONFIG, parse_config, prepare_run
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -44,3 +45,22 @@ def test_readme_quickstart_builds_the_reference_problem(capsys):
     assert np.array_equal(scope["b"].values, prep.problem.b.values)
     assert scope["thresholds"].lambda0 == prep.thresholds.lambda0
     assert capsys.readouterr().out.strip()  # the two energies were printed
+
+
+def test_readme_config_block_sets_only_keys_its_kinds_read():
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Configuration") :]
+    start = section.index("```ini\n") + len("```ini\n")
+    text = section[start : section.index("```\n", start)]
+    run = parse_config(text)
+    assert run.phi_spec == {"kind": "stuart_example", "offset": 6.0}
+    block = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    block.read_string(text)
+    defaults = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    defaults.read_string(DEFAULT_CONFIG)
+    for name in block.sections():
+        keys = set(block.options(name)) - {"kind"}
+        if name in _SPEC_KINDS:  # the block names the kind of each such section
+            assert keys <= set(_SPEC_KINDS[name][block.get(name, "kind").strip()]), name
+        else:
+            assert keys <= set(defaults.options(name)), name

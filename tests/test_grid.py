@@ -18,6 +18,7 @@ from nehari.grid import (
     Field,
     Grid,
     MAX_LENGTH,
+    MIN_LENGTH,
     _dirichlet_solver,
     _exact_sums,
     dirichlet_energy,
@@ -66,6 +67,10 @@ def test_grid_validation():
     with pytest.raises(ConfigError, match=r"^\[grid\] lengths: side lengths must be at most"):
         Grid(nodes=(5, 5), lengths=(1.0, 1e101))
     assert Grid(nodes=(5,), lengths=(MAX_LENGTH,)).lengths == (MAX_LENGTH,)
+    # the smallest side: the default widths 0.18·min L keep a normal σ²
+    with pytest.raises(ConfigError, match=r"^\[grid\] lengths: side lengths must be at least"):
+        Grid(nodes=(5, 5), lengths=(1.0, 0.5 * MIN_LENGTH))
+    assert Grid(nodes=(5,), lengths=(MIN_LENGTH,)).lengths == (MIN_LENGTH,)
     # a node count is never truncated; a whole float is taken as its integer
     with pytest.raises(ConfigError, match=r"^\[grid\] nodes: node counts must be whole"):
         Grid(nodes=(3.9, 3, 3), lengths=(1.0, 1.0, 1.0))
@@ -565,6 +570,22 @@ def test_make_weight_names_the_missing_key(spec, key):
     with pytest.raises(ConfigError) as err:
         make_weight(g, spec)
     assert (err.value.section, err.value.key) == ("weights", key)
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"kind": "affine", "sigma_pos": 1.0}, "sigma_pos"),
+        ({"kind": "sinusoid", "freq": [1.0, 1.0], "const": 0.5}, "const"),
+        ({"kind": "csv", "path": "w.csv", "phase": [0.0, 0.0]}, "phase"),
+    ],
+)
+def test_make_weight_rejects_keys_its_kind_does_not_read(spec, key):
+    g = Grid(nodes=(4, 4), lengths=(1.0, 1.0))
+    with pytest.raises(ConfigError) as err:
+        make_weight(g, spec)
+    assert (err.value.section, err.value.key) == ("weights", key)
+    assert err.value.message == f"not read by kind {spec['kind']!r}"
 
 
 def test_grid_geometry_cache_keeps_equality_and_hash():

@@ -578,6 +578,36 @@ def test_one_dimensional_refinement_converges_at_second_order():
         assert order >= 1.8, (branch, order)
 
 
+def test_three_dimensional_plus_energy_converges_at_second_order():
+    # reference_constant.ini at fixed lambda = 10 (auto:f would move λ with h):
+    # the plus branch converges on 13³/17³/21³ in 26/26/31 iterations to
+    # J₊ = −1.0306e-5, −1.0087e-5, −9.978e-6.  The observed order p is the root
+    # of (J₁₃ − J₁₇)/(J₁₇ − J₂₁) = (h₁₃ᵖ − h₁₇ᵖ)/(h₁₇ᵖ − h₂₁ᵖ), h = 1/(n+1)
+    # (Roache, J. Fluids Eng. 1994), and reads 2.106.  Halving the boundary
+    # edge weight in both the energy and its gradient reads 1.39.
+    text = (CONFIG_DIR / "reference_constant.ini").read_text()
+    text = text.replace("lambda = auto:0.5", "lambda = 10")
+    sizes, energies = (13, 17, 21), []
+    for n in sizes:
+        prep = prepare_run(parse_config(text.replace("nodes = 9", f"nodes = {n}")))
+        assert prep.problem.grid.nodes == (n, n, n) and prep.problem.lam == 10.0
+        report = minimize_branch(prep.problem, "plus", thresholds=prep.thresholds)
+        assert report.converged, (n, report.stop_reason)
+        energies.append(report.point.energy)
+    h = [1.0 / (n + 1) for n in sizes]
+    ratio = (energies[0] - energies[1]) / (energies[1] - energies[2])
+
+    def h_ratio(p):  # rises with p: 1.40 at p = 0.5, 3.97 at p = 5
+        return (h[0] ** p - h[1] ** p) / (h[1] ** p - h[2] ** p)
+
+    lo, hi = 0.5, 5.0
+    assert h_ratio(lo) < ratio < h_ratio(hi), energies
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if h_ratio(mid) < ratio else (lo, mid)
+    assert 1.8 <= lo <= 2.4, (lo, energies)
+
+
 @pytest.mark.parametrize("name, minus_growth", [("constant", 2.0), ("stuart", 3.0)])
 def test_iteration_counts_do_not_grow_with_the_grid(name, minus_growth):
     # lambda = auto:0.5: both branches converge on 9^3 and 17^3, and the plus
