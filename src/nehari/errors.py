@@ -54,7 +54,14 @@ class _Diagnosed(NehariError):
 
 
 class ProjectionError(_Diagnosed):
-    """The requested Nehari branch is not reachable along this ray."""
+    """The requested Nehari branch is not reachable along this ray.
+
+    ``reason`` is the message without the branch: why the ray misses it.
+    """
+
+    def __init__(self, message: str, diagnosis=None, reason: str = ""):
+        super().__init__(message, diagnosis)
+        self.reason = reason
 
 
 class SeedingError(_Diagnosed):

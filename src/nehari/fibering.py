@@ -35,21 +35,23 @@ which sit at their own crossing.  The balance peak is solved only when the
 signs cannot place the bracket, when no probe settles the band, or when a
 diagnosis reports it.  Brackets are capped at [smallest normal
 double, 1e9]; every downward search meets a guaranteed sign change before
-0⁺.  The integrands (Φ's bulk and the moments m_k) are written once, in
-one table, and summed two ways.  Root loops use plain deterministic vector
-sums on the unit-energy copy of the ray (the stopping tolerance, not
-summation error, limits root accuracy).  A ray's A, B and E, which decide
-its case and set the unit ray, are always exact.  Reported values come
-from one exact evaluator, which sums (t, node) blocks through
-``grid.integrate``, so a value read at one t has the bits it has in a
-table of many; the two ray derivatives :func:`ray_energy_dt` and
-:func:`ray_energy_dt2`, :func:`project`'s values at t* and the bare peak
-value read it at one t.  The balance peak t̃ and the bare peak t_max are
-reported by :func:`classify` only.  A projection reports J(t*·u) as γ(t*)
-of the ray it has already built: one Φ sum at the t*-scaled density, with
-A and B scaled by powers of t*.  :func:`project` takes that sum exactly,
-and :func:`project_scale`, the descent's projection, plainly; either J
-equals ``energy`` of the projected field to round-off, not bitwise.
+0⁺.
+
+The integrands (Φ's bulk and the moments m_k) are written once, in one
+table, and read by one reader, :meth:`_Ray.read`: each integral is one
+plain sum through ``grid.integrate``.  Root searches read it at a float t
+on the unit-energy copy of the ray (the stopping tolerance, not summation
+error, limits root accuracy); reported values read it at a float t or at
+an array of t, in (t, node) blocks, so a value read at one t has the bits
+it has in a table of many.  A ray's A, B and E come from one stack of
+quadratures with ∫|a||u|^{q+1} and ∫|b||u|^{p+1}, and the case reads the
+signs of A and B against the plain sum's error bound
+SIGN_C·n·ε·∫|terms|: within it a sign reads as 0, the nonpositive side of
+the case table.  The balance peak t̃ and the bare peak t_max are reported
+by :func:`classify` only.  A projection reports J(t*·u) as γ(t*) of the
+ray it has already built: one Φ sum at the t*-scaled density, with A and
+B scaled by powers of t*, equal to ``energy`` of the projected field to
+round-off, not bitwise.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -91,7 +93,8 @@ TANGENT_RTOL = 1e-10  # the tangency band is |m − λA| ≤ TANGENT_RTOL·(1 + 
 SLOPE_RTOL = 1e-9  # a balance slope within this share of its terms' size reads as 0
 ROOT_RTOL = 1e-12  # a root search stops at a step of at most ROOT_RTOL·t
 MAX_REFINE = 200
-# (t, node) entries per block of the exact evaluator: 16 values of t on a 9³
+SIGN_C = 1.0  # an integral's sign reads as 0 within SIGN_C·n·ε·∫|terms|
+# (t, node) entries per block of an array read: 16 values of t on a 9³
 # grid, under 100 kB per array; it, not the number of t, bounds working memory
 SAMPLE_BLOCK_ELEMENTS = 12_000
 
@@ -104,7 +107,7 @@ CASE_BOTH_TWO_ROOTS = "both_positive_two_roots"
 
 
 # Φ's bulk and the moments m_k = ∫ φ^{(k)}(s) ρ^{k+1} at s = ρt²/2: the one
-# place φ meets the density, for both the plain and the exact sums
+# place φ meets the density
 _INTEGRANDS = {
     "bulk": lambda ray, s: ray.phi.raw_Phi(s),
     "m0": lambda ray, s: ray.phi.raw_phi(s) * ray.density,
@@ -117,12 +120,11 @@ class _Ray:
     """The ray t ↦ t·u of one field: its density and integrals, built once.
 
     The integrals at a scaling t are Φ's bulk and the moments m_k, from
-    ``_INTEGRANDS``; every ray function is a formula in those.
-    :meth:`integrals` sums them exactly, in input units, and :meth:`at`
-    feeds them to one formula at one t, for reported values; :meth:`plain`
-    sums the same integrands plainly, for root searches on the unit-energy
-    copy that :meth:`unit` gives (through :meth:`moments`) and for the
-    descent's trial J.
+    ``_INTEGRANDS``; every ray function is a formula in those, written for a
+    float t and for an array of t alike.  :meth:`read` is the one reader of
+    those integrals: root searches read it at a float t on the unit-energy
+    copy that :meth:`unit` gives (through :meth:`moments`), reported values
+    at a float t or an array of t in input units.
     """
 
     def __init__(self, u: Field, cfg: ProblemConfig):
@@ -131,8 +133,13 @@ class _Ray:
         self.phi, self.q, self.p, self.lam = cfg.phi, cfg.q, cfg.p, cfg.lam
         self.density = pointwise_energy(u)
         self.density2 = self.density**2
-        rows = np.stack([self.density, _concave_density(u, cfg), _convex_density(u, cfg)])
-        self.energy_int, self.concave, self.convex = integrate(cfg.grid, rows)
+        terms = np.stack([_concave_density(u, cfg), _convex_density(u, cfg)])
+        rows = np.concatenate([self.density[None], terms, np.abs(terms)])
+        E, A, B, A_size, B_size = integrate(cfg.grid, rows)
+        self.energy_int, self.concave, self.convex = E, A, B
+        # the signs that decide the case; positive scalings keep them
+        self.concave_sign = _bounded_sign(A, A_size, cfg.grid.size)
+        self.convex_sign = _bounded_sign(B, B_size, cfg.grid.size)
         self.scale = 1.0  # the scaling of this ray that gives the input field
 
     def unit(self) -> "_Ray":
@@ -149,32 +156,29 @@ class _Ray:
         unit.scale = s
         return unit
 
-    def plain(self, t: float, *names: str) -> list[float]:
-        """The ``_INTEGRANDS`` ``names`` at t by plain sums: root searches and the descent."""
-        s = self.density * (t * t / 2.0)
-        h = self.grid.cell_volume
-        return [h * float(_INTEGRANDS[k](self, s).sum()) for k in names]
+    def read(self, t, *names: str):
+        """The ``_INTEGRANDS`` ``names`` ("bulk", "m0", "m1", "m2") at t, one row per name.
+
+        A float t gives a float per name, with no array of t.  A 1-D array
+        of t gives an array row per name, with φ evaluated on (t, node)
+        blocks of ``SAMPLE_BLOCK_ELEMENTS`` entries at most; a value read
+        there has the bits it has at its t alone.
+        """
+        if isinstance(t, float):
+            s = self.density * (t * t / 2.0)
+            return [integrate(self.grid, _INTEGRANDS[k](self, s)) for k in names]
+        rows = np.empty((len(names), t.size))
+        per_block = max(1, SAMPLE_BLOCK_ELEMENTS // self.density.size)
+        for start in range(0, t.size, per_block):
+            block = t[start : start + per_block]
+            s = np.multiply.outer(block * block / 2.0, self.density)
+            for row, k in zip(rows, names):
+                row[start : start + block.size] = integrate(self.grid, _INTEGRANDS[k](self, s))
+        return rows
 
     def moments(self, t: float, order: int = 1) -> list[float]:
-        """[m_0, …, m_order] at t by plain sums."""
-        return self.plain(t, *(f"m{k}" for k in range(order + 1)))
-
-    def integrals(self, t_values, *names: str) -> Iterator[tuple[float, ...]]:
-        """A tuple of the exact integrals ``names`` ("bulk", "m0", "m1", "m2") per t.
-
-        φ is evaluated on (t, node) blocks of ``SAMPLE_BLOCK_ELEMENTS`` entries
-        at most, one integrand at a time, each summed as one ``integrate`` stack.
-        """
-        ts = np.asarray(t_values, dtype=float)
-        per_block = max(1, SAMPLE_BLOCK_ELEMENTS // self.density.size)
-        for start in range(0, ts.size, per_block):
-            block = ts[start : start + per_block]
-            s = np.multiply.outer(block * block / 2.0, self.density)
-            yield from zip(*[integrate(self.grid, _INTEGRANDS[k](self, s)) for k in names])
-
-    def at(self, t: float, formula, *names: str) -> float:
-        """``formula`` (a ray method below) at t, fed the exact integrals ``names``."""
-        return formula(self, t, *next(self.integrals([t], *names)))
+        """[m_0, …, m_order] at a float t."""
+        return self.read(t, *(f"m{k}" for k in range(order + 1)))
 
     def gamma(self, t: float, bulk: float) -> float:
         q, p = self.q, self.p
@@ -266,7 +270,19 @@ def _over_power(x: float, s: float, a: float) -> float:
     return math.ldexp(x / (m**a * 2.0 ** (k * a - j)), -j)
 
 
-# -- public ray functions (input units, exact quadrature) --------------------
+def _bounded_sign(x: float, size: float, n: int) -> int:
+    """Sign of a quadrature x of n terms whose magnitudes have quadrature ``size``.
+
+    A plain sum of n terms is off by at most n·ε·Σ|terms| (Higham §4.2),
+    ε = 2⁻⁵² the machine epsilon; that bound, times ``SIGN_C``, also covers
+    the rounding of each term.  Within it the sign is noise and reads as 0.
+    """
+    if abs(x) <= SIGN_C * n * sys.float_info.epsilon * size:
+        return 0
+    return 1 if x > 0.0 else -1
+
+
+# -- public ray functions (input units) --------------------------------------
 
 
 def _check_t(t: float) -> float:
@@ -279,14 +295,16 @@ def _check_t(t: float) -> float:
 
 def ray_energy_dt(u: Field, t: float, cfg: ProblemConfig) -> float:
     """γ'(t) = t∫φ(·t²)(u²+|∇u|²) − λt^q A − t^p B."""
-    t = _check_t(t)
-    return _Ray(u, cfg).at(t, _Ray.gamma_dt, "m0")
+    ts = np.array([_check_t(t)])
+    ray = _Ray(u, cfg)
+    return ray.gamma_dt(ts, *ray.read(ts, "m0")).item()
 
 
 def ray_energy_dt2(u: Field, t: float, cfg: ProblemConfig) -> float:
     """γ''(t), the exact second derivative of the ray energy."""
-    t = _check_t(t)
-    return _Ray(u, cfg).at(t, _Ray.gamma_dt2, "m0", "m1")
+    ts = np.array([_check_t(t)])
+    ray = _Ray(u, cfg)
+    return ray.gamma_dt2(ts, *ray.read(ts, "m0", "m1")).item()
 
 
 # -- brackets and the root routine -------------------------------------------
@@ -379,13 +397,14 @@ def _branch_root(ray: _Ray, branch: str) -> float:
     on from that first point.  The peak is solved only when the walk passes
     it with f < 0 throughout, or when a first f in the band lies at m' = 0
     or past the peak, or its probe does not clear the band or falls beyond
-    the bracket caps.
+    the bracket caps.  The signs of A and B are the ray's bounded ones.
     """
-    lamA, B = ray.lam * ray.concave, ray.convex
+    lamA = ray.lam * ray.concave
+    a_pos, b_pos = ray.concave_sign > 0, ray.convex_sign > 0
     rising = branch == "plus"
-    if rising and lamA <= 0.0:
+    if rising and not a_pos:
         raise _BranchUnavailable("concave integral is nonpositive")
-    if not rising and B <= 0.0:
+    if not rising and not b_pos:
         raise _BranchUnavailable("convex integral is nonpositive")
     tangent_tol = _tangent_tol(lamA)
 
@@ -403,14 +422,14 @@ def _branch_root(ray: _Ray, branch: str) -> float:
     neg: Optional[_Point] = None
     pos = fdf(ray.scale)
     if pos.f < 0.0:
-        up = B <= 0.0 or pos.df > 0.0
+        up = not b_pos or pos.df > 0.0
         prev, pos = _walk(
-            fdf, pos, up, lambda pt: pt.f >= 0.0 or (B > 0.0 and (pt.df > 0.0) != up)
+            fdf, pos, up, lambda pt: pt.f >= 0.0 or (b_pos and (pt.df > 0.0) != up)
         )
         if up == rising:  # the walk came from the branch's side
             neg = prev
     if pos.f < 0.0 or (
-        B > 0.0 and lamA > 0.0 and pos.f <= tangent_tol and not probe_clears_band(pos)
+        b_pos and a_pos and pos.f <= tangent_tol and not probe_clears_band(pos)
     ):
         pos = fdf(ray.peak)
         if abs(pos.f) <= tangent_tol:
@@ -491,25 +510,28 @@ def classify(u: Field, cfg: ProblemConfig) -> FiberingDiagnosis:
     Cases: both weighted integrals nonpositive (no crossing); concave
     positive only (one crossing, rising balance); convex positive only (one
     crossing past the peak); both positive (none, tangent, or two crossings
-    depending on λ against the balance peak).  Crossings come from the same
-    search as :func:`project_scale`.
+    depending on λ against the balance peak).  "Positive" is the bounded
+    sign: an integral within the error bound of its plain sum counts as
+    nonpositive.  Crossings come from the same search as
+    :func:`project_scale`.
     """
     ray = _Ray(u, cfg)
     unit = ray.unit()
     lamA = unit.lam * unit.concave
+    a_pos, b_pos = ray.concave_sign > 0, ray.convex_sign > 0
 
     t_tilde: Optional[float] = None
     branches: tuple[str, ...] = ()
     roots: list[tuple[float, int]] = []
-    if unit.convex <= 0.0:
-        if lamA <= 0.0:
+    if not b_pos:
+        if not a_pos:
             case = CASE_NEITHER
         else:
             case, branches = CASE_CONCAVE_ONLY, ("plus",)
     else:
         t_tilde = unit.peak
         gap = unit.balance(t_tilde, *unit.moments(t_tilde, 0)) - lamA
-        if lamA <= 0.0:
+        if not a_pos:
             case, branches = CASE_CONVEX_ONLY, ("minus",)
         elif abs(gap) <= _tangent_tol(lamA):
             case = CASE_BOTH_TANGENT
@@ -524,9 +546,9 @@ def classify(u: Field, cfg: ProblemConfig) -> FiberingDiagnosis:
 
     t_max: Optional[float] = None
     bare_value: Optional[float] = None
-    if unit.convex > 0.0:
+    if b_pos:
         t_max = unit.bare_peak / unit.scale
-        bare_value = ray.at(t_max, _Ray.bare, "bulk")
+        bare_value = ray.bare(t_max, *ray.read(t_max, "bulk"))
 
     return FiberingDiagnosis(
         concave=ray.concave,
@@ -541,7 +563,7 @@ def classify(u: Field, cfg: ProblemConfig) -> FiberingDiagnosis:
 
 
 def _project_ray(u: Field, cfg: ProblemConfig, branch: str) -> tuple[_Ray, float]:
-    """The exact ray of u and its branch crossing t*, in input units.
+    """The ray of u and its branch crossing t*, in input units.
 
     The search starts at t = 1.  The branch sign is verified through the
     balance slope at the root (exact identity with the second ray derivative
@@ -555,17 +577,15 @@ def _project_ray(u: Field, cfg: ProblemConfig, branch: str) -> tuple[_Ray, float
     diagnosis = partial(classify, u, cfg)
     try:
         t_star_n = _branch_root(unit, branch)
+        sign = _root_sign(unit, t_star_n)
+        if sign != (1 if branch == "plus" else -1):
+            raise _BranchUnavailable(f"balance slope sign {sign} at the root")
     except _BranchUnavailable as stop:
         raise ProjectionError(
-            f"branch {branch!r} unavailable: {stop.reason}", diagnosis=diagnosis
-        ) from None
-    sign = _root_sign(unit, t_star_n)
-    want = 1 if branch == "plus" else -1
-    if sign != want:
-        raise ProjectionError(
-            f"branch {branch!r} unavailable: balance slope sign {sign} at the root",
+            f"branch {branch!r} unavailable: {stop.reason}",
             diagnosis=diagnosis,
-        )
+            reason=stop.reason,
+        ) from None
     return ray, t_star_n / unit.scale
 
 
@@ -574,12 +594,11 @@ def project_scale(
 ) -> tuple[Field, float, float]:
     """Projection without the report payload: the scaled field, t* and J.
 
-    Only the descent and its seeding call it.  t* is :func:`project`'s, from
-    the same exact A, B and E; J = γ(t*) takes Φ's bulk at t* by a plain
-    sum, so it equals :func:`project`'s J to round-off, not bitwise.
+    Only the descent and its seeding call it.  t* and J = γ(t*) are
+    :func:`project`'s, read from the same ray at t*.
     """
     ray, t_star = _project_ray(u, cfg, branch)
-    return u.scaled(t_star), t_star, ray.gamma(t_star, *ray.plain(t_star, "bulk"))
+    return u.scaled(t_star), t_star, ray.gamma(t_star, *ray.read(t_star, "bulk"))
 
 
 def project(u: Field, cfg: ProblemConfig, branch: str) -> NehariPoint:
@@ -592,7 +611,7 @@ def project(u: Field, cfg: ProblemConfig, branch: str) -> NehariPoint:
     for the scaled field, G = t*·γ′(t*) and γ″(1) = t*²·γ″(t*).
     """
     ray, t = _project_ray(u, cfg, branch)
-    bulk, m0, m1 = next(ray.integrals([t], "bulk", "m0", "m1"))
+    bulk, m0, m1 = ray.read(t, "bulk", "m0", "m1")
     J, G = ray.gamma(t, bulk), t * ray.gamma_dt(t, m0)
     return NehariPoint(u.scaled(t), branch, J, abs(G), t * t * ray.gamma_dt2(t, m0, m1), t)
 
@@ -601,24 +620,19 @@ def sample_ray(u: Field, cfg: ProblemConfig, t_values) -> dict[str, list[float]]
     """Tabulate γ, γ', γ'', m, η along the ray (for diagnosis CSV output).
 
     Every t is checked before any φ evaluation.  The field is read once, and
-    Φ's bulk, m_0 and m_1 come from the ray's one exact evaluator, so each
-    value is bitwise that of its formula read at its t alone, as
-    :func:`ray_energy_dt` and :func:`ray_energy_dt2` read γ' and γ''.
+    Φ's bulk, m_0 and m_1 come from one :meth:`_Ray.read` of the whole t
+    array, so each value is bitwise that of its formula read at its t alone,
+    as :func:`ray_energy_dt` and :func:`ray_energy_dt2` read γ' and γ''.
     """
     ts = np.array([_check_t(t) for t in t_values])
     ray = _Ray(u, cfg)
-    # the columns become Python floats only at the end: lists grown per t
-    # would add ~170 bytes per t to the working memory
-    table = np.empty((6, ts.size))
-    table[0] = ts
-    for j, (bulk, m0, m1) in enumerate(ray.integrals(ts, "bulk", "m0", "m1")):
-        t = ts.item(j)
-        table[1:, j] = (
-            ray.gamma(t, bulk),
-            ray.gamma_dt(t, m0),
-            ray.gamma_dt2(t, m0, m1),
-            ray.balance(t, m0),
-            ray.peak_eq(t, m0, m1),
-        )
-    keys = ("t", "gamma", "gamma_dt", "gamma_dt2", "balance", "peak_eq")
-    return dict(zip(keys, table.tolist()))
+    bulk, m0, m1 = ray.read(ts, "bulk", "m0", "m1")
+    columns = {
+        "t": ts,
+        "gamma": ray.gamma(ts, bulk),
+        "gamma_dt": ray.gamma_dt(ts, m0),
+        "gamma_dt2": ray.gamma_dt2(ts, m0, m1),
+        "balance": ray.balance(ts, m0),
+        "peak_eq": ray.peak_eq(ts, m0, m1),
+    }
+    return {key: column.tolist() for key, column in columns.items()}

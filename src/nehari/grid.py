@@ -8,16 +8,16 @@ node-valued fields over this grid.  The conventions are:
 * every difference is a compact edge difference Δu/h, so the energy, its
   gradient and the Sobolev constants share one quadratic form,
 * quadrature is the node rule (cell volume times node sum), which under
-  the zero boundary is the trapezoid rule: :func:`integrate`, of one
-  integrand or of a stack, is the only exact way other modules take it;
-  the descent and the ray root searches take plain numpy sums instead, and
-  so does the Sobolev iteration between its exact start and its exact
-  reported ratio.
-  Every sum of :func:`integrate`, of one row or of a stack of rows, is
-  correctly rounded by the one kernel :func:`_exact_sums`, so it does not
-  depend on the order of the terms: an error-free extraction under one σ
-  per stack, whose one fallback sums each row it cannot certify alone,
-  under its own σ and then by ``math.fsum``.
+  the zero boundary is the trapezoid rule.  Every quadrature of the package
+  is one plain deterministic sum, numpy's pairwise ``np.add.reduce`` over
+  the nodes: :func:`integrate` of one integrand or of a stack of them, and
+  the same sum inline where the integrand does not live on the nodes
+  (:func:`dirichlet_energy`'s edges) or on the hot paths of the descent.
+  Such a sum of n terms is off by at most n·ε·Σ|x| (Higham, *Accuracy and
+  Stability of Numerical Algorithms* §4.2), so a decision that reads the
+  sign of a sum reads it against that bound (``fibering``), and the same
+  terms in the same order give the same bits on one machine and numpy
+  build.
 """
 
 from __future__ import annotations
@@ -61,90 +61,6 @@ MAX_LENGTH = 1e100
 # 0.18·min L still pass
 MIN_WIDTH = 1e-153
 MIN_LENGTH = 1e-152
-
-# a row sum is extracted only when the largest magnitude lies strictly in
-# (2**-_EXTRACT_EXP, 2**_EXTRACT_EXP): no overflow, and the error bounds never
-# meet underflow
-_EXTRACT_EXP = 900
-
-
-def _exact_sums(rows: np.ndarray):
-    """Correctly rounded sum of a 1-D array, or array of a 2-D array's row sums.
-
-    Every sum is bitwise ``math.fsum``'s.  Error-free extraction (Rump, Ogita
-    and Oishi, SIAM J. Sci. Comput. 2008): with μ = max|x| < 2^e and
-    σ = 2^{e+M}, 2^M ≥ n + 2, the high parts q = (σ + x) − σ are multiples
-    of ulp(σ)/2 whose sum τ is exact in any order, and x = q + r exactly.
-    R = fl(τ + Σr) then differs from the exact sum by at most |δ| + β, where
-    δ is the TwoSum error of the last addition and β = 2n·2⁻⁵³·Σ|r| bounds
-    the error of the float Σr.  R is the correctly rounded sum when that is
-    below half the smaller gap next to R.
-
-    A stack of two or more nonempty rows whose largest μ lies in
-    (2⁻⁹⁰⁰, 2⁹⁰⁰) runs the passes on all its rows at once, under one scalar σ
-    from that μ, valid for every row since no row's μ is larger.  Every
-    other row is summed alone by :func:`_exact_row_sum`, in order: a 1-D
-    array, the rows of a 1-row, empty or out-of-range stack (nan, inf, all
-    zeros), and every stacked row that σ does not certify, a row of ±0.0
-    or one whose μ is at most 2⁻⁹⁰⁰ included.
-    """
-    rows = np.asarray(rows, dtype=float, order="C")
-    if rows.ndim == 1:
-        return _exact_row_sum(rows)
-    R = np.zeros(len(rows))
-    alone = range(len(rows))
-    if len(rows) > 1 and rows.shape[1]:
-        # max|x| per row, without an |x| temporary; nan propagates into μ
-        mus = np.maximum(np.maximum.reduce(rows, axis=1), -np.minimum.reduce(rows, axis=1))
-        mu = float(mus.max())
-        if 2.0**-_EXTRACT_EXP < mu < 2.0**_EXTRACT_EXP:
-            tau, err, beta = _extract(rows, mu)
-            R = tau + err
-            z = R - tau
-            delta = (tau - (R - z)) + (err - z)
-            # the gap below |R| is the smaller one; it is 0 at R = 0
-            size = np.abs(R)
-            half_gap = 0.5 * (size - np.nextafter(size, 0.0))
-            # every row's μ is below the stack's, so below 2**_EXTRACT_EXP
-            ok = (np.abs(delta) + beta < half_gap) & (mus > 2.0**-_EXTRACT_EXP)
-            alone = () if ok.all() else np.flatnonzero(~ok)
-    for i in alone:
-        R[i] = _exact_row_sum(rows[i])
-    return R
-
-
-def _exact_row_sum(row: np.ndarray) -> float:
-    """:func:`_exact_sums` of one C-contiguous row: the same passes under its
-    own σ, with the test in Python floats.  A row of ±0.0, or an empty one,
-    gives +0.0, as in ``math.fsum``.  A row that fails the test, or whose μ
-    lies outside (2⁻⁹⁰⁰, 2⁹⁰⁰) (ties, cancellation to a signed zero,
-    non-finite entries), goes to ``math.fsum``, so it gives the same value
-    or raises the same error."""
-    mu = float(np.max(np.abs(row), initial=0.0))
-    if mu == 0.0:
-        return 0.0
-    if 2.0**-_EXTRACT_EXP < mu < 2.0**_EXTRACT_EXP:
-        tau, err, beta = map(float, _extract(row, mu))
-        R = tau + err
-        z = R - tau
-        delta = (tau - (R - z)) + (err - z)
-        size = abs(R)
-        if abs(delta) + beta < 0.5 * (size - math.nextafter(size, 0.0)):
-            return R
-    return math.fsum(memoryview(row))
-
-
-def _extract(rows: np.ndarray, mu: float):
-    """τ, Σr and β of the extraction along the last axis, under the σ that μ
-    and the row length give."""
-    n = rows.shape[-1]
-    sigma = math.ldexp(1.0, math.frexp(mu)[1] + (n + 1).bit_length())
-    q = rows + sigma
-    q -= sigma
-    r = rows - q
-    tau, err = np.add.reduce(q, -1), np.add.reduce(r, -1)
-    return tau, err, (2.0 * n * 2.0**-53) * np.add.reduce(np.abs(r, out=r), -1)
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -299,19 +215,20 @@ def pointwise_energy(u: Field) -> np.ndarray:
 
 
 def integrate(grid: Grid, values: np.ndarray) -> float | list[float]:
-    """Node-rule quadrature (Π h_k)·Σ values, each sum correctly rounded.
+    """Node-rule quadrature (Π h_k)·Σ values, one plain sum per integrand.
 
     One integrand of the grid's shape gives a float; a stack of them along one
     leading axis gives a list, bitwise the single calls.
     """
     values = np.asarray(values, dtype=float)
     if values.shape == grid.shape:
-        return grid.cell_volume * _exact_sums(values.ravel())
+        return grid.cell_volume * float(np.add.reduce(values.ravel()))
     if values.shape[1:] != grid.shape:
         raise DomainError(
             f"integrand shape {values.shape} does not match grid shape {grid.shape}"
         )
-    return (grid.cell_volume * _exact_sums(values.reshape(len(values), grid.size))).tolist()
+    sums = np.add.reduce(values.reshape(len(values), grid.size), axis=1)
+    return (grid.cell_volume * sums).tolist()
 
 
 def inner(grid: Grid, x: np.ndarray, y: np.ndarray) -> float:
@@ -371,7 +288,7 @@ def dirichlet_energy(u: Field) -> float:
     grid = u.grid
     total = 0.0
     for k, h in enumerate(grid.spacing):
-        total += grid.cell_volume * _exact_sums(_edge_diff(u.values, k, h).ravel() ** 2)
+        total += grid.cell_volume * float((_edge_diff(u.values, k, h) ** 2).sum())
     return total
 
 
@@ -391,9 +308,9 @@ def estimate_sobolev(grid: Grid, order: float) -> SobolevEstimate:
     decreases from one iterate to the next, so the iteration stops once it
     gains at most ``SOBOLEV_RTOL`` relative.  The sine-transform solve is
     exact, so v's Dirichlet form is the quadrature of v·f, and each iterate
-    costs one solve and two plain sums.  The start ratio is exact, and the
-    returned value is the exact ratio, both sums correctly rounded, of the
-    best iterate.  The start is a Gaussian centred on node n_k // 2 of each
+    costs one solve and two quadratures.  The returned value is the ratio of
+    the best iterate with its seminorm read from :func:`dirichlet_energy`'s
+    edges.  The start is a Gaussian centred on node n_k // 2 of each
     axis: on an even node count that node is off the box centre, which a
     mirror-symmetric start would keep as a symmetry and so stop at a lower
     critical point.  Every iterate is put at unit seminorm before any power
@@ -415,27 +332,26 @@ def estimate_sobolev(grid: Grid, order: float) -> SobolevEstimate:
     e = math.frexp(max(grid.lengths))[1] - 1
     box = Grid(grid.nodes, tuple(math.ldexp(L, -e) for L in grid.lengths))
     solve = _dirichlet_solver(box)
-    h = box.cell_volume
     r2 = sum(
         ((x - box.axis_coords(k)[box.nodes[k] // 2]) / (0.35 * box.lengths[k])) ** 2
         for k, x in enumerate(box.coords())
     )
 
-    def exact_ratio(v: np.ndarray) -> float:
-        norm = (h * _exact_sums(np.abs(v).ravel() ** order)) ** (1.0 / order)
+    def quotient(v: np.ndarray) -> float:
+        norm = integrate(box, np.abs(v) ** order) ** (1.0 / order)
         return norm / math.sqrt(dirichlet_energy(Field(box, v)))
 
     u = np.exp(-r2)
-    best_u, best = u, exact_ratio(u)
+    best_u, best = u, quotient(u)
     f = u ** (order - 1.0)  # |u|^{order−2}u, as u > 0
     for iterations in range(1, SOBOLEV_MAX_ITER + 1):
         v = solve(f)
         # v at unit seminorm, before any power of it is taken; |v|^{order−1}
         # gives ‖v‖_order, then, signed, the next right-hand side
-        v /= math.sqrt(h * float((v * f).sum()))
+        v /= math.sqrt(integrate(box, v * f))
         size = np.abs(v)
         f = size ** (order - 1.0)
-        ratio = (h * float((f * size).sum())) ** (1.0 / order)
+        ratio = integrate(box, f * size) ** (1.0 / order)
         f *= np.sign(v)
         gain = ratio - best
         if ratio > best:
@@ -454,7 +370,7 @@ def estimate_sobolev(grid: Grid, order: float) -> SobolevEstimate:
     # raises where S lies beyond the float range
     x = e * (1.0 + grid.dim / order - grid.dim / 2.0)
     try:
-        value = math.ldexp(exact_ratio(best_u) * 2.0 ** (x - math.floor(x)), math.floor(x))
+        value = math.ldexp(quotient(best_u) * 2.0 ** (x - math.floor(x)), math.floor(x))
     except OverflowError:
         raise DomainError(
             f"Sobolev constant of order {order:g} overflows a float on this box"

@@ -33,13 +33,12 @@ not BLAS dots, so a run is bit-reproducible whatever the BLAS threading.
 
 The line search starts at the step 1 and accepts by Armijo with the slope
 ⟨g,d⟩.  A trial point's energy is the J that its projection returns: the
-plain quadrature of Φ at the t*-scaled density of the projection's own
-ray, equal to ``energy`` of the projected field to round-off, not bitwise.
-The descent's quadratures (trial J, residuals, ⟨g,u⟩) are plain sums,
-whose error (~log₂n·ε·Σ|x|) lies far below ``ENERGY_SLACK`` and the
-residual tolerance.  Exact sums are kept for what is reported and what
-decides a case: the reported J and γ'' of a branch come from one exact
-ray of its final field, and every projection's A, B and E are exact.
+quadrature of Φ at the t*-scaled density of the projection's own ray,
+equal to ``energy`` of the projected field to round-off, not bitwise.
+Every quadrature is a plain sum (see ``grid``), whose error
+(~log₂n·ε·Σ|x|) lies far below ``ENERGY_SLACK`` and the residual
+tolerance; the reported J and γ'' of a branch come from one fresh ray of
+its final field.
 """
 
 from __future__ import annotations
@@ -86,7 +85,8 @@ class SolveReport:
     one entry per iteration, and ``alpha_history`` and
     ``backtrack_history`` one per accepted step.  ``counters`` totals the
     line search's projections, the failed ones, its step halvings, and the
-    L-BFGS memory resets.
+    L-BFGS memory resets; ``failed_projection_reasons`` counts the failed
+    projections per ``ProjectionError.reason``.
     """
 
     branch: str
@@ -317,6 +317,7 @@ def _run_descent(
     counters = dict.fromkeys(
         ("projections", "failed_projections", "backtracks", "memory_resets"), 0
     )
+    failed_reasons: dict[str, int] = {}
     max_constraint = 0.0
     stop_reason = "max_iter"
     memory = _LBFGS(cfg)
@@ -357,8 +358,9 @@ def _run_descent(
             counters["projections"] += 1
             try:
                 trial = project_scale(Field(grid, u.values + alpha * d), cfg, branch)
-            except ProjectionError:
+            except ProjectionError as err:
                 counters["failed_projections"] += 1
+                failed_reasons[err.reason] = failed_reasons.get(err.reason, 0) + 1
             else:
                 trial_energy = trial[2]
                 decrease_needed = -ARMIJO * alpha * slope
@@ -394,9 +396,9 @@ def _run_descent(
         scale_history.append(t_star)
 
     *_, full_res, gu = state  # the final field's own gradient data
-    # the reported J and γ'' are exact sums over one fresh ray of the final
-    # field; the history's last J, a plain sum of the projection that made
-    # that field, must agree with it to round-off
+    # the reported J and γ'' come from one fresh ray of the final field; the
+    # history's last J, from the projection that made that field, must agree
+    # with it to round-off
     fresh = sample_ray(u, cfg, [1.0])
     point = NehariPoint(u, branch, fresh["gamma"][0], abs(gu), fresh["gamma_dt2"][0], t_star)
     invariants = {
@@ -449,7 +451,7 @@ def _run_descent(
         alpha_history=tuple(alpha_history),
         backtrack_history=tuple(backtrack_history),
         scale_history=tuple(scale_history),
-        counters=counters,
+        counters={**counters, "failed_projection_reasons": failed_reasons},
         invariants=invariants,
     )
 

@@ -83,12 +83,14 @@ def perturbed_starts(cfg, branch, n_starts, seed, thresholds=None):
 def ray_value(formula, u, t, cfg):
     """The ray formula ``formula`` ("gamma", "balance", "peak_eq_dt", …) of u at t.
 
-    ``formula`` names a ``fibering._Ray`` method; it is fed the exact
-    integrals its parameters name, through the one reader of reported values.
+    ``formula`` names a ``fibering._Ray`` method; it is fed the integrals
+    its parameters name, read at t alone through the ray's one reader, as
+    ``sample_ray`` reads its table.
     """
     fn = getattr(fibering._Ray, formula)
     names = list(inspect.signature(fn).parameters)[2:]  # after (self, t)
-    return fibering._Ray(u, cfg).at(float(t), fn, *names)
+    ray, ts = fibering._Ray(u, cfg), np.array([float(t)])
+    return fn(ray, ts, *ray.read(ts, *names)).item()
 
 
 def second_derivative_forms(u, cfg):
@@ -139,3 +141,77 @@ def cfg_const():
 @pytest.fixture(scope="session")
 def grid_small(cfg_small):
     return cfg_small.grid
+
+
+def _draw_weight(rng, lengths):
+    """One weights section of a random kind: gaussians, affine or sinusoid."""
+    dim = len(lengths)
+    kind = rng.choice(["gaussians", "affine", "sinusoid"])
+    if kind == "gaussians":
+        centers = [" ".join(f"{rng.uniform(0.1, 0.9) * L:.6g}" for L in lengths) for _ in "pn"]
+        sigmas = rng.uniform(0.1, 0.4, 2) * min(lengths)
+        amps = 10.0 ** rng.uniform(-0.5, 0.5, 2)
+        keys = {
+            "amp_pos": amps[0],
+            "center_pos": centers[0],
+            "sigma_pos": sigmas[0],
+            "amp_neg": amps[1],
+            "center_neg": centers[1],
+            "sigma_neg": sigmas[1],
+        }
+    elif kind == "affine":
+        coeffs = [rng.uniform(-2.0, 2.0) / L for L in lengths]
+        keys = {"const": rng.uniform(-1.0, 1.0), "coeffs": " ".join(f"{c:.6g}" for c in coeffs)}
+    else:
+        keys = {
+            "freq": " ".join(f"{rng.uniform(0.3, 1.5) / L:.6g}" for L in lengths),
+            "phase": " ".join(f"{rng.uniform(0.0, 2.0 * np.pi):.6g}" for _ in range(dim)),
+        }
+    lines = [f"kind = {kind}"] + [
+        f"{k} = {v:.6g}" if isinstance(v, float) else f"{k} = {v}" for k, v in keys.items()
+    ]
+    return "\n".join(lines)
+
+
+def problem_class_draws(seed, count, q_range=(0.4, 0.9)):
+    """``count`` seeded configs drawn from the paper's problem class, as INI text.
+
+    The ranges: 1-D to 3-D; 5–15 nodes per axis (at most 9 in 3-D); sides
+    10^±0.5; q in ``q_range``; p in (1.3, p_max − 0.2), with p_max 5 in 3-D
+    and 7 otherwise; constant φ (value 10^±0.5) or stuart φ (offset 2–12);
+    ``gaussians``, ``affine`` or ``sinusoid`` weights; λ = auto:f with f in
+    (0.05, 0.95); ``max_iter`` 3000.  A draw is kept only if both weights
+    change sign on its grid and its hypotheses certify (``prepare_run``
+    resolves auto:f); weights that keep one sign lie outside the paper.
+    """
+    from nehari.config import parse_config, prepare_run
+    from nehari.errors import ConfigError
+
+    rng = np.random.default_rng(seed)
+    kept = []
+    while len(kept) < count:
+        dim = int(rng.integers(1, 4))
+        nodes = rng.integers(5, 10 if dim == 3 else 16, dim)
+        lengths = 10.0 ** rng.uniform(-0.5, 0.5, dim)
+        q = rng.uniform(*q_range)
+        p = rng.uniform(1.3, (5.0 if dim == 3 else 7.0) - 0.2)
+        if rng.random() < 0.5:
+            phi = f"kind = constant\nvalue = {10.0 ** rng.uniform(-0.5, 0.5):.6g}"
+        else:
+            phi = f"kind = stuart_example\noffset = {rng.uniform(2.0, 12.0):.6g}"
+        text = (
+            f"[phi]\n{phi}\n\n[grid]\ndim = {dim}\n"
+            f"nodes = {' '.join(map(str, nodes))}\n"
+            f"lengths = {' '.join(f'{L:.6g}' for L in lengths)}\n\n"
+            f"[weights.a]\n{_draw_weight(rng, lengths)}\n\n"
+            f"[weights.b]\n{_draw_weight(rng, lengths)}\n\n"
+            f"[problem]\nq = {q:.6g}\np = {p:.6g}\nlambda = auto:{rng.uniform(0.05, 0.95):.6g}\n\n"
+            "[solver]\nmax_iter = 3000\n"
+        )
+        try:
+            problem = prepare_run(parse_config(text)).problem
+        except ConfigError:  # the hypotheses do not certify
+            continue
+        if all((w.values > 0).any() and (w.values < 0).any() for w in (problem.a, problem.b)):
+            kept.append(text)
+    return kept

@@ -2,7 +2,6 @@ import dataclasses
 import math
 import tracemalloc
 import types
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -508,17 +507,27 @@ def test_sample_ray_checks_every_t_before_any_phi_work(cfg_small, bad):
     assert calls == []
 
 
-def test_sample_ray_sums_zero_rows_without_fsum(cfg_const):
+def test_sample_ray_sums_zero_rows_without_fsum(cfg_const, monkeypatch):
     # constant φ has φ' ≡ 0, so every m_1 row of the table is ±0.0; those
-    # rows, and every other row here, are summed by the vectorised kernel
+    # rows, and every other row here, are plain sums without math.fsum.  201
+    # t on a 5³ grid are 3 blocks of at most 96 t: sample_ray sums one
+    # integrate stack per block and integrand (bulk, m0, m1), after the
+    # ray's own stack of E, A, B and their sizes; a loop over t would make 603
     u = smooth_fields(cfg_const.grid, 1, seed=46)[0]
     t_values = np.logspace(-2, 2, 201)
-    fsum_calls = []
+    fsum_calls, stacks = [], []
     proxy = types.SimpleNamespace(**vars(math))
     proxy.fsum = lambda values: fsum_calls.append(1) or math.fsum(values)
-    with mock.patch.object(grid_module, "math", proxy):
-        table = sample_ray(u, cfg_const, t_values)
+    monkeypatch.setattr(grid_module, "math", proxy)
+    integrate_ = fibering.integrate
+    monkeypatch.setattr(
+        fibering,
+        "integrate",
+        lambda grid, values: stacks.append(len(values)) or integrate_(grid, values),
+    )
+    table = sample_ray(u, cfg_const, t_values)
     assert fsum_calls == []
+    assert stacks == [5] + [96, 96, 96] * 2 + [9, 9, 9]
     assert table["gamma_dt2"][100] == ray_energy_dt2(u, t_values[100], cfg_const)
 
 
@@ -844,3 +853,66 @@ def test_tiny_concave_integral_roots_below_the_old_bracket_cap(seed, index, sign
         assert math.isclose(point.scale, t, rel_tol=1e-9)
         assert point.constraint <= 1e-9 * t * size  # G(t·u) = t·γ'(t)
         assert point.gamma2 * sign > 0.0
+
+
+def test_seed_cases_read_their_signs_against_the_error_bound():
+    # on reference_stuart.ini the mirror-symmetric weights give the minus
+    # seed an exact A of 0 and the plus seed an exact B of 0; their plain
+    # sums leave ~1e-16 of ∫|terms| (A ≈ −8.9e-19, B ≈ −1.1e-19), inside the
+    # bound SIGN_C·n·ε·∫|terms|.  Each sign reads as 0, the nonpositive
+    # side, so the seeds keep their cases also when negating a or b turns
+    # the noise positive, and classify raises on none of these rays
+    cfg = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text())).problem
+    minus, plus = seed_field(cfg, "minus"), seed_field(cfg, "plus")
+    negated_a = dataclasses.replace(cfg, a=Field(cfg.grid, -cfg.a.values))
+    negated_b = dataclasses.replace(cfg, b=Field(cfg.grid, -cfg.b.values))
+    bound = fibering.SIGN_C * cfg.grid.size * np.finfo(float).eps
+    diags = [classify(minus, problem) for problem in (cfg, negated_a)]
+    assert diags[0].concave < 0.0 < diags[1].concave == -diags[0].concave
+    for diag in diags:
+        size = integrate(cfg.grid, np.abs(cfg.a.values) * np.abs(minus.values) ** (cfg.q + 1.0))
+        assert abs(diag.concave) <= bound * size
+        assert diag.case == CASE_CONVEX_ONLY
+        assert [sign for _, sign in diag.roots] == [-1]
+    diags = [classify(plus, problem) for problem in (cfg, negated_b)]
+    assert diags[0].convex < 0.0 < diags[1].convex == -diags[0].convex
+    for diag in diags:
+        size = integrate(cfg.grid, np.abs(cfg.b.values) * np.abs(plus.values) ** (cfg.p + 1.0))
+        assert abs(diag.convex) <= bound * size
+        assert diag.case == CASE_CONCAVE_ONLY
+        assert [sign for _, sign in diag.roots] == [1]
+
+
+@pytest.mark.parametrize(
+    "x, size, n, sign",
+    [
+        (0.0, 1.0, 729, 0),
+        (1e-18, 1.0, 729, 0),  # far inside n·ε·size = 1.6e-13
+        (-1.6e-13, 1.0, 729, 0),
+        (1.7e-13, 1.0, 729, 1),
+        (-1.7e-13, 1.0, 729, -1),
+        (-1e-300, 1e-300, 1, -1),  # one term of one sign is its own size
+    ],
+)
+def test_bounded_sign_reads_noise_as_zero(x, size, n, sign):
+    assert fibering._bounded_sign(x, size, n) == sign
+
+
+def test_rays_panel_signs_lie_far_outside_the_error_bound():
+    # on the benchmark's 48 stuart 9³ fields the smallest |A| or |B| is
+    # 5.5e-4 of ∫|terms| (field 24's A; 1.08e-2 on the other 47), against
+    # n·ε = 1.6e-13: every bounded sign is the plain sum's own sign, with a
+    # margin of more than 1e9
+    cfg = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text())).problem
+    bound = fibering.SIGN_C * cfg.grid.size * np.finfo(float).eps
+    rng = np.random.default_rng(0)
+    for _ in range(48):
+        u = random_smooth_field(cfg.grid, rng)
+        ray = fibering._Ray(u, cfg)
+        for value, sign, weight, power in (
+            (ray.concave, ray.concave_sign, cfg.a, cfg.q + 1.0),
+            (ray.convex, ray.convex_sign, cfg.b, cfg.p + 1.0),
+        ):
+            size = integrate(cfg.grid, np.abs(weight.values) * np.abs(u.values) ** power)
+            assert abs(value) > 1e9 * bound * size
+            assert sign == (1 if value > 0.0 else -1)

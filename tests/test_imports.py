@@ -1,7 +1,7 @@
 """Import structure.  The stuart run path stays on numpy: importing scipy
-roughly doubles the peak resident memory of a run.  Every correctly rounded
-sum goes through ``grid``'s one summation kernel, and every exported name
-has a reader outside the tests."""
+roughly doubles the peak resident memory of a run.  Every quadrature is one
+plain sum, made by ``grid.integrate``, and every exported name has a reader
+outside the tests."""
 
 import ast
 import os
@@ -43,26 +43,46 @@ def test_stuart_run_imports_no_scipy():
     assert done.stdout.strip() == ""
 
 
-def test_math_fsum_is_used_only_in_grid():
-    # the package calls math.fsum once: the last fallback of the lone-row sum
-    uses = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
-        for top in tree.body:
-            for node in ast.walk(top):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and node.attr == "fsum"
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "math"
-                ) or (
-                    isinstance(node, ast.ImportFrom)
-                    and node.module == "math"
-                    and any(alias.name == "fsum" for alias in node.names)
-                ):
-                    uses.append((path.name, getattr(top, "name", None), id(node) in calls))
-    assert uses == [("grid.py", "_exact_row_sum", True)], uses
+def summation_rule_breaches(src):
+    """(file, function, what) for each breach of the one summation rule in src.
+
+    A breach is a use of ``math.fsum``, an ``np.add.reduce`` call outside
+    ``grid.integrate``, or a function other than ``integrate`` named for a
+    sum, as a second kernel (exact, compensated, row-wise) would be.
+    """
+    breaches = []
+
+    def visit(node, path, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+            if "sum" in node.name.lower():
+                breaches.append((path.name, function, "defines a sum"))
+        if (isinstance(node, ast.Attribute) and node.attr == "fsum") or (
+            isinstance(node, ast.ImportFrom)
+            and any(alias.name == "fsum" for alias in node.names)
+        ):
+            breaches.append((path.name, function, "math.fsum"))
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "reduce"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "add"
+            and (path.name, function) != ("grid.py", "integrate")
+        ):
+            breaches.append((path.name, function, "np.add.reduce"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, function)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    return breaches
+
+
+def test_one_summation_rule():
+    # every quadrature of the package is one plain sum through grid.integrate
+    # (or the same numpy sum inline): no module uses math.fsum, and none
+    # defines a second summation helper beside grid.integrate
+    assert summation_rule_breaches(SRC) == []
 
 
 @pytest.mark.parametrize(
@@ -91,9 +111,8 @@ def test_no_private_summation_helper_outside_grid(module):
 
 
 def test_ray_integrands_are_written_once():
-    # fibering reads φ only through its one integrand table, so the plain
-    # sums of the root searches and the exact sums of reported values
-    # integrate the same products
+    # fibering reads φ only through its one integrand table, so the root
+    # searches and the reported values integrate the same products
     raw = {"raw_Phi", "raw_phi", "raw_dphi", "raw_d2phi"}
     tree = ast.parse((SRC / "fibering.py").read_text())
     (table,) = [

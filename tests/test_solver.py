@@ -282,15 +282,11 @@ def test_projection_reads_few_phi_values():
 
 
 def test_descent_sums_each_quadrature_once():
-    # exact sums per descent iteration over whole 9^3 solves of both
-    # reference configs at the benchmark panel's five lambda fractions: a
-    # trial takes its energy from its projection, so energy() is never
-    # called; every correctly rounded sum goes through grid._exact_sums,
-    # where each row of a batch counts as one sum and a 1-D array as one
-    # row; a stacked row that the stack's shared σ cannot certify is summed
-    # alone under its own σ.  The descent's own quadratures are plain: no
-    # exact sum is made inside _descent_state, and inside project_scale
-    # only the ray's E, A, B stack, which decides the branch case, is exact
+    # whole 9^3 solves of both reference configs at the benchmark panel's
+    # five lambda fractions: a trial takes its energy from its projection,
+    # so energy() is never called, and each descent state sums ∫g², ⟨g,u⟩
+    # and ⟨u,u⟩ once each by _dot, with no grid.integrate call; every
+    # integrate call of a solve is a ray's
     import nehari.fibering as fibering
     import nehari.grid as grid_module
 
@@ -300,49 +296,40 @@ def test_descent_sums_each_quadrature_once():
         prepare_run(parse_config((CONFIG_DIR / f"reference_{name}.ini").read_text()))
         for name in ("stuart", "constant")
     ]
-    counts = {"sums": 0, "energy": 0, "fsum": 0, "retries": 0, "plain_frames": 0}
-    exact_sums = grid_module._exact_sums
-    exact_row_sum = grid_module._exact_row_sum
-    energy = energy_module.energy
-    stacked = [False]
-    plain_frames = {solver._descent_state.__code__, fibering.project_scale.__code__}
-    ray_init = fibering._Ray.__init__.__code__
+    counts = {"energy": 0, "states": 0, "dots": 0, "integrate": 0, "outside_rays": 0}
+    integrate, energy, dot = grid_module.integrate, energy_module.energy, solver._dot
+    descent_state = solver._descent_state
 
-    def counted_exact_sums(rows):
-        counts["sums"] += 1 if np.ndim(rows) == 1 else len(rows)
-        # only _exact_sums calls _exact_row_sum: for a lone row, or a retry
-        stacked[0] = np.ndim(rows) == 2 and len(rows) > 1
-        callers = []
-        frame = sys._getframe(1)
-        while frame is not None:
-            callers.append(frame.f_code)
-            frame = frame.f_back
-        if ray_init not in callers and plain_frames.intersection(callers):
-            counts["plain_frames"] += 1
-        return exact_sums(rows)
-
-    def counted_exact_row_sum(row):
-        counts["retries"] += stacked[0]
-        return exact_row_sum(row)
+    def counted_integrate(*args):
+        counts["integrate"] += 1
+        caller = sys._getframe(1).f_code
+        in_ray = caller.co_filename == fibering.__file__ and caller.co_qualname.startswith("_Ray.")
+        counts["outside_rays"] += not in_ray
+        return integrate(*args)
 
     def counted_energy(*args):
         counts["energy"] += 1
         return energy(*args)
 
-    def counted_fsum(values):
-        counts["fsum"] += 1
-        return math.fsum(values)
+    def counted_dot(*args):
+        counts["dots"] += 1
+        return dot(*args)
 
-    proxy = types.SimpleNamespace(**vars(math))
-    proxy.fsum = counted_fsum
+    def counted_state(*args):
+        counts["states"] += 1
+        before = (counts["dots"], counts["integrate"])
+        state = descent_state(*args)
+        assert (counts["dots"] - before[0], counts["integrate"] - before[1]) == (3, 0)
+        return state
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grid_module, "math", proxy)
-        mp.setattr(grid_module, "_exact_row_sum", counted_exact_row_sum)
         for mod in (grid_module, energy_module, fibering, solver):
-            if getattr(mod, "_exact_sums", None) is exact_sums:
-                mp.setattr(mod, "_exact_sums", counted_exact_sums)
+            if getattr(mod, "integrate", None) is integrate:
+                mp.setattr(mod, "integrate", counted_integrate)
             if getattr(mod, "energy", None) is energy:
                 mp.setattr(mod, "energy", counted_energy)
+        mp.setattr(solver, "_dot", counted_dot)
+        mp.setattr(solver, "_descent_state", counted_state)
         iterations = 0
         for prep, fraction in itertools.product(preps, PANEL_FRACTIONS):
             cfg = dataclasses.replace(prep.problem, lam=fraction * prep.thresholds.lambda0)
@@ -351,18 +338,13 @@ def test_descent_sums_each_quadrature_once():
             iterations += pair.minus.iterations + pair.plus.iterations
     assert iterations > 200
     assert counts["energy"] == 0
-    assert counts["plain_frames"] == 0
-    assert counts["sums"] / iterations <= 4.0
-    # measured over 317 iterations: 3.62 sums, 0.21 fsum calls (what the
-    # extraction's certificate rejects) and 0.75 own-σ retries per iteration
-    assert counts["fsum"] / iterations <= 0.4
-    assert counts["retries"] / iterations <= 1.0
+    assert counts["states"] >= iterations
+    assert counts["integrate"] > 0 and counts["outside_rays"] == 0
 
 
 @pytest.mark.parametrize("name", ["constant", "stuart"])
 def test_reported_energy_is_the_exact_energy_of_the_final_field(name):
-    # the descent's energies are plain sums; the reported J is the exact
-    # γ(1) of the final field's own ray, bitwise
+    # the reported J is γ(1) of the final field's own fresh ray, bitwise
     prep = prepare_run(parse_config((CONFIG_DIR / f"reference_{name}.ini").read_text()))
     pair = solve_both(prep.problem, thresholds=prep.thresholds)
     assert not pair.failures
@@ -374,17 +356,25 @@ def test_reported_energy_is_the_exact_energy_of_the_final_field(name):
 
 @pytest.mark.parametrize("name", ["constant", "stuart"])
 def test_prepare_run_sums_without_fsum(name, monkeypatch):
-    # both Sobolev iterations sum lone rows exactly (three Dirichlet axes and
-    # the L^order norm, for the start and the best iterate), and the
-    # extraction certifies every one
+    # the quadratures of prepare_run are the Sobolev iterations': per
+    # estimate, one at the start, two per iterate (v's Dirichlet form and
+    # ‖v‖_r) and one for the reported ratio, all plain sums through
+    # grid.integrate, with no math.fsum call
     import nehari.grid as grid_module
 
-    calls = []
+    calls, fsum_calls = [], []
     proxy = types.SimpleNamespace(**vars(math))
-    proxy.fsum = lambda values: calls.append(1) or math.fsum(values)
+    proxy.fsum = lambda values: fsum_calls.append(1) or math.fsum(values)
     monkeypatch.setattr(grid_module, "math", proxy)
-    prepare_run(parse_config((CONFIG_DIR / f"reference_{name}.ini").read_text()))
-    assert calls == []
+    integrate = grid_module.integrate
+    monkeypatch.setattr(
+        grid_module, "integrate", lambda *args: calls.append(1) or integrate(*args)
+    )
+    prep = prepare_run(parse_config((CONFIG_DIR / f"reference_{name}.ini").read_text()))
+    assert fsum_calls == []
+    iterations = [est.iterations for est in prep.sobolev.values()]
+    assert min(iterations) > 5
+    assert len(calls) == sum(2 * n + 2 for n in iterations), (len(calls), iterations)
 
 
 def test_report_reads_one_fresh_ray_per_branch(monkeypatch):
