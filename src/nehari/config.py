@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .energy import ProblemConfig
+from .energy import ProblemConfig, _check_lambda
 from .errors import ConfigError, DomainError
 from .grid import WEIGHT_KINDS, Field, Grid, SobolevEstimate, estimate_sobolev, make_weight
 from .grid import reject_unread
@@ -103,6 +103,14 @@ def _get_int(parser, section: str, key: str) -> int:
         raise ConfigError(section, key, f"expected an integer, got {raw!r}") from None
 
 
+def _get_per_axis(parser, key: str, dim: int) -> tuple[float, ...]:
+    """A ``[grid]`` key of 1 or dim values, as dim values."""
+    values = _get_floats(parser, "grid", key)
+    if len(values) not in (1, dim):
+        raise ConfigError("grid", key, f"need 1 or {dim} values, got {len(values)}")
+    return tuple(values * (dim // len(values)))
+
+
 def _get_floats(parser, section: str, key: str) -> list[float]:
     raw = parser.get(section, key)
     try:
@@ -160,19 +168,8 @@ def parse_config(text: str) -> RunConfig:
     dim = _get_int(parser, "grid", "dim")
     if dim < 1:
         raise ConfigError("grid", "dim", f"dimension must be >= 1, got {dim}")
-    nodes = _get_floats(parser, "grid", "nodes")  # Grid rejects fractional counts
-    if len(nodes) == 1:
-        nodes = nodes * dim
-    if len(nodes) != dim:
-        raise ConfigError("grid", "nodes", f"need 1 or {dim} values, got {len(nodes)}")
-    lengths = _get_floats(parser, "grid", "lengths")
-    if len(lengths) == 1:
-        lengths = lengths * dim
-    if len(lengths) != dim:
-        raise ConfigError(
-            "grid", "lengths", f"need 1 or {dim} values, got {len(lengths)}"
-        )
-    grid = Grid(nodes=tuple(nodes), lengths=tuple(lengths))
+    nodes = _get_per_axis(parser, "nodes", dim)  # Grid rejects fractional counts
+    grid = Grid(nodes=nodes, lengths=_get_per_axis(parser, "lengths", dim))
     phi_spec = _read_spec(user, "phi", _read_spec(parser, "phi", {}))
 
     q = _get_float(parser, "problem", "q")
@@ -182,29 +179,16 @@ def parse_config(text: str) -> RunConfig:
     except DomainError as err:  # its message starts with the key at fault
         raise ConfigError("problem", str(err).split()[0], str(err)) from None
 
+    # a fixed lambda, or the fraction f of auto:f, under the rule for lambda
     lam_raw = parser.get("problem", "lambda").strip()
-    if lam_raw.startswith("auto:"):
-        try:
-            frac = float(lam_raw[5:])
-        except ValueError:
-            raise ConfigError(
-                "problem", "lambda", f"malformed auto fraction {lam_raw!r}"
-            ) from None
-        if not (0.0 < frac < math.inf):
-            raise ConfigError("problem", "lambda", "auto fraction must be positive and finite")
-        lam_mode, lam_value = "auto", frac
-    else:
-        try:
-            lam = float(lam_raw)
-        except ValueError:
-            raise ConfigError(
-                "problem", "lambda", f"expected a number or auto:f, got {lam_raw!r}"
-            ) from None
-        if not (0.0 < lam < math.inf):
-            raise ConfigError(
-                "problem", "lambda", f"lambda must be positive and finite, got {lam}"
-            )
-        lam_mode, lam_value = "fixed", lam
+    lam_mode = "auto" if lam_raw.startswith("auto:") else "fixed"
+    try:
+        lam_value = _check_lambda(lam_raw.removeprefix("auto:"))
+    except ValueError:
+        message = f"expected a number or auto:f, got {lam_raw!r}"
+        raise ConfigError("problem", "lambda", message) from None
+    except DomainError as err:
+        raise ConfigError("problem", "lambda", f"{err} in {lam_raw!r}") from None
 
     a_spec = _read_spec(user, "weights.a", _default_weight_spec(grid, axis=0))
     b_spec = _read_spec(user, "weights.b", _default_weight_spec(grid, axis=min(1, dim - 1)))
@@ -319,21 +303,25 @@ _SPEC_KINDS["weights.a"] = _SPEC_KINDS["weights.b"] = WEIGHT_KINDS
 
 
 def _build_weight(grid: Grid, spec: dict, section: str) -> Field:
-    """``make_weight``, its errors addressed to the config section of the weight."""
+    """``make_weight``, its errors addressed to the config section of the
+    weight; a weight that is zero at every node is one of them."""
     try:
-        return make_weight(grid, spec)
+        weight = make_weight(grid, spec)
     except ConfigError as err:
         if err.section != "weights":
             raise  # a node-value CSV's own error, addressed to the file
         raise ConfigError(section, err.key, err.message) from None
+    if not weight.values.any():
+        raise ConfigError(section, "-", "weight is zero at every node of the grid")
+    return weight
 
 
 @dataclass(frozen=True)
 class PreparedRun:
     """Everything the subcommands need: problem, certification, thresholds.
 
-    ``thresholds`` is None when the hypotheses are not certified (a fixed
-    lambda can still be solved, an auto one cannot be resolved).
+    ``thresholds`` is None only when the hypotheses are not certified (a
+    fixed lambda can still be solved, an auto one cannot be resolved).
     """
 
     run: RunConfig
@@ -368,7 +356,9 @@ def prepare_run(run: RunConfig) -> PreparedRun:
     thresholds: Optional[ThresholdReport]
     try:
         thresholds = compute_thresholds(hyp, sob, base)
-    except ConfigError:
+    except ConfigError as err:
+        if hyp.passes.get(err.key, True):
+            raise  # not an uncertified hypothesis
         thresholds = None
     if run.lam_mode == "auto":
         if thresholds is None:

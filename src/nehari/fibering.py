@@ -28,14 +28,12 @@ peaks are roots of decreasing functions, so the sign at the start says
 which way to walk.  Trial points of a descent lie next to a branch
 crossing: since m is unimodal, the signs of m − λA and of m' at the walk's
 points place a bracket that holds that crossing and no other.  A first
-point with m − λA inside the tangency band may lie on a tangent ray; the
-peak is the maximum of m, so one probe a factor 2 toward the peak with
-m − λA above the band rules that out, and settles a descent's trial points,
-which sit at their own crossing.  The balance peak is solved only when the
-signs cannot place the bracket, when no probe settles the band, or when a
-diagnosis reports it.  Brackets are capped at [smallest normal
-double, 1e9]; every downward search meets a guaranteed sign change before
-0⁺.
+point whose m − λA reads positive proves the peak lies above the level, so
+the ray is not tangent.  The balance peak is solved only when the signs
+cannot place the bracket, when the first point's level reads 0 and its
+slope does not read the branch's sign, or when a diagnosis reports it.
+Brackets are capped at [smallest normal double, 1e9]; every downward
+search meets a guaranteed sign change before 0⁺.
 
 The integrands (Φ's bulk and the moments m_k) are written once, in one
 table, and read by one reader, :meth:`_Ray.read`: each integral is one
@@ -44,14 +42,14 @@ on the unit-energy copy of the ray (the stopping tolerance, not summation
 error, limits root accuracy); reported values read it at a float t or at
 an array of t, in (t, node) blocks, so a value read at one t has the bits
 it has in a table of many.  A ray's A, B and E come from one stack of
-quadratures with ∫|a||u|^{q+1} and ∫|b||u|^{p+1}, and the case reads the
-signs of A and B against the plain sum's error bound
-SIGN_C·n·ε·∫|terms|: within it a sign reads as 0, the nonpositive side of
-the case table.  The balance peak t̃ and the bare peak t_max are reported
-by :func:`classify` only.  A projection reports J(t*·u) as γ(t*) of the
-ray it has already built: one Φ sum at the t*-scaled density, with A and
-B scaled by powers of t*, equal to ``energy`` of the projected field to
-round-off, not bitwise.
+quadratures with ∫|a||u|^{q+1} and ∫|b||u|^{p+1}.  Every sign the engine
+decides (A, B, the level m − λA, the balance slope) reads against the plain
+sum's error bound SIGN_C·n·ε·∫|terms|: within it a sign reads as 0, so A
+or B is nonpositive and a level at the peak is tangent.  The balance peak
+t̃ and the bare peak t_max are reported by :func:`classify` only.  A
+projection reports J(t*·u) as γ(t*) of the ray it has already built: one
+Φ sum at the t*-scaled density, with A and B scaled by powers of t*, equal
+to ``energy`` of the projected field to round-off, not bitwise.
 """
 
 from __future__ import annotations
@@ -89,11 +87,9 @@ __all__ = [
 BRACKET_LO_CAP = sys.float_info.min
 BRACKET_HI_CAP = 1e9
 BRACKET_GROW = 2.0
-TANGENT_RTOL = 1e-10  # the tangency band is |m − λA| ≤ TANGENT_RTOL·(1 + |λA|)
-SLOPE_RTOL = 1e-9  # a balance slope within this share of its terms' size reads as 0
 ROOT_RTOL = 1e-12  # a root search stops at a step of at most ROOT_RTOL·t
 MAX_REFINE = 200
-SIGN_C = 1.0  # an integral's sign reads as 0 within SIGN_C·n·ε·∫|terms|
+SIGN_C = 1.0  # a decided sign reads as 0 within SIGN_C·n·ε·∫|terms|
 # (t, node) entries per block of an array read: 16 values of t on a 9³
 # grid, under 100 kB per array; it, not the number of t, bounds working memory
 SAMPLE_BLOCK_ELEMENTS = 12_000
@@ -137,6 +133,7 @@ class _Ray:
         rows = np.concatenate([self.density[None], terms, np.abs(terms)])
         E, A, B, A_size, B_size = integrate(cfg.grid, rows)
         self.energy_int, self.concave, self.convex = E, A, B
+        self.concave_size, self.convex_size = A_size, B_size  # their terms' sizes
         # the signs that decide the case; positive scalings keep them
         self.concave_sign = _bounded_sign(A, A_size, cfg.grid.size)
         self.convex_sign = _bounded_sign(B, B_size, cfg.grid.size)
@@ -153,6 +150,8 @@ class _Ray:
         unit.energy_int = 1.0
         unit.concave = _over_power(self.concave, s, self.q + 1.0)
         unit.convex = _over_power(self.convex, s, self.p + 1.0)
+        unit.concave_size = _over_power(self.concave_size, s, self.q + 1.0)
+        unit.convex_size = _over_power(self.convex_size, s, self.p + 1.0)
         unit.scale = s
         return unit
 
@@ -202,6 +201,12 @@ class _Ray:
 
     def balance(self, t: float, m0: float) -> float:
         return t ** (1.0 - self.q) * m0 - t ** (self.p - self.q) * self.convex
+
+    def level_sign(self, t: float, f: float) -> int:
+        """Bounded sign of f = m(t) − λA; its first term t^{1−q}m_0 is f + λA + t^{p−q}B."""
+        lam, tb = self.lam, t ** (self.p - self.q)
+        size = f + lam * (self.concave + self.concave_size) + tb * (self.convex + self.convex_size)
+        return _bounded_sign(f, size, self.grid.size)
 
     def balance_dt(self, t: float, m0: float, m1: float) -> float:
         q, p = self.q, self.p
@@ -375,10 +380,6 @@ def _refine(fdf, a: _Point, b: _Point) -> float:
     return t
 
 
-def _tangent_tol(lamA: float) -> float:
-    return TANGENT_RTOL * (1.0 + abs(lamA))
-
-
 class _BranchUnavailable(Exception):
     def __init__(self, reason: str):
         self.reason = reason
@@ -391,33 +392,24 @@ def _branch_root(ray: _Ray, branch: str) -> float:
     ``plus`` is the rising crossing, ``minus`` the falling one.  From the
     warm start ``ray.scale`` the search walks toward the peak until
     f = m − λA ≥ 0, then away from it on the branch's side until f < 0.
-    A first f ≥ 0 within the tangency band may sit on a tangent ray.  On
-    the branch's side of the peak, one probe a factor 2 toward it with f
-    above the band rules that out (m(peak) ≥ m(probe)), and the search goes
-    on from that first point.  The peak is solved only when the walk passes
-    it with f < 0 throughout, or when a first f in the band lies at m' = 0
-    or past the peak, or its probe does not clear the band or falls beyond
-    the bracket caps.  The signs of A and B are the ray's bounded ones.
+    A first f that reads positive proves m(peak) > λA; the search goes on
+    from it, and from a first f that reads 0 where the slope reads the
+    branch's sign.  The peak is solved only when the walk passes it with
+    f < 0 throughout, or when a first f reads 0 and its slope does not read
+    the branch's sign.  Every sign is a bounded one (:func:`_bounded_sign`).
     """
     lamA = ray.lam * ray.concave
     a_pos, b_pos = ray.concave_sign > 0, ray.convex_sign > 0
-    rising = branch == "plus"
+    sign = 1 if branch == "plus" else -1
+    rising = sign > 0
     if rising and not a_pos:
         raise _BranchUnavailable("concave integral is nonpositive")
     if not rising and not b_pos:
         raise _BranchUnavailable("convex integral is nonpositive")
-    tangent_tol = _tangent_tol(lamA)
 
     def fdf(t: float) -> _Point:
         m0, m1 = ray.moments(t)
         return _Point(t, ray.balance(t, m0) - lamA, ray.balance_dt(t, m0, m1))
-
-    def probe_clears_band(pt: _Point) -> bool:
-        """Whether a probe toward the peak from ``pt`` lies above the band."""
-        if pt.df == 0.0 or (pt.df > 0.0) != rising:
-            return False
-        t = pt.t * BRACKET_GROW if rising else pt.t / BRACKET_GROW
-        return BRACKET_LO_CAP <= t <= BRACKET_HI_CAP and fdf(t).f > tangent_tol
 
     neg: Optional[_Point] = None
     pos = fdf(ray.scale)
@@ -429,12 +421,13 @@ def _branch_root(ray: _Ray, branch: str) -> float:
         if up == rising:  # the walk came from the branch's side
             neg = prev
     if pos.f < 0.0 or (
-        b_pos and a_pos and pos.f <= tangent_tol and not probe_clears_band(pos)
+        b_pos and a_pos and ray.level_sign(pos.t, pos.f) == 0 and _root_sign(ray, pos.t) != sign
     ):
         pos = fdf(ray.peak)
-        if abs(pos.f) <= tangent_tol:
+        level = ray.level_sign(pos.t, pos.f)
+        if level == 0:
             raise _BranchUnavailable("ray is tangent to the manifold")
-        if pos.f < 0.0:
+        if level < 0:
             raise _BranchUnavailable("balance peak below the concave level (no crossing)")
         neg = None
     if neg is None:
@@ -443,18 +436,19 @@ def _branch_root(ray: _Ray, branch: str) -> float:
 
 
 def _root_sign(ray: _Ray, t: float) -> int:
-    """Sign of the second ray derivative at a crossing, via the balance slope."""
+    """Sign of the second ray derivative at a crossing: the balance slope's bounded sign.
+
+    The convex term's size is ∫|b||u|^{p+1}; |m_1| is its terms' size when φ′
+    has one sign, as for ``constant`` and ``stuart_example``.
+    """
     m0, m1 = ray.moments(t)
-    slope = ray.balance_dt(t, m0, m1)
     q, p = ray.q, ray.p
     size = (
         (1.0 - q) * t**-q * abs(m0)
         + t ** (2.0 - q) * abs(m1)
-        + (p - q) * t ** (p - q - 1.0) * abs(ray.convex)
+        + (p - q) * t ** (p - q - 1.0) * ray.convex_size
     )
-    if abs(slope) <= SLOPE_RTOL * size:
-        return 0
-    return 1 if slope > 0.0 else -1
+    return _bounded_sign(ray.balance_dt(t, m0, m1), size, ray.grid.size)
 
 
 @dataclass(frozen=True)
@@ -530,13 +524,13 @@ def classify(u: Field, cfg: ProblemConfig) -> FiberingDiagnosis:
             case, branches = CASE_CONCAVE_ONLY, ("plus",)
     else:
         t_tilde = unit.peak
-        gap = unit.balance(t_tilde, *unit.moments(t_tilde, 0)) - lamA
+        level = unit.level_sign(t_tilde, unit.balance(t_tilde, *unit.moments(t_tilde, 0)) - lamA)
         if not a_pos:
             case, branches = CASE_CONVEX_ONLY, ("minus",)
-        elif abs(gap) <= _tangent_tol(lamA):
+        elif level == 0:
             case = CASE_BOTH_TANGENT
             roots.append((t_tilde, 0))
-        elif gap < 0.0:
+        elif level < 0:
             case = CASE_BOTH_NO_ROOT
         else:
             case, branches = CASE_BOTH_TWO_ROOTS, ("plus", "minus")

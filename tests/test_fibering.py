@@ -339,14 +339,15 @@ def test_case_both_no_root(cfg_small):
 
 
 def test_case_both_tangent_band():
-    # at λ = m(t̃)/A the balance peak touches the concave level λA: within
-    # TANGENT_RTOL the ray is tangent; 1e-6 off, it has two roots or none
+    # at λ = m(t̃)/A the balance peak touches the concave level λA: the ray is
+    # tangent while the gap m(t̃) − λA lies within the plain sums' error
+    # bound, ~4e-13·λA on this ray; 1e-12 off, it has two roots or none
     cfg = fixed_sign_problem(+1.0, +1.0, nodes=(9, 9, 9))
     x, y, z = cfg.grid.coords()
     u = Field(cfg.grid, np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z))
     t_tilde = classify(u, cfg).t_tilde
     lam = ray_value("balance", u, t_tilde, cfg) / concave_integral(u, cfg)
-    for factor in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+    for factor in (1.0 - 1e-13, 1.0, 1.0 + 1e-13):
         diag = classify(u, cfg.with_lambda(lam * factor))
         assert diag.case == CASE_BOTH_TANGENT
         assert [sign for _, sign in diag.roots] == [0]
@@ -354,17 +355,61 @@ def test_case_both_tangent_band():
         with pytest.raises(ProjectionError, match="tangent"):
             project(u, cfg.with_lambda(lam), branch)
     # scaled so that the peak sits at t = 1, the projection's first point is
-    # the tangency itself: a probe a factor 2 away lies below the band and
-    # certifies nothing, so the peak is still solved
+    # the tangency itself: its level and its slope read 0, so the peak is
+    # still solved
     at_peak = u.scaled(t_tilde)
     lam_at_peak = ray_value("balance", at_peak, 1.0, cfg) / concave_integral(at_peak, cfg)
     for branch in ("plus", "minus"):
         with pytest.raises(ProjectionError, match="tangent"):
             project(at_peak, cfg.with_lambda(lam_at_peak), branch)
-    below = classify(u, cfg.with_lambda(lam * (1.0 - 1e-6)))
+    below = classify(u, cfg.with_lambda(lam * (1.0 - 1e-12)))
     assert below.case == CASE_BOTH_TWO_ROOTS
     assert [sign for _, sign in below.roots] == [1, -1]
-    assert classify(u, cfg.with_lambda(lam * (1.0 + 1e-6))).case == CASE_BOTH_NO_ROOT
+    assert classify(u, cfg.with_lambda(lam * (1.0 + 1e-12))).case == CASE_BOTH_NO_ROOT
+
+
+@pytest.mark.parametrize(
+    "gap, case, reason",
+    [
+        (1e-3, CASE_BOTH_TWO_ROOTS, None),
+        (1e-6, CASE_BOTH_TWO_ROOTS, None),
+        (0.0, CASE_BOTH_TANGENT, "ray is tangent to the manifold"),
+        (-1e-3, CASE_BOTH_NO_ROOT, "balance peak below the concave level (no crossing)"),
+    ],
+)
+def test_ray_case_is_invariant_under_the_scaling_symmetry(gap, case, reason):
+    # with φ ≡ 1, b → κb and λ → κ^{−(1−q)/(p−1)}λ only rescale every root by
+    # κ^{−1/(p−1)}, so no case may change; λ puts the peak gap m(t̃) − λA at
+    # ``gap``·λA, with m(t̃) = (p−1)/(p−q)·t̃^{1−q}E in closed form
+    cfg = fixed_sign_problem(+1.0, +1.0, nodes=(9, 9, 9), phi=constant_model(1.0))
+    q, p = cfg.q, cfg.p
+    x, y, z = cfg.grid.coords()
+    u = Field(cfg.grid, np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z))
+    E = integrate(cfg.grid, pointwise_energy(u))
+    A, B = concave_integral(u, cfg), convex_integral(u, cfg)
+    t_tilde = ((1.0 - q) * E / ((p - q) * B)) ** (1.0 / (p - 1.0))
+    lam = (p - 1.0) / (p - q) * t_tilde ** (1.0 - q) * E / ((1.0 + gap) * A)
+    base = None
+    for kappa in (1.0, 1e-8, 1e20, 1e30, 1e40):
+        scaled = fixed_sign_problem(
+            +1.0,
+            kappa,
+            nodes=(9, 9, 9),
+            phi=constant_model(1.0),
+            lam=kappa ** (-(1.0 - q) / (p - 1.0)) * lam,
+        )
+        diag = classify(u, scaled)
+        assert diag.case == case, kappa
+        if reason is not None:
+            for branch in ("plus", "minus"):
+                with pytest.raises(ProjectionError) as failed:
+                    project(u, scaled, branch)
+                assert failed.value.reason == reason, kappa
+            continue
+        scales = [project(u, scaled, branch).scale for branch in ("plus", "minus")]
+        base = base or scales
+        for t, t_base in zip(scales, base):
+            assert math.isclose(t, kappa ** (-1.0 / (p - 1.0)) * t_base, rel_tol=1e-9), kappa
 
 
 def test_classification_matches_scan_oracle():
@@ -745,9 +790,9 @@ def test_refine_stops_at_a_converged_step_from_the_bracket_end():
 
 
 def test_reprojecting_a_solution_reads_few_phi_values():
-    # a converged solution lies on its branch at t = 1 within the tangency
-    # band; one probe toward the balance peak rules out a tangent ray, so
-    # the peak (order-2 moments) is never solved
+    # a converged solution lies on its branch at t = 1: the search's first
+    # point with m ≥ λA reads positive, or reads 0 with a balance slope of
+    # the branch's sign, so the peak (order-2 moments) is never solved
     prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
     pair = solve_both(prep.problem, thresholds=prep.thresholds)
     assert not pair.failures
@@ -761,9 +806,8 @@ def test_reprojecting_a_solution_reads_few_phi_values():
 
 
 def test_projection_scale_does_not_depend_on_the_descent_sums():
-    # project_scale, the descent's projection, sums its J plainly and
-    # project sums it exactly; both take t* from the same exact E, A, B and
-    # the same root search.  Over the timed rays panel (field 24 set aside,
+    # project_scale, the descent's projection, and project take t* from the
+    # same E, A, B and the same root search, and J from the same ray.  Over the timed rays panel (field 24 set aside,
     # as the benchmark does) and the branch seeds of both reference configs
     cases = []
     for name in ("stuart", "constant"):
