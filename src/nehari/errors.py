@@ -31,7 +31,7 @@ class ConfigError(NehariError):
 
 
 class BracketError(NehariError):
-    """A root bracket could not be established within the growth cap."""
+    """A root search walked out of the float range before its sign change."""
 
 
 class _Diagnosed(NehariError):

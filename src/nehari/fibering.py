@@ -32,8 +32,12 @@ point whose m − λA reads positive proves the peak lies above the level, so
 the ray is not tangent.  The balance peak is solved only when the signs
 cannot place the bracket, when the first point's level reads 0 and its
 slope does not read the branch's sign, or when a diagnosis reports it.
-Brackets are capped at [smallest normal double, 1e9]; every downward
-search meets a guaranteed sign change before 0⁺.
+Every walk has a guaranteed sign change on its side: the peak equations'
+targets run from +∞ at 0⁺ to −(p−q)B or −B < 0, m runs from 0 < λA at 0⁺
+to −∞ when B > 0, and m ≥ ρ₀t^{1−q} → ∞ (φ ≥ ρ₀ > 0) when B ≤ 0.  So
+the float range is a walk's only bound; a walk that leaves it raises
+BracketError, which a projection reports as a missed branch, like a
+projected field whose energy t*²E leaves the positive normal floats.
 
 The integrands (Φ's bulk and the moments m_k) are written once, in one
 table, and read by one reader, :meth:`_Ray.read`: each integral is one
@@ -84,8 +88,6 @@ __all__ = [
     "sample_ray",
 ]
 
-BRACKET_LO_CAP = sys.float_info.min
-BRACKET_HI_CAP = 1e9
 BRACKET_GROW = 2.0
 ROOT_RTOL = 1e-12  # a root search stops at a step of at most ROOT_RTOL·t
 MAX_REFINE = 200
@@ -128,10 +130,10 @@ class _Ray:
         self.grid = cfg.grid
         self.phi, self.q, self.p, self.lam = cfg.phi, cfg.q, cfg.p, cfg.lam
         self.density = pointwise_energy(u)
-        self.density2 = self.density**2
         terms = np.stack([_concave_density(u, cfg), _convex_density(u, cfg)])
         rows = np.concatenate([self.density[None], terms, np.abs(terms)])
         E, A, B, A_size, B_size = integrate(cfg.grid, rows)
+        self.density2 = _squared(self.density, E / cfg.grid.cell_volume)
         self.energy_int, self.concave, self.convex = E, A, B
         self.concave_size, self.convex_size = A_size, B_size  # their terms' sizes
         # the signs that decide the case; positive scalings keep them
@@ -146,7 +148,7 @@ class _Ray:
         s = math.sqrt(self.energy_int)
         unit = copy.copy(self)
         unit.density = self.density / (s * s)
-        unit.density2 = unit.density**2
+        unit.density2 = _squared(unit.density, 1.0 / self.grid.cell_volume)
         unit.energy_int = 1.0
         unit.concave = _over_power(self.concave, s, self.q + 1.0)
         unit.convex = _over_power(self.convex, s, self.p + 1.0)
@@ -261,6 +263,13 @@ class _Ray:
         return _refine(g, *_walk(g, start, up, lambda pt: (pt.f >= 0.0) != up))
 
 
+def _squared(density: np.ndarray, total: float) -> np.ndarray:
+    """density², where ``total`` = Σρ = E/h bounds max ρ; past √(float max) a DomainError."""
+    if total > math.sqrt(sys.float_info.max):
+        raise DomainError("the field's energy density squared leaves the float range")
+    return density**2
+
+
 def _over_power(x: float, s: float, a: float) -> float:
     """x / s**a, also where s**a over- or underflows a float: with s = m·2^k,
     s**a = m**a·2^φ·2^j, j = ⌊ka⌋ and φ = ka − j, and ldexp divides by 2^j."""
@@ -323,24 +332,24 @@ class _Point(NamedTuple):
     df: float
 
 
+@np.errstate(over="raise", invalid="raise")
 def _walk(fdf, start: _Point, up: bool, stop) -> tuple[_Point, _Point]:
     """Scale by the growth factor (up or down) from ``start`` until ``stop(point)``.
 
-    Returns the last two points evaluated.
+    Returns the last two points evaluated.  The float range is the only
+    bound: a next t that is not a positive normal float, a read at t that
+    overflows, or a non-finite f or f′ raises BracketError.
     """
     step = BRACKET_GROW if up else 1.0 / BRACKET_GROW
     point = start
     while True:
-        t = point.t * step
-        if t < BRACKET_LO_CAP:
-            raise BracketError(
-                f"no sign change above the lower bracket cap {BRACKET_LO_CAP:g}"
-            )
-        if t > BRACKET_HI_CAP:
-            raise BracketError(
-                f"no sign change below the upper bracket cap {BRACKET_HI_CAP:g}"
-            )
-        prev, point = point, fdf(t)
+        prev, t = point, point.t * step
+        try:
+            point = fdf(t) if sys.float_info.min <= t < math.inf else None
+        except (OverflowError, FloatingPointError):  # float ** or numpy
+            point = None
+        if point is None or not (math.isfinite(point.f) and math.isfinite(point.df)):
+            raise BracketError("no sign change inside the float range")
         if stop(point):
             return prev, point
 
@@ -381,9 +390,7 @@ def _refine(fdf, a: _Point, b: _Point) -> float:
 
 
 class _BranchUnavailable(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
+    """Why a ray misses a branch: the message is the reason."""
 
 
 def _branch_root(ray: _Ray, branch: str) -> float:
@@ -561,8 +568,10 @@ def _project_ray(u: Field, cfg: ProblemConfig, branch: str) -> tuple[_Ray, float
 
     The search starts at t = 1.  The branch sign is verified through the
     balance slope at the root (exact identity with the second ray derivative
-    of the scaled field).  A ProjectionError computes its diagnosis only
-    when it is read.
+    of the scaled field).  A walk that leaves the float range, or a root
+    whose projected field has an energy t*²E outside the positive normal
+    floats, misses the branch like a failed sign.  A ProjectionError
+    computes its diagnosis only when it is read.
     """
     if branch not in ("plus", "minus"):
         raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
@@ -574,11 +583,11 @@ def _project_ray(u: Field, cfg: ProblemConfig, branch: str) -> tuple[_Ray, float
         sign = _root_sign(unit, t_star_n)
         if sign != (1 if branch == "plus" else -1):
             raise _BranchUnavailable(f"balance slope sign {sign} at the root")
-    except _BranchUnavailable as stop:
+        if not sys.float_info.min <= t_star_n * t_star_n < math.inf:  # the unit ray has E = 1
+            raise _BranchUnavailable("projected field leaves the float range")
+    except (_BranchUnavailable, BracketError) as stop:
         raise ProjectionError(
-            f"branch {branch!r} unavailable: {stop.reason}",
-            diagnosis=diagnosis,
-            reason=stop.reason,
+            f"branch {branch!r} unavailable: {stop}", diagnosis=diagnosis, reason=str(stop)
         ) from None
     return ray, t_star_n / unit.scale
 

@@ -128,7 +128,7 @@ def manifold_energies(u, cfg):
 @pytest.fixture(scope="session")
 def cfg_small():
     """stuart operator on a 5^3 grid; lam sized for a rich case taxonomy
-    whose crossings stay inside the bracket caps."""
+    whose crossings lie within a few decades of unit scale."""
     return make_problem(lam=1.0)
 
 

@@ -12,7 +12,16 @@ import pytest
 from nehari.cli import GRADCHECK_DIRECTIONS, GRADCHECK_TOLERANCE, main
 from nehari.config import build_phi, parse_config, prepare_run
 from nehari.errors import ConfigError
-from nehari.grid import MIN_LENGTH, MIN_WIDTH, Field, make_weight, save_field
+from nehari.fibering import project
+from nehari.grid import (
+    MIN_LENGTH,
+    MIN_WIDTH,
+    Field,
+    integrate,
+    make_weight,
+    pointwise_energy,
+    save_field,
+)
 from nehari.solver import seed_field
 
 from conftest import CONFIG_DIR, problem_class_draws
@@ -338,12 +347,22 @@ def test_thresholds_beyond_the_float_range_are_named(tmp_path, capsys, extra):
     assert not (tmp_path / "thresholds.json").exists()
 
 
-def test_solve_on_a_huge_box_fails_its_branches_without_a_traceback(tmp_path):
-    # at lengths 1e60 the unit ray's scale is √E ~ 1e90: the ray now builds
-    # without overflow, and both branch searches stop at the bracket cap, so
-    # the run exits 2 (a failed branch) with each failure named on stderr
-    cfgp = tmp_path / "huge.ini"
-    cfgp.write_text(QUICK.replace("lengths = 1.0", "lengths = 1e60"))
+@pytest.mark.parametrize(
+    "length, failed",
+    [
+        # the minus branch runs and stops at no_decrease; every plus seed
+        # projects to t* ~ 1e-299, whose field's energy leaves the float range
+        pytest.param("1e60", {"plus": "SeedingError"}, id="1e60"),
+        # the seeds' energy density ~1e200 would overflow when squared
+        pytest.param("1e-100", {"minus": "DomainError", "plus": "DomainError"}, id="1e-100"),
+    ],
+)
+def test_solve_on_a_far_box_names_each_failure_without_a_traceback(tmp_path, length, failed):
+    # no ray walk is capped: a far box runs until its rays leave the float
+    # range, and the run exits 2 with no traceback or RuntimeWarning, each
+    # failure named in solve.json and on stderr
+    cfgp = tmp_path / "far.ini"
+    cfgp.write_text(QUICK.replace("lengths = 1.0", f"lengths = {length}"))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     out = tmp_path / "o"
@@ -356,11 +375,16 @@ def test_solve_on_a_huge_box_fails_its_branches_without_a_traceback(tmp_path):
         timeout=120,
     )
     assert done.returncode == 2, done.stderr[-2000:]
-    assert "Traceback" not in done.stderr
+    assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
     report = json.loads((out / "solve.json").read_text())
-    assert sorted(report["failures"]) == ["minus", "plus"]
-    for branch, message in report["failures"].items():
-        assert f"branch {branch} failed: BracketError: {message}" in done.stderr
+    failures = {k: v for k, v in report["failures"].items() if not k.endswith("_diagnosis")}
+    assert sorted(failures) == sorted(failed)
+    for branch, message in failures.items():
+        assert f"branch {branch} failed: {failed[branch]}: {message}" in done.stderr
+        assert "cap" not in message
+        assert report[branch] is None
+    for branch in set(("minus", "plus")) - set(failed):
+        assert report[branch]["stop_reason"] in ("converged", "max_iter", "no_decrease")
 
 
 def test_fibering_of_a_faint_field_keeps_its_case(tmp_path):
@@ -821,3 +845,20 @@ def test_solve_converges_over_the_problem_class_for_q_from_0_4(tmp_path, capsys)
             rep = report[branch]
             assert rep["converged"], (i, branch, rep["stop_reason"], text)
             assert rep["invariants"]["energy_sign_ok"] and rep["invariants"]["gamma2_sign_ok"]
+
+
+@pytest.mark.parametrize("seed, index", [(13, 20), (16, 18), (20, 8), (20, 23)])
+def test_problem_class_minus_seeds_project_far_past_unit_scale(tmp_path, seed, index):
+    # draws with q 0.62–0.74 and p 1.31–1.50, whose minus crossings scale
+    # like B^{−1/(p−1)}: both seeds project, the minus one at a unit-energy
+    # t* above 1e9, the old absolute bracket cap.  Draw 16#18 then solves;
+    # the other three run minus to max_iter at round-off residuals
+    text = problem_class_draws(seed, index + 1)[index]
+    cfg = prepare_run(parse_config(text)).problem
+    minus, _ = (seed_field(cfg, branch) for branch in ("minus", "plus"))
+    energy = integrate(cfg.grid, pointwise_energy(minus))
+    assert project(minus, cfg, "minus").scale * math.sqrt(energy) > 1e9
+    if (seed, index) == (16, 18):
+        path = tmp_path / "draw.ini"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0

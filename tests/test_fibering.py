@@ -380,7 +380,8 @@ def test_case_both_tangent_band():
 def test_ray_case_is_invariant_under_the_scaling_symmetry(gap, case, reason):
     # with φ ≡ 1, b → κb and λ → κ^{−(1−q)/(p−1)}λ only rescale every root by
     # κ^{−1/(p−1)}, so no case may change; λ puts the peak gap m(t̃) − λA at
-    # ``gap``·λA, with m(t̃) = (p−1)/(p−q)·t̃^{1−q}E in closed form
+    # ``gap``·λA, with m(t̃) = (p−1)/(p−q)·t̃^{1−q}E in closed form.  The
+    # roots move by 1e±40 over the κ range: no walk stops short of them
     cfg = fixed_sign_problem(+1.0, +1.0, nodes=(9, 9, 9), phi=constant_model(1.0))
     q, p = cfg.q, cfg.p
     x, y, z = cfg.grid.coords()
@@ -390,7 +391,7 @@ def test_ray_case_is_invariant_under_the_scaling_symmetry(gap, case, reason):
     t_tilde = ((1.0 - q) * E / ((p - q) * B)) ** (1.0 / (p - 1.0))
     lam = (p - 1.0) / (p - q) * t_tilde ** (1.0 - q) * E / ((1.0 + gap) * A)
     base = None
-    for kappa in (1.0, 1e-8, 1e20, 1e30, 1e40):
+    for kappa in (1.0, 1e-8, 1e-20, 1e-40, 1e-80, 1e20, 1e30, 1e40, 1e80):
         scaled = fixed_sign_problem(
             +1.0,
             kappa,
