@@ -47,8 +47,8 @@ def _write_json(path: Path, payload: dict) -> None:
 def _write_history_csv(path: Path, report) -> None:
     """One row per iterate; row 0 is the seed, which has no step."""
 
-    def cell(values, i: int) -> str:
-        return repr(values[i]) if 0 <= i < len(values) else ""
+    def step(values, i: int) -> str:
+        return repr(values[i - 1]) if i > 0 else ""
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -58,9 +58,9 @@ def _write_history_csv(path: Path, report) -> None:
                 [
                     i,
                     repr(e),
-                    cell(report.residual_history, i),
-                    cell(report.alpha_history, i - 1),
-                    cell(report.backtrack_history, i - 1),
+                    repr(report.residual_history[i]),
+                    step(report.alpha_history, i),
+                    step(report.backtrack_history, i),
                     repr(report.scale_history[i]),
                 ]
             )
@@ -123,10 +123,8 @@ def cmd_fibering(prep: PreparedRun, out: Path, args) -> int:
     table = sample_ray(u, cfg, np.logspace(-2, 2, 201))
     with open(out / "t_samples.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        names = ["t", "gamma", "gamma_dt", "gamma_dt2", "balance", "peak_eq"]
-        writer.writerow(names)
-        for i in range(len(table["t"])):
-            writer.writerow([repr(table[name][i]) for name in names])
+        writer.writerow(table.keys())
+        writer.writerows([repr(x) for x in row] for row in zip(*table.values()))
     return EXIT_OK
 
 

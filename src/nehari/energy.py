@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .grid import Field, Grid, _edge_diff, integrate, pointwise_energy
+from .grid import Field, Grid, _edge_diff, inner, integrate, pointwise_energy
 from .phi import PhiModel, _check_exponents
 
 __all__ = [
@@ -140,8 +140,7 @@ def dual_norm(grad_arr: np.ndarray, grid: Grid) -> float:
     """Quadrature-weighted dual norm sqrt(Σ g_i²/w_i) of a gradient array.
 
     Equals the L² norm of the pointwise gradient field, so its magnitude is
-    grid-resolution independent.  The package itself never calls it; it stays
-    because ``bench/tracing.py`` names it in ``SPANS``.
+    grid-resolution independent: the descent's residual.
     """
     return math.sqrt(integrate(grid, (grad_arr / grid.cell_volume) ** 2))
 
@@ -153,4 +152,4 @@ def nehari_residual(u: Field, cfg: ProblemConfig) -> float:
     """
     _check_field(u, cfg)
     g = energy_gradient(u, cfg) / cfg.grid.cell_volume
-    return integrate(cfg.grid, g * u.values)
+    return inner(cfg.grid, g, u.values)

@@ -563,15 +563,16 @@ def classify(u: Field, cfg: ProblemConfig) -> FiberingDiagnosis:
     )
 
 
-def _project_ray(u: Field, cfg: ProblemConfig, branch: str) -> tuple[_Ray, float]:
-    """The ray of u and its branch crossing t*, in input units.
+def _project_ray(u: Field, cfg: ProblemConfig, branch: str, report) -> tuple[float, tuple]:
+    """t*, in input units, and ``report(ray, t*)`` on the ray of u.
 
     The search starts at t = 1.  The branch sign is verified through the
     balance slope at the root (exact identity with the second ray derivative
-    of the scaled field).  A walk that leaves the float range, or a root
-    whose projected field has an energy t*²E outside the positive normal
-    floats, misses the branch like a failed sign.  A ProjectionError
-    computes its diagnosis only when it is read.
+    of the scaled field).  A walk that leaves the float range, a root whose
+    projected field has an energy t*²E outside the positive normal floats,
+    or a report value that is not a finite float misses the branch like a
+    failed sign.  A ProjectionError computes its diagnosis only when it is
+    read.
     """
     if branch not in ("plus", "minus"):
         raise DomainError(f"branch must be 'plus' or 'minus', got {branch!r}")
@@ -583,13 +584,19 @@ def _project_ray(u: Field, cfg: ProblemConfig, branch: str) -> tuple[_Ray, float
         sign = _root_sign(unit, t_star_n)
         if sign != (1 if branch == "plus" else -1):
             raise _BranchUnavailable(f"balance slope sign {sign} at the root")
-        if not sys.float_info.min <= t_star_n * t_star_n < math.inf:  # the unit ray has E = 1
+        values = (math.inf,)
+        if sys.float_info.min <= t_star_n * t_star_n < math.inf:  # the unit ray has E = 1
+            try:
+                values = report(ray, t_star_n / unit.scale)
+            except OverflowError:  # Python's float ** past the float range
+                pass
+        if not all(map(math.isfinite, values)):
             raise _BranchUnavailable("projected field leaves the float range")
     except (_BranchUnavailable, BracketError) as stop:
         raise ProjectionError(
             f"branch {branch!r} unavailable: {stop}", diagnosis=diagnosis, reason=str(stop)
         ) from None
-    return ray, t_star_n / unit.scale
+    return t_star_n / unit.scale, values
 
 
 def project_scale(
@@ -600,8 +607,16 @@ def project_scale(
     Only the descent and its seeding call it.  t* and J = γ(t*) are
     :func:`project`'s, read from the same ray at t*.
     """
-    ray, t_star = _project_ray(u, cfg, branch)
-    return u.scaled(t_star), t_star, ray.gamma(t_star, *ray.read(t_star, "bulk"))
+    t_star, (J,) = _project_ray(
+        u, cfg, branch, lambda ray, t: (ray.gamma(t, *ray.read(t, "bulk")),)
+    )
+    return u.scaled(t_star), t_star, J
+
+
+def _report_at(ray: _Ray, t: float) -> tuple[float, float, float]:
+    """J, G and γ″ of the field t·u: γ(t), t·γ′(t) and t²·γ″(t)."""
+    bulk, m0, m1 = ray.read(t, "bulk", "m0", "m1")
+    return ray.gamma(t, bulk), t * ray.gamma_dt(t, m0), t * t * ray.gamma_dt2(t, m0, m1)
 
 
 def project(u: Field, cfg: ProblemConfig, branch: str) -> NehariPoint:
@@ -613,10 +628,8 @@ def project(u: Field, cfg: ProblemConfig, branch: str) -> NehariPoint:
     not reach the branch.  The report reads the projection's own ray at t*:
     for the scaled field, G = t*·γ′(t*) and γ″(1) = t*²·γ″(t*).
     """
-    ray, t = _project_ray(u, cfg, branch)
-    bulk, m0, m1 = ray.read(t, "bulk", "m0", "m1")
-    J, G = ray.gamma(t, bulk), t * ray.gamma_dt(t, m0)
-    return NehariPoint(u.scaled(t), branch, J, abs(G), t * t * ray.gamma_dt2(t, m0, m1), t)
+    t, (J, G, gamma2) = _project_ray(u, cfg, branch, _report_at)
+    return NehariPoint(u.scaled(t), branch, J, abs(G), gamma2, t)
 
 
 def sample_ray(u: Field, cfg: ProblemConfig, t_values) -> dict[str, list[float]]:

@@ -12,12 +12,11 @@ node-valued fields over this grid.  The conventions are:
   is one plain deterministic sum, numpy's pairwise ``np.add.reduce`` over
   the nodes: :func:`integrate` of one integrand or of a stack of them, and
   the same sum inline where the integrand does not live on the nodes
-  (:func:`dirichlet_energy`'s edges) or on the hot paths of the descent.
-  Such a sum of n terms is off by at most n·ε·Σ|x| (Higham, *Accuracy and
-  Stability of Numerical Algorithms* §4.2), so a decision that reads the
-  sign of a sum reads it against that bound (``fibering``), and the same
-  terms in the same order give the same bits on one machine and numpy
-  build.
+  (:func:`dirichlet_energy`'s edges).  Such a sum of n terms is off by at
+  most n·ε·Σ|x| (Higham, *Accuracy and Stability of Numerical Algorithms*
+  §4.2), so a decision that reads the sign of a sum reads it against that
+  bound (``fibering``), and the same terms in the same order give the same
+  bits on one machine and numpy build.
 """
 
 from __future__ import annotations
@@ -232,11 +231,7 @@ def integrate(grid: Grid, values: np.ndarray) -> float | list[float]:
 
 
 def inner(grid: Grid, x: np.ndarray, y: np.ndarray) -> float:
-    """Quadrature-weighted L² inner product of two node arrays.
-
-    The package itself never calls it; it stays because ``bench/tracing.py``
-    names it in ``SPANS``.
-    """
+    """Quadrature-weighted L² inner product of two node arrays."""
     return integrate(grid, np.asarray(x) * np.asarray(y))
 
 

@@ -2,12 +2,11 @@
 
 Each iterate is kept exactly on the manifold by the fibering projection
 (the one-dimensional scaling root), and the backtracking line search
-re-projects every trial point.  On the manifold the gradient is
-automatically orthogonal to the ray direction; a vanishing tangential
-residual makes the Lagrange multiplier vanish as well (the second ray
-derivative is nonzero on both branches).  The stopping test reads one
-residual, the full, unprojected gradient dual norm, which bounds the
-tangential one that the history records.
+re-projects every trial point.  Both branches are natural constraints
+(Brown & Zhang, JDE 2003): a minimizer on a branch is a free critical
+point of J.  So an iterate has one residual, the dual norm of its whole
+gradient (``energy.dual_norm``), which the stop test reads, the history
+records and the report gives.
 
 The search direction is H¹-preconditioned L-BFGS.  The two-loop recursion
 (Nocedal, Math. Comp. 1980) runs on the L² gradient g with the last
@@ -52,10 +51,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .energy import ProblemConfig, energy_gradient
+from .energy import ProblemConfig, dual_norm, energy_gradient
 from .errors import NehariError, ProjectionError, SeedingError
 from .fibering import NehariPoint, project_scale, sample_ray
-from .grid import Field, _dirichlet_solver, _gaussian, laplacian
+from .grid import Field, _dirichlet_solver, _gaussian, inner, laplacian
 from .thresholds import ThresholdReport
 
 logger = logging.getLogger(__name__)
@@ -80,10 +79,10 @@ CURVATURE_RTOL = 1e-14  # a pair needs ⟨s,y⟩ above this times |s||y|
 class SolveReport:
     """One branch's result.
 
-    The histories are per iterate: ``energy_history`` and ``scale_history``
-    (the projection scale t*) start at the seed, ``residual_history`` has
-    one entry per iteration, and ``alpha_history`` and
-    ``backtrack_history`` one per accepted step.  ``counters`` totals the
+    The histories are per iterate: ``energy_history``, ``residual_history``
+    (the gradient's dual norm) and ``scale_history`` (the projection scale
+    t*) start at the seed, so their last entries are the final field's, and
+    ``alpha_history`` and ``backtrack_history`` have one per accepted step.  ``counters`` totals the
     line search's projections, the failed ones, its step halvings, and the
     L-BFGS memory resets; ``failed_projection_reasons`` counts the failed
     projections per ``ProjectionError.reason``.
@@ -184,18 +183,13 @@ def _projected_seed(
 def _descent_state(u: Field, cfg: ProblemConfig):
     """Gradient data at an on-manifold iterate, each quadrature summed once.
 
-    Returns (g, tan_res, full_res, gu): the pointwise (L²-representative)
-    gradient g, the L² norm of its part orthogonal to u and the dual norm
-    of the whole gradient, and the Nehari residual gu = ⟨g,u⟩.  ∫g², ⟨g,u⟩
-    and ⟨u,u⟩ are h·:func:`_dot`, the plain sums the direction uses, and the
-    tangential residual is √max(∫g² − ⟨g,u⟩²/⟨u,u⟩, 0): it never exceeds
-    full_res, so the stop test reads full_res alone.
+    Returns (g, residual, gu): the pointwise (L²-representative) gradient g,
+    the dual norm of the whole gradient, which the stop test reads and the
+    history records, and the Nehari residual gu = ⟨g,u⟩.
     """
-    h = cfg.grid.cell_volume
-    g = energy_gradient(u, cfg) / h
-    squares, gu, uu = h * _dot(g, g), h * _dot(g, u.values), h * _dot(u.values, u.values)
-    tan_res = math.sqrt(max(squares - gu * gu / uu, 0.0))
-    return g, tan_res, math.sqrt(squares), gu
+    grad = energy_gradient(u, cfg)
+    g = grad / cfg.grid.cell_volume
+    return g, dual_norm(grad, cfg.grid), inner(cfg.grid, g, u.values)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -275,10 +269,9 @@ def minimize_branch(
     1.  No other restart exists: :func:`seed_field` returns only seeds that
     project, and the line search shrinks the step past every trial that
     does not.  ``stop_reason`` says why it stopped: ``converged`` once the
-    full gradient dual norm falls below the residual tolerance (the
-    tangential residual in ``residual_history`` never exceeds it),
-    ``max_iter``, or ``no_decrease`` when the line search finds
-    no decrease along the search direction.  It runs at any λ:
+    gradient's dual norm falls below the residual tolerance, ``max_iter``,
+    or ``no_decrease`` when the line search finds no decrease along the
+    search direction.  It runs at any λ:
     ``thresholds`` only adds the δ_λ floor invariant on the minus branch,
     and judging λ against the thresholds is left to the caller.
     """
@@ -310,7 +303,6 @@ def _run_descent(
     u, t_star, start_energy = start
     grid = cfg.grid
     energy_history = [start_energy]
-    residual_history: list[float] = []
     alpha_history: list[float] = []
     backtrack_history: list[int] = []
     scale_history = [t_star]
@@ -318,16 +310,14 @@ def _run_descent(
         ("projections", "failed_projections", "backtracks", "memory_resets"), 0
     )
     failed_reasons: dict[str, int] = {}
-    max_constraint = 0.0
     stop_reason = "max_iter"
     memory = _LBFGS(cfg)
-    state = _descent_state(u, cfg)
+    g, residual, gu = _descent_state(u, cfg)
+    residual_history = [residual]
+    max_constraint = abs(gu)
 
     for iterations in range(1, cfg.max_iter + 1):
-        g, tan_res, full_res, gu = state
-        residual_history.append(tan_res)
-        max_constraint = max(max_constraint, abs(gu))
-        if full_res <= cfg.residual_tol:
+        if residual <= cfg.residual_tol:
             stop_reason = "converged"
             break
         d = memory.direction(g, u)
@@ -379,9 +369,8 @@ def _run_descent(
             stop_reason = "no_decrease"  # along the search direction
             break
         new_u, t_star, new_energy = accepted
-        # the new state is read by the report if max_iter stops here
-        new_state = _descent_state(new_u, cfg)
-        curvature = memory.push(new_u.values - u.values, new_state[0] - g)
+        new_g, residual, gu = _descent_state(new_u, cfg)
+        curvature = memory.push(new_u.values - u.values, new_g - g)
         if curvature is not None:
             logger.info(
                 "branch %s, iteration %d: <s,y> = %.3e too small; L-BFGS pair skipped",
@@ -389,13 +378,14 @@ def _run_descent(
                 iterations,
                 curvature,
             )
-        u, state = new_u, new_state
+        u, g = new_u, new_g
         energy_history.append(new_energy)
+        residual_history.append(residual)
+        max_constraint = max(max_constraint, abs(gu))
         alpha_history.append(alpha)
         backtrack_history.append(backtracks)
         scale_history.append(t_star)
 
-    *_, full_res, gu = state  # the final field's own gradient data
     # the reported J and γ'' come from one fresh ray of the final field; the
     # history's last J, from the projection that made that field, must agree
     # with it to round-off
@@ -408,7 +398,7 @@ def _run_descent(
         )
         and abs(energy_history[-1] - point.energy) <= 1e-12 * max(1.0, abs(point.energy)),
         "max_constraint_residual": max_constraint,
-        "final_full_residual": full_res,
+        "final_full_residual": residual,
         "final_energy": point.energy,
         "energy_sign_ok": (point.energy < 0.0)
         if branch == "plus"
@@ -428,7 +418,7 @@ def _run_descent(
             branch,
             stop_reason,
             iterations,
-            residual_history[-1],
+            residual,
             cfg.residual_tol,
         )
     wall = time.perf_counter() - t_start
@@ -437,7 +427,7 @@ def _run_descent(
         branch,
         iterations,
         point.energy,
-        residual_history[-1],
+        residual,
         wall,
     )
     return SolveReport(

@@ -348,21 +348,32 @@ def test_thresholds_beyond_the_float_range_are_named(tmp_path, capsys, extra):
 
 
 @pytest.mark.parametrize(
-    "length, failed",
+    "edit, failed",
     [
         # the minus branch runs and stops at no_decrease; every plus seed
         # projects to t* ~ 1e-299, whose field's energy leaves the float range
-        pytest.param("1e60", {"plus": "SeedingError"}, id="1e60"),
+        pytest.param(("lengths = 1.0", "lengths = 1e60"), {"plus": "SeedingError"}, id="1e60"),
         # the seeds' energy density ~1e200 would overflow when squared
-        pytest.param("1e-100", {"minus": "DomainError", "plus": "DomainError"}, id="1e-100"),
+        pytest.param(
+            ("lengths = 1.0", "lengths = 1e-100"),
+            {"minus": "DomainError", "plus": "DomainError"},
+            id="1e-100",
+        ),
+        # every seed's root t* has a finite t*²E but t*^{p+1}B overflows, so
+        # its J leaves the float range
+        pytest.param(
+            ("lambda = auto:0.5", "lambda = 1e300"),
+            {"minus": "SeedingError", "plus": "SeedingError"},
+            id="lambda-1e300",
+        ),
     ],
 )
-def test_solve_on_a_far_box_names_each_failure_without_a_traceback(tmp_path, length, failed):
-    # no ray walk is capped: a far box runs until its rays leave the float
-    # range, and the run exits 2 with no traceback or RuntimeWarning, each
-    # failure named in solve.json and on stderr
+def test_solve_on_a_far_box_names_each_failure_without_a_traceback(tmp_path, edit, failed):
+    # no ray walk is capped: a far box (or a huge λ) runs until its rays
+    # leave the float range, and the run exits 2 with no traceback or
+    # RuntimeWarning, each failure named in solve.json and on stderr
     cfgp = tmp_path / "far.ini"
-    cfgp.write_text(QUICK.replace("lengths = 1.0", f"lengths = {length}"))
+    cfgp.write_text(QUICK.replace(*edit))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     out = tmp_path / "o"
@@ -385,6 +396,12 @@ def test_solve_on_a_far_box_names_each_failure_without_a_traceback(tmp_path, len
         assert report[branch] is None
     for branch in set(("minus", "plus")) - set(failed):
         assert report[branch]["stop_reason"] in ("converged", "max_iter", "no_decrease")
+        # the recorded residual is the gradient's dual norm, which no far
+        # box cancels to 0
+        residuals = report[branch]["residual_history"]
+        assert residuals[-1] == report[branch]["invariants"]["final_full_residual"] > 0.0
+        assert 0.0 not in residuals
+    assert "residual 0.000e+00" not in done.stderr
 
 
 def test_fibering_of_a_faint_field_keeps_its_case(tmp_path):

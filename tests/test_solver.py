@@ -284,9 +284,9 @@ def test_projection_reads_few_phi_values():
 def test_descent_sums_each_quadrature_once():
     # whole 9^3 solves of both reference configs at the benchmark panel's
     # five lambda fractions: a trial takes its energy from its projection,
-    # so energy() is never called, and each descent state sums ∫g², ⟨g,u⟩
-    # and ⟨u,u⟩ once each by _dot, with no grid.integrate call; every
-    # integrate call of a solve is a ray's
+    # so energy() is never called, and each descent state sums ∫g² and
+    # ⟨g,u⟩ once each, by dual_norm and inner, with no _dot call; every
+    # other integrate call of a solve is a ray's
     import nehari.fibering as fibering
     import nehari.grid as grid_module
 
@@ -296,7 +296,8 @@ def test_descent_sums_each_quadrature_once():
         prepare_run(parse_config((CONFIG_DIR / f"reference_{name}.ini").read_text()))
         for name in ("stuart", "constant")
     ]
-    counts = {"energy": 0, "states": 0, "dots": 0, "integrate": 0, "outside_rays": 0}
+    counts = {"energy": 0, "states": 0, "dots": 0, "integrate": 0}
+    outside_rays = []  # the callers of integrate calls that are not a ray's
     integrate, energy, dot = grid_module.integrate, energy_module.energy, solver._dot
     descent_state = solver._descent_state
 
@@ -304,7 +305,8 @@ def test_descent_sums_each_quadrature_once():
         counts["integrate"] += 1
         caller = sys._getframe(1).f_code
         in_ray = caller.co_filename == fibering.__file__ and caller.co_qualname.startswith("_Ray.")
-        counts["outside_rays"] += not in_ray
+        if not in_ray:
+            outside_rays.append(caller.co_qualname)
         return integrate(*args)
 
     def counted_energy(*args):
@@ -317,9 +319,10 @@ def test_descent_sums_each_quadrature_once():
 
     def counted_state(*args):
         counts["states"] += 1
-        before = (counts["dots"], counts["integrate"])
+        before = (counts["dots"], counts["integrate"], len(outside_rays))
         state = descent_state(*args)
-        assert (counts["dots"] - before[0], counts["integrate"] - before[1]) == (3, 0)
+        assert (counts["dots"] - before[0], counts["integrate"] - before[1]) == (0, 2)
+        assert outside_rays[before[2] :] == ["dual_norm", "inner"]
         return state
 
     with pytest.MonkeyPatch.context() as mp:
@@ -339,7 +342,8 @@ def test_descent_sums_each_quadrature_once():
     assert iterations > 200
     assert counts["energy"] == 0
     assert counts["states"] >= iterations
-    assert counts["integrate"] > 0 and counts["outside_rays"] == 0
+    assert counts["integrate"] > 2 * counts["states"]
+    assert len(outside_rays) == 2 * counts["states"]
 
 
 @pytest.mark.parametrize("name", ["constant", "stuart"])
@@ -520,8 +524,8 @@ def test_default_seed_is_projected_once(monkeypatch, cfg_const):
 
 
 def test_descent_builds_one_gradient_per_iteration(monkeypatch, caplog):
-    # the start's |G|, the reported |G| and the final full residual are read
-    # from the descent states; only a run stopped by max_iter builds one more,
+    # the start's |G|, the reported |G| and the final residual are read from
+    # the descent states; only a run stopped by max_iter builds one more,
     # and each run's stop_reason says which way it stopped
     energy_module = importlib.import_module("nehari.energy")
     prep = prepare_run(parse_config((CONFIG_DIR / "reference_stuart.ini").read_text()))
@@ -546,6 +550,12 @@ def test_descent_builds_one_gradient_per_iteration(monkeypatch, caplog):
     assert report.stop_reason == "max_iter"
     assert "branch minus stopped (max_iter) after 5 iterations" in caplog.text
     assert calls["n"] == 6
+    # the history has one residual per iterate, the last the final field's,
+    # and the stop warning prints that one
+    residuals = report.residual_history
+    assert len(residuals) == len(report.energy_history) == report.iterations + 1
+    assert residuals[-1] == report.invariants["final_full_residual"]
+    assert f"after 5 iterations with residual {residuals[-1]:.3e}" in caplog.text
 
 
 def test_one_dimensional_refinement_converges_at_second_order():
